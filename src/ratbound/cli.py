@@ -12,6 +12,7 @@ for provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -353,9 +354,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first main() rather than at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
     except MathDomainError as exc:

@@ -4,7 +4,7 @@ An HPoly of degree d stores d+1 complex coefficients with the convention
 coeffs[i] * z^i * w^(d-i).  This module provides the algebraic substrate:
 evaluation, products, pair composition, the Sylvester resultant, all-roots
 finding on P^1 (simultaneous Aberth-Ehrlich iteration with Newton polish
-and greedy chordal clustering for multiplicities), and an approximate gcd
+and chordal clustering for multiplicities), and an approximate gcd
 computed by matching root clusters of the two inputs.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import NumericalFailure
-from .projline import INFINITY, ZERO, ProjPoint, canonicalize, chordal_distance
+from .projline import INFINITY, ZERO, ProjPoint, _merge_close, canonicalize, chordal_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,41 +355,6 @@ def _horner_vec(coeffs_asc, x):
     return acc
 
 
-def _aligned_mean(reps, weights):
-    """Weighted mean of projective representatives after phase alignment."""
-    seed = reps[0]
-    total = np.zeros(2, dtype=complex)
-    for rep, wgt in zip(reps, weights):
-        t = seed[0] * np.conj(rep[0]) + seed[1] * np.conj(rep[1])
-        phase = t / abs(t) if t != 0 else 1.0
-        total += wgt * phase * np.asarray(rep)
-    return canonicalize(total[0], total[1])
-
-
-def _cluster_points(raw, radius):
-    """Greedy star clustering of [(ProjPoint, mult)] at the given radius."""
-    out = []
-    used = [False] * len(raw)
-    for i, (pi, mi) in enumerate(raw):
-        if used[i]:
-            continue
-        used[i] = True
-        members = [(pi, mi)]
-        for j in range(i + 1, len(raw)):
-            if used[j]:
-                continue
-            pj, mj = raw[j]
-            if chordal_distance(pi, pj) <= radius:
-                used[j] = True
-                members.append((pj, mj))
-        mult = sum(m for _, m in members)
-        center = _aligned_mean(
-            [p.as_array() for p, _ in members], [m for _, m in members]
-        )
-        out.append((center, mult))
-    return out
-
-
 def _polish_multiple_root(core, z0, mult):
     """Newton-refine a multiplicity-m cluster center on d^(m-1)p/dz^(m-1)."""
     c = np.asarray(core, dtype=complex)
@@ -414,7 +379,8 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
     Leading coefficients below tol * (max modulus) contribute multiplicity at
     (1:0); exactly-zero trailing coefficients contribute at (0:1); the
     remaining dehomogenized core is solved by Aberth-Ehrlich iteration and
-    the numeric roots are greedily clustered at radius max(tol, 1e-7).
+    the numeric roots are clustered (connected components of the chordal
+    relation) at radius max(tol, 1e-7).
     """
     if P.is_zero:
         raise ValueError("roots undefined for the zero polynomial")
@@ -440,7 +406,10 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
             raw.append((canonicalize(r, 1.0), 1))
 
     radius = max(tol, DEFAULTS.cluster_floor)
-    clustered = _cluster_points(raw, radius)
+    rows, mults = _merge_close(
+        np.array([pt.as_array() for pt, _ in raw]).reshape(-1, 2),
+        np.array([m for _, m in raw], dtype=float), radius)
+    clustered = [(canonicalize(z, w), int(round(m))) for (z, w), m in zip(rows, mults)]
 
     refined = []
     for center, mult in clustered:
@@ -574,7 +543,8 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
             if best is None:
                 break
             take = min(need, best[1])
-            center = _aligned_mean([pp.as_array(), best[0].as_array()], [1.0, 1.0])
+            pair = np.array([pp.as_array(), best[0].as_array()])
+            center = canonicalize(*_merge_close(pair, np.ones(2), tol)[0][0])
             shared.append((center, take))
             best[1] -= take
             need -= take

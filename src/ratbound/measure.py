@@ -36,6 +36,7 @@ from .errors import ExceptionalPointError, IndeterminateMapError
 from .hpoly import HPoly, RootList, roots
 from .projline import (
     ProjPoint,
+    _merge_close,
     canonicalize,
     canonicalize_rows,
     chordal_cross,
@@ -241,68 +242,14 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
 def merge_atoms(points, masses, eps: float = DEFAULTS.pt):
     """Merge atoms within chordal eps; masses add, location = weighted mean.
 
-    Small lists get a full pairwise merge; large ones a bucket merge on an
-    eps grid (near-duplicates across bucket edges may stay separate, which
-    only affects presentation, never totals).
+    A merged atom is a connected component of the relation "within chordal
+    eps", so chains of close atoms merge whole and no grid edge splits one.
+    Its location is the mass-weighted mean of the phase-aligned members;
+    atoms close to no other come back unchanged and in their input order.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, 2)
     masses = np.asarray(masses, dtype=float).reshape(-1)
-    n = len(points)
-    if n <= 1:
-        return points, masses
-    if n <= 3000:
-        return _merge_pairwise(points, masses, eps)
-    return _merge_buckets(points, masses, eps)
-
-
-def _weighted_center(pts, wts):
-    seed = pts[0]
-    t = pts @ np.conj(seed)
-    phases = np.where(np.abs(t) > 0, t / np.where(np.abs(t) == 0, 1, np.abs(t)), 1.0)
-    avg = (wts[:, None] * np.conj(phases)[:, None] * pts).sum(axis=0)
-    return canonicalize(avg[0], avg[1]).as_array()
-
-
-def _merge_pairwise(points, masses, eps):
-    D = chordal_cross(points, points)
-    n = len(points)
-    used = np.zeros(n, dtype=bool)
-    out_p, out_m = [], []
-    for i in range(n):
-        if used[i]:
-            continue
-        group = (~used) & (D[i] <= eps)
-        used |= group
-        idx = np.nonzero(group)[0]
-        if len(idx) == 1:
-            out_p.append(points[i])
-            out_m.append(masses[i])
-        else:
-            out_p.append(_weighted_center(points[idx], masses[idx]))
-            out_m.append(masses[idx].sum())
-    return np.array(out_p), np.array(out_m)
-
-
-def _merge_buckets(points, masses, eps):
-    grid = max(eps, 1e-12)
-    reals = np.column_stack(
-        [points[:, 0].real, points[:, 0].imag, points[:, 1].real, points[:, 1].imag]
-    )
-    keys = np.round(reals / grid).astype(np.int64)
-    order = {}
-    out_p, out_m = [], []
-    for i, key in enumerate(map(tuple, keys)):
-        j = order.get(key)
-        if j is None:
-            order[key] = len(out_p)
-            out_p.append(points[i])
-            out_m.append(masses[i])
-        else:
-            total = out_m[j] + masses[i]
-            out_p[j] = (out_m[j] * out_p[j] + masses[i] * points[i]) / total
-            out_m[j] = total
-    out = canonicalize_rows(np.array(out_p))
-    return out, np.array(out_m)
+    return _merge_close(points, masses, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,67 @@ def chordal_cross(A, B) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     d = np.abs(A[:, 0, None] * B[None, :, 1] - A[:, 1, None] * B[None, :, 0])
     return np.minimum(d, 1.0)
+
+
+# A generic direction: the conjugate and rotationally symmetric point sets of
+# the example families do not tie when projected on it.
+_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi**2)
+
+
+def _merge_close(points, weights, eps):
+    """Merge the unit-norm rows of points (n, 2) that lie within chordal eps.
+
+    A group, a connected component of the relation d(p, q) <= eps, becomes
+    one canonical row in place of its first member: the weighted mean of its
+    members, phase-aligned to that first member, with the summed weight.
+    Other rows come back unchanged; with no group, so do the inputs.  On the
+    unit sphere chordal distance is half the Euclidean one, so only pairs
+    whose projections on a sweep axis lie within 2 eps are compared.
+    """
+    z, w = points[:, 0], points[:, 1]
+    zw = z * np.conj(w)
+    proj = (2 * zw.real * _SWEEP_AXIS[0] + 2 * zw.imag * _SWEEP_AXIS[1]
+            + (np.abs(z) ** 2 - np.abs(w) ** 2) * _SWEEP_AXIS[2])
+    order = np.argsort(proj)
+    swept = proj[order]
+    # 1e-15 absorbs the rounding of the embedding at distance exactly eps
+    span = np.searchsorted(swept, swept + (2 * eps + 1e-15), side="right")
+    span -= np.arange(1, len(swept) + 1)
+    none = np.zeros(0, dtype=np.intp)
+    near_a, near_b = [none], [none]
+    active = np.nonzero(span > 0)[0]
+    k = 1
+    while len(active):
+        a, b = order[active], order[active + k]
+        close = np.abs(z[a] * w[b] - z[b] * w[a]) <= eps
+        near_a.append(a[close])
+        near_b.append(b[close])
+        k += 1
+        active = active[span[active] >= k]
+    a, b = np.concatenate(near_a), np.concatenate(near_b)
+    if len(a) == 0:
+        return points, weights
+
+    # min-label propagation: every row ends labelled by the first row of its group
+    n = len(points)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        label = label[label]
+        if np.array_equal(label[a], label[b]):
+            break
+    in_group = np.zeros(n, dtype=bool)
+    in_group[a] = in_group[b] = True
+    members = np.flatnonzero(in_group)
+    first = label[members]
+    heads = members[first == members]
+    t = np.sum(points[members] * np.conj(points[first]), axis=1)
+    aligned = (weights[members] * np.conj(t) / np.abs(t))[:, None] * points[members]
+    total = np.zeros((len(heads), 2), dtype=complex)
+    np.add.at(total, np.searchsorted(heads, first), aligned)
+    out = points.copy()
+    out[heads] = canonicalize_rows(total)
+    keep = label == np.arange(n)
+    return out[keep], np.bincount(label, weights=weights, minlength=n)[keep]

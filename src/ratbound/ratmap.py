@@ -198,6 +198,9 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition, renormalize: bool
 def _iterate_product(f: BoundaryMap, n: int, dec: Decomposition, renormalize: bool):
     prod, Phi = _iterate_parts(f, n, dec, renormalize)
     Pn, Qn = prod * Phi[0], prod * Phi[1]
+    if not (np.isfinite(Pn.coeffs).all() and np.isfinite(Qn.coeffs).all()):
+        raise NumericalFailure(f"iterate n={n}: the degree-{f.d**n} product formula "
+                               "overflowed to non-finite coefficients")
     if max(Pn.max_modulus(), Qn.max_modulus()) == 0.0:
         raise IndeterminateMapError("iterate undefined on indeterminacy locus")
     return Pn, Qn

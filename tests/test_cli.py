@@ -67,6 +67,30 @@ def test_iterate_hole_depth_table(tmp_path, capsys):
         assert all(b >= a - 1e-15 for a, b in zip(seq, seq[1:]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
+    # n = 3 of this degree-16 map has degree 4096; the product formula's power
+    # tables overflow and no non-finite coefficients may be written
+    f = fam.example2_second_limit(4, 2, a=0.5)
+    out = tmp_path / "it.json"
+    code = main(["iterate", "--input", write_map(tmp_path, f), "--tol", "1e-4",
+                 "--param", "n=3", "--out", str(out)])
+    assert code == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_param_lists_do_not_leak_between_calls(capsys):
+    code, out = run(capsys, "decompose", "--family", "example1",
+                    "--param", "d=3", "--param", "a=0.5", "--param", "t=0.01")
+    assert code == 0 and json.loads(out)["result"]["d"] == 3
+    # t went only to the first call, so the second lacks it
+    assert main(["decompose", "--family", "example1", "--param", "d=2"]) == 2
+    code, out = run(capsys, "decompose", "--family", "example1",
+                    "--param", "d=2", "--param", "t=0.01")
+    assert code == 0 and json.loads(out)["result"]["d"] == 2
+
+
 def test_measure_command_with_cone_angles(tmp_path, capsys):
     fa = fam.make_epstein_FT(1.0)
     code, out = run(capsys, "measure", "--input", write_map(tmp_path, fa),

@@ -149,6 +149,14 @@ def test_atom_merge_adds_masses():
     assert sorted(out_m) == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("T", [1.0, 1.75])
+def test_boundary_measure_one_atom_per_support_point(T):
+    # 14 levels of F_T hold 2^14 distinct points; a merge on an eps grid kept
+    # a near-duplicate pair that straddled a cell edge (16,385 atoms)
+    mu = boundary_measure(decompose(fam.make_epstein_FT(T), 1e-6), 1e-4)
+    assert len(mu.points) == 16_384
+
+
 # -- point masses ---------------------------------------------------------------
 
 
