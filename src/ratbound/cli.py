@@ -159,11 +159,11 @@ def cmd_iterate(args):
     n = int(params.pop("n", 2))
     f = _load_map(args, params)
     gcd_tol = args.tol or DEFAULTS.gcd
-    fn = iterate_formula(f, n, gcd_tol)
     dec = decompose(f, gcd_tol)
+    fn = iterate_formula(f, n, gcd_tol, dec=dec)
     table = []
     for pt, depth in dec.holes:
-        seq = hole_depth_sequence(f, pt, n, gcd_tol)
+        seq = hole_depth_sequence(f, pt, n, gcd_tol, dec=dec)
         table.append({
             "point": pt.to_json(),
             "depth": depth,

@@ -12,6 +12,12 @@ telescoped series
 whose H-term partial sums converge to G_F while the correction term decays
 like (e/d)^n.
 
+Every evaluation, from one point to a whole grid, runs through one batched
+kernel over numpy arrays: each point stops at its own first step whose
+residual is below tol (or at n_max) and then leaves the batch, so a grid
+costs the steps of its points and returns the same step counts and hole
+cells as evaluating them one at a time.
+
 A probability measure with an atom of mass m induces a conformal metric
 with a cone point of angle 2*pi - 4*pi*m; masses >= 1/2 sit at infinite
 distance.
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndeterminateMapError, MathDomainError
+from .hpoly import HPoly
 from .ratmap import BoundaryMap, Decomposition, decompose
 
 
@@ -46,8 +53,80 @@ class EscapeValue:
         return not self.hit_hole
 
 
-def _sup(z, w):
-    return max(abs(z), abs(w))
+def _escape_batch(d, phi, H, z, w, n_max, tol):
+    """Escape rates of the rows (z[i], w[i]) of C^2 - 0, as one batch.
+
+    With H None, phi = (P, Q) is the lift itself and G_n = log||x|| +
+    sum_k d^-k log s_k, where s_k renormalizes the k-th image; with H the
+    gcd factor, phi is the lift's reduced part and G_n is the telescoped
+    series.  A row stops at its first step whose residual (last increment,
+    resp. last change of G_n) is below tol, or at n_max, and then leaves
+    the batch; a row whose sup norm or H value is exactly 0 stops at -inf
+    with residual 0 and hit_hole set.  Returns the arrays (value, hterm,
+    n_used, residual, hit_hole); hterm is the H-term partial sum of the
+    series (the value itself under the direct rule).
+    """
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if np.any((z == 0) & (w == 0)):
+        raise ValueError("escape rate undefined at the origin of C^2")
+    p, q = phi
+    e = p.degree
+    polys = (p, q) if H is None else (p, q, H)
+    sup = np.maximum(np.abs(z), np.abs(w))
+    lam = np.log(sup)
+    vz, vw = z / sup, w / sup
+    g = lam if H is None else np.zeros_like(lam)
+    value, hterm = lam.copy(), g.copy()
+    n_used = np.zeros(len(z), dtype=int)
+    residual = np.full(len(z), np.inf)
+    hit_hole = np.zeros(len(z), dtype=bool)
+    idx = np.arange(len(z))
+    prev = np.full(len(z), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            dn = float(d**n)
+            vals = HPoly._evaluate_vec(polys, vz, vw)
+            pz, pw = vals[0], vals[1]
+            s = np.maximum(np.abs(pz), np.abs(pw))
+            hole = s == 0.0
+            if H is None:
+                inc = np.log(s) / dn
+                g = val = g + inc
+                res = np.abs(inc)
+            else:
+                hv = np.abs(vals[2])
+                hole |= hv == 0.0
+                g = g + ((d - e) * lam + np.log(hv)) / dn
+                lam = e * lam + np.log(s)
+                val = g + lam / dn
+                res = np.abs(val - prev)
+                prev = val
+            vz, vw = pz / s, pw / s
+            done = hole | (res < tol) if n < n_max else np.ones(len(idx), dtype=bool)
+            if not np.count_nonzero(done):
+                continue
+            out, h = idx[done], hole[done]
+            value[out] = np.where(h, -np.inf, val[done])
+            hterm[out] = np.where(h, -np.inf, g[done])
+            residual[out] = np.where(h, 0.0, res[done])
+            n_used[out] = n
+            hit_hole[out] = h
+            keep = ~done
+            if not np.count_nonzero(keep):
+                break
+            idx, vz, vw, g, lam, prev = (a[keep] for a in (idx, vz, vw, g, lam, prev))
+    return value, hterm, n_used, residual, hit_hole
+
+
+def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
+    """_escape_batch on the rule escape_rate picks for f; one decompose."""
+    if dec is None:
+        dec = decompose(f)
+    if dec.indeterminate:
+        raise IndeterminateMapError("escape rate undefined on indeterminacy locus")
+    if dec.e == f.d:
+        return _escape_batch(f.d, f.pair(), None, z, w, n_max, tol)
+    return _escape_batch(f.d, dec.phi, dec.H, z, w, n_max, tol)
 
 
 def escape_rate(f: BoundaryMap, x, n_max: int = 60, tol: float = 1e-13,
@@ -58,110 +137,22 @@ def escape_rate(f: BoundaryMap, x, n_max: int = 60, tol: float = 1e-13,
     maps off I(d) evaluate the telescoped H-series of the decomposition.
     Stops when the step-to-step change drops below tol or at n_max.
     """
-    z, w = complex(x[0]), complex(x[1])
-    if z == 0 and w == 0:
-        raise ValueError("escape rate undefined at the origin of C^2")
-    if dec is None:
-        dec = decompose(f)
-    if dec.indeterminate:
-        raise IndeterminateMapError("escape rate undefined on indeterminacy locus")
-    if dec.e == f.d:
-        return _escape_direct(f, (z, w), n_max, tol)
-    return _escape_series(f.d, dec, (z, w), n_max, tol)
-
-
-def _escape_direct(f: BoundaryMap, x, n_max, tol) -> EscapeValue:
-    d = f.d
-    z, w = x
-    scale = _sup(z, w)
-    g = math.log(scale)
-    z, w = z / scale, w / scale
-    residual = math.inf
-    n = 0
-    for n in range(1, n_max + 1):
-        z, w = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
-        s = _sup(z, w)
-        if s == 0.0:
-            return EscapeValue(-math.inf, n, 0.0, hit_hole=True)
-        inc = math.log(s) / d**n
-        g += inc
-        z, w = z / s, w / s
-        residual = abs(inc)
-        if residual < tol:
-            break
-    return EscapeValue(g, n, residual)
-
-
-def _escape_series(d: int, dec: Decomposition, x, n_max, tol) -> EscapeValue:
-    H = dec.H
-    p, q = dec.phi
-    e = dec.e
-    dH = d - e
-    z, w = x
-    lam = math.log(_sup(z, w))
-    vz, vw = z / math.exp(lam), w / math.exp(lam)
-    g = 0.0
-    prev = math.inf
-    residual = math.inf
-    n = 0
-    for n in range(1, n_max + 1):
-        hv = abs(H.evaluate((vz, vw)))
-        if hv == 0.0:
-            return EscapeValue(-math.inf, n, 0.0, hit_hole=True)
-        g += (dH * lam + math.log(hv)) / d**n
-        pz, pw = p.evaluate((vz, vw)), q.evaluate((vz, vw))
-        s = _sup(pz, pw)
-        if s == 0.0:
-            return EscapeValue(-math.inf, n, 0.0, hit_hole=True)
-        lam = e * lam + math.log(s)
-        vz, vw = pz / s, pw / s
-        value = g + lam / d**n
-        residual = abs(value - prev) if prev != math.inf else math.inf
-        prev = value
-        if residual < tol:
-            break
-    return EscapeValue(prev, n, residual)
+    value, _, n_used, residual, hit_hole = _escape_rows(
+        f, [complex(x[0])], [complex(x[1])], n_max, tol, dec)
+    return EscapeValue(float(value[0]), int(n_used[0]), float(residual[0]),
+                       bool(hit_hole[0]))
 
 
 def escape_partial(f: BoundaryMap, x, n: int) -> float:
     """G_n(x) = d^-n log||F^n(x)|| at exactly n renormalized steps."""
-    d = f.d
-    z, w = complex(x[0]), complex(x[1])
-    scale = _sup(z, w)
-    g = math.log(scale)
-    z, w = z / scale, w / scale
-    for k in range(1, n + 1):
-        z, w = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
-        s = _sup(z, w)
-        if s == 0.0:
-            return -math.inf
-        g += math.log(s) / d**k
-        z, w = z / s, w / s
-    return g
+    value = _escape_batch(f.d, f.pair(), None, [complex(x[0])], [complex(x[1])], n, 0.0)[0]
+    return float(value[0])
 
 
 def escape_series_hterm(dec: Decomposition, x, n: int) -> float:
     """The H-term partial sum g_n(x) of the telescoped series (no tail term)."""
-    d = dec.d
-    H = dec.H
-    p, q = dec.phi
-    e = dec.e
-    dH = d - e
-    z, w = complex(x[0]), complex(x[1])
-    lam = math.log(_sup(z, w))
-    s0 = math.exp(lam)
-    vz, vw = z / s0, w / s0
-    g = 0.0
-    for k in range(1, n + 1):
-        hv = abs(H.evaluate((vz, vw)))
-        if hv == 0.0:
-            return -math.inf
-        g += (dH * lam + math.log(hv)) / d**k
-        pz, pw = p.evaluate((vz, vw)), q.evaluate((vz, vw))
-        s = _sup(pz, pw)
-        lam = e * lam + math.log(s)
-        vz, vw = pz / s, pw / s
-    return g
+    hterm = _escape_batch(dec.d, dec.phi, dec.H, [complex(x[0])], [complex(x[1])], n, 0.0)[1]
+    return float(hterm[0])
 
 
 def escape_rate_constant_case(dec: Decomposition, x) -> float:
@@ -192,12 +183,11 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60,
                                  tol: float = 1e-13) -> float:
     """|G(F(x)) - d G(x)|, which the defining limit forces to vanish."""
     z, w = complex(x[0]), complex(x[1])
-    fx = f.evaluate_pair((z, w))
-    g_x = escape_rate(f, (z, w), n_max, tol)
-    g_fx = escape_rate(f, fx, n_max, tol)
-    if not (g_x.finite and g_fx.finite):
+    fz, fw = f.evaluate_pair((z, w))
+    value, _, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, tol)
+    if hit_hole.any():
         raise MathDomainError("orbit hit a hole line; functional equation undefined")
-    return abs(g_fx.value - f.d * g_x.value)
+    return abs(value[1] - f.d * value[0])
 
 
 def sup_normalization(f: BoundaryMap, n_grid: int = 12, n_max: int = 60,
@@ -207,34 +197,27 @@ def sup_normalization(f: BoundaryMap, n_grid: int = 12, n_max: int = 60,
     Utility for the normalization sup G = 0 of lift comparisons; no
     convergence assertion is attached to it.
     """
-    best = -math.inf
-    angles = [2 * math.pi * k / n_grid for k in range(n_grid)]
-    radii = [j / (n_grid // 2) for j in range(n_grid // 2 + 1)]
-    dec = decompose(f)
-    for th in angles:
-        u = math.cos(th) + 1j * math.sin(th)
-        for r in radii:
-            for ph in angles:
-                v = r * (math.cos(ph) + 1j * math.sin(ph))
-                for x in ((u, v), (v, u)):
-                    val = escape_rate(f, x, n_max, tol, dec=dec)
-                    if val.finite and val.value > best:
-                        best = val.value
-    return best
+    angles = 2 * np.pi * np.arange(n_grid) / n_grid
+    circle = np.cos(angles) + 1j * np.sin(angles)
+    radii = np.arange(n_grid // 2 + 1) / (n_grid // 2)
+    u = np.repeat(circle, len(radii) * n_grid)
+    v = np.tile(np.outer(radii, circle).ravel(), n_grid)
+    value, _, _, _, hit_hole = _escape_rows(
+        f, np.concatenate([u, v]), np.concatenate([v, u]), n_max, tol)
+    return float(value[~hit_hole].max(initial=-np.inf))
 
 
 def escape_grid(f: BoundaryMap, re_range, im_range, n_re: int, n_im: int,
                 n_max: int = 50, tol: float = 1e-12):
-    """Rows (re z, im z, G(z, 1)) over a rectangle, for CSV export."""
-    rows = []
+    """Rows (re z, im z, G(z, 1)) over a rectangle, for CSV export.
+
+    Rows run over re within im, as one batch with per-point stopping.
+    """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
-    dec = decompose(f)
-    for im in ims:
-        for re in res:
-            val = escape_rate(f, (complex(re, im), 1.0), n_max, tol, dec=dec)
-            rows.append((float(re), float(im), val.value))
-    return rows
+    re, im = np.tile(res, n_im), np.repeat(ims, n_re)
+    value = _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, tol)[0]
+    return list(zip(re.tolist(), im.tolist(), value.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ class HPoly:
         s = z / w
         return complex(w**d * _horner(c, s))
 
+    @staticmethod
+    def _evaluate_vec(polys, z, w) -> list:
+        """Each HPoly of polys at the rows of the complex arrays (z, w).
+
+        evaluate's charts, chosen once per row for all of polys; a row
+        (0, 0) gives 0 for positive degree.
+        """
+        zc = np.abs(z) >= np.abs(w)
+        lead = np.where(zc, z, w)
+        # lead == 0 only at (0, 0), where dividing by 1 instead leaves t = 0
+        t = np.where(zc, w, z) / (lead + (lead == 0))
+        return [
+            lead**P.degree
+            * _horner_vec(np.where(zc, P.coeffs[::-1, None], P.coeffs[:, None]), t)
+            for P in polys
+        ]
+
     def to_json(self):
         return {
             "degree": self.degree,

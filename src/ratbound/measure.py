@@ -104,10 +104,11 @@ class AtomicMeasure:
         return float(self.masses[d <= radius].sum())
 
     def to_json(self):
+        re, im = self.points.real.tolist(), self.points.imag.tolist()
         return {
             "atoms": [
-                {"point": [[z.real, z.imag], [w.real, w.imag]], "mass": float(m)}
-                for (z, w), m in zip(self.points, self.masses)
+                {"point": [[zr, zi], [wr, wi]], "mass": m}
+                for (zr, wr), (zi, wi), m in zip(re, im, self.masses.tolist())
             ],
             "tail_bound": self.tail_bound,
             "note": self.note,
@@ -152,7 +153,8 @@ class EmpiricalMeasure:
 
     def to_json(self):
         return {
-            "samples": [[[z.real, z.imag], [w.real, w.imag]] for z, w in self.samples],
+            "samples": [[[zr, zi], [wr, wi]] for (zr, wr), (zi, wi)
+                        in zip(self.samples.real.tolist(), self.samples.imag.tolist())],
             "seed": self.seed,
             "depth": self.depth,
             "count": self.count,

@@ -305,13 +305,15 @@ def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int,
 
 
 def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
-                        tol: float = DEFAULTS.gcd) -> list:
+                        tol: float = DEFAULTS.gcd,
+                        dec: Decomposition | None = None) -> list:
     """Exact rationals d_z(f^n)/d^n for n = 1..N; nondecreasing, limit mu_f({z}).
 
     Depths are read off the product formula combinatorially, so N is not
     limited by the d^n coefficient blow-up.
     """
-    dec = decompose(f, tol)
+    if dec is None:
+        dec = decompose(f, tol)
     if dec.indeterminate:
         raise IndeterminateMapError("hole depths undefined on indeterminacy locus")
     d = f.d

@@ -67,6 +67,27 @@ def test_iterate_hole_depth_table(tmp_path, capsys):
         assert all(b >= a - 1e-15 for a, b in zip(seq, seq[1:]))
 
 
+def test_iterate_decomposes_once(tmp_path, capsys, monkeypatch):
+    import ratbound.cli
+    import ratbound.ratmap
+
+    calls = []
+    real = ratbound.ratmap.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ratbound.cli, "decompose", counting)
+    monkeypatch.setattr(ratbound.ratmap, "decompose", counting)
+    fa = fam.example1_second_limit(2, a=0.5)
+    code, out = run(capsys, "iterate", "--input", write_map(tmp_path, fa),
+                    "--param", "n=3", "--tol", "1e-4")
+    assert code == 0
+    assert len(json.loads(out)["result"]["hole_depth_table"]) >= 2
+    assert len(calls) == 1
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
     # n = 3 of this degree-16 map has degree 4096; the product formula's power
@@ -227,3 +248,12 @@ def test_float_formatting_17_digits(tmp_path):
                  if not l.startswith("#") and not l.startswith("k,")]
     val = data_rows[0].split(",")[1]
     assert float(val) == pytest.approx(1.0)
+
+
+def test_escape_grid_indeterminate_exit_code(tmp_path, capsys):
+    g = fam.example1_limit(2)
+    out_path = tmp_path / "grid.csv"
+    code = main(["escape", "--input", write_map(tmp_path, g),
+                 "--param", "re=-1:1:3", "--param", "im=-1:1:3", "--out", str(out_path)])
+    assert code == 3
+    assert not out_path.exists()

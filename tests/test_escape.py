@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratbound import (
     AtomicMeasure,
@@ -18,7 +20,7 @@ from ratbound import (
     sup_normalization,
 )
 from ratbound import families as fam
-from ratbound.escape import escape_partial, escape_series_hterm, escape_grid
+from ratbound.escape import _escape_rows, escape_grid, escape_partial, escape_series_hterm
 
 
 def hp(*coeffs):
@@ -117,6 +119,8 @@ def test_degenerate_series_consistency():
     x = (1.3, 0.7 + 0.7j)
     gap = abs(escape_series_hterm(dec, x, 30) - escape_partial(F, x, 30))
     assert gap == pytest.approx((2 / 3) ** 30 * math.log(1.3), rel=1e-6)
+    # on the hole line z = w the lift vanishes and G_n is -inf
+    assert escape_partial(F, (1.0, 1.0), 30) == -math.inf
 
 
 def test_constant_case_closed_form_random():
@@ -154,6 +158,8 @@ def test_escape_indeterminate_rejected():
     g = fam.example1_limit(2)
     with pytest.raises(IndeterminateMapError):
         escape_rate(g, (1.0, 1.0))
+    with pytest.raises(IndeterminateMapError):
+        escape_grid(g, (-1, 1), (-1, 1), 3, 3)
 
 
 def test_constant_case_minus_infinity_loci_match_atoms():
@@ -184,6 +190,116 @@ def test_polynomial_lift_asymptotics():
     # and the filled-julia-set side: G = 0 inside for the squaring map
     v0 = escape_rate(SQUARING, (0.5, 1.0))
     assert abs(v0.value) < 1e-14
+
+
+# -- the batched kernel against the per-point loops ------------------------------
+
+
+def _sup(z, w):
+    return max(abs(z), abs(w))
+
+
+def _reference_direct(f, x, n_max, tol):
+    """Per-point escape rate of a nondegenerate lift: (value, n_used, hit_hole)."""
+    d = f.d
+    z, w = x
+    scale = _sup(z, w)
+    g = math.log(scale)
+    z, w = z / scale, w / scale
+    n = 0
+    for n in range(1, n_max + 1):
+        z, w = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
+        s = _sup(z, w)
+        if s == 0.0:
+            return -math.inf, n, True
+        inc = math.log(s) / d**n
+        g += inc
+        z, w = z / s, w / s
+        if abs(inc) < tol:
+            break
+    return g, n, False
+
+
+def _reference_series(d, dec, x, n_max, tol):
+    """Per-point telescoped H-series of a degenerate lift: (value, n_used, hit_hole)."""
+    H = dec.H
+    p, q = dec.phi
+    e = dec.e
+    z, w = x
+    lam = math.log(_sup(z, w))
+    vz, vw = z / math.exp(lam), w / math.exp(lam)
+    g = 0.0
+    prev = math.inf
+    n = 0
+    for n in range(1, n_max + 1):
+        hv = abs(H.evaluate((vz, vw)))
+        if hv == 0.0:
+            return -math.inf, n, True
+        g += ((d - e) * lam + math.log(hv)) / d**n
+        pz, pw = p.evaluate((vz, vw)), q.evaluate((vz, vw))
+        s = _sup(pz, pw)
+        if s == 0.0:
+            return -math.inf, n, True
+        lam = e * lam + math.log(s)
+        vz, vw = pz / s, pw / s
+        value = g + lam / d**n
+        residual = abs(value - prev) if prev != math.inf else math.inf
+        prev = value
+        if residual < tol:
+            break
+    return prev, n, False
+
+
+ORACLE_MAPS = [
+    *(fam.make_epstein_FT(T) for T in (0.5, 1.0, 1.75)),
+    *(fam.make_example1(d, 0.5, 1e-2) for d in (2, 3, 5)),
+    fam.make_example2(3, 2, 0.5, 1e-2),
+]
+
+
+@pytest.mark.parametrize("f", ORACLE_MAPS, ids=[
+    "FT0.5", "FT1", "FT1.75", "ex1d2", "ex1d3", "ex1d5", "ex2d3k2"])
+def test_batched_kernel_matches_per_point_loops(f):
+    n_max, tol = 50, 1e-12
+    axis = np.linspace(-2, 2, 31)
+    z = (axis[None, :] + 1j * axis[:, None]).ravel()
+    value, _, n_used, _, hit_hole = _escape_rows(f, z, np.ones(len(z)), n_max, tol)
+    dec = decompose(f)
+    ref = [
+        _reference_direct(f, (complex(zi), 1.0), n_max, tol) if dec.e == f.d
+        else _reference_series(f.d, dec, (complex(zi), 1.0), n_max, tol)
+        for zi in z
+    ]
+    ref_value = np.array([r[0] for r in ref])
+    assert n_used.tolist() == [r[1] for r in ref]
+    assert hit_hole.tolist() == [r[2] for r in ref]
+    assert np.array_equal(np.isneginf(value), np.isneginf(ref_value))
+    finite = ~hit_hole
+    err = np.abs(value[finite] - ref_value[finite])
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref_value[finite])))
+    if f.d == 4:  # F_T: the grid holds z = 0 exactly, on the hole line
+        assert hit_hole[len(z) // 2]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.sampled_from([fam.make_epstein_FT(1.0), fam.make_example1(2, 0.5, 1e-2)]),
+    st.lists(st.tuples(st.integers(-128, 128), st.integers(-128, 128),
+                       st.integers(-128, 128), st.integers(-128, 128))
+             .filter(lambda c: any(c)), min_size=1, max_size=12),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_batched_homogeneity(f, coords, r, theta):
+    lam = r * complex(math.cos(theta), math.sin(theta))
+    z = np.array([complex(a, b) / 32 for a, b, _, _ in coords])
+    w = np.array([complex(c, d) / 32 for _, _, c, d in coords])
+    value, _, _, _, hit_hole = _escape_rows(
+        f, np.concatenate([z, lam * z]), np.concatenate([w, lam * w]), 60, 1e-13)
+    g, g_lam = value[: len(z)], value[len(z):]
+    assert hit_hole[: len(z)].tolist() == hit_hole[len(z):].tolist()
+    finite = ~hit_hole[: len(z)]
+    assert np.all(np.abs(g_lam[finite] - g[finite] - math.log(r)) < 1e-10)
 
 
 def test_escape_grid_rows():

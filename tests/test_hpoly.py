@@ -49,6 +49,21 @@ def test_evaluate_homogeneity():
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def test_evaluate_vec_matches_evaluate():
+    rng = np.random.default_rng(1)
+    P = hp(*(rng.standard_normal(5) + 1j * rng.standard_normal(5)))
+    polys = (P, hp(2, -3, 1), HPoly.constant(0.5 - 2j))
+    z = np.concatenate([rng.standard_normal(20) + 1j * rng.standard_normal(20),
+                        [1e60, 1.0, 0.0, 1.0, 0.0]])
+    w = np.concatenate([rng.standard_normal(20) + 1j * rng.standard_normal(20),
+                        [1.0, 1e60, 1.0, 0.0, 0.0]])
+    for Q, vals in zip(polys, HPoly._evaluate_vec(polys, z, w)):
+        ref = np.array([Q.evaluate((a, b)) for a, b in zip(z, w)])
+        assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+    # at the origin, positive degree gives exactly 0 and degree 0 its constant
+    assert [v[-1] for v in HPoly._evaluate_vec(polys, z, w)] == [0, 0, 0.5 - 2j]
+
+
 # -- products and composition ------------------------------------------------
 
 

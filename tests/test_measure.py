@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -373,3 +375,45 @@ def test_measure_json_roundtrip():
     mu2 = AtomicMeasure.from_json(mu.to_json())
     assert weak_distance(mu, mu2) < 1e-12
     assert mu2.tail_bound == mu.tail_bound
+
+
+def _reference_atoms_json(mu):
+    """AtomicMeasure.to_json's atom list, built per element from numpy scalars."""
+    return [
+        {"point": [[z.real, z.imag], [w.real, w.imag]], "mass": float(m)}
+        for (z, w), m in zip(mu.points, mu.masses)
+    ]
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _leaves(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _leaves(v)
+    else:
+        yield node
+
+
+def test_measure_json_plain_floats_exact():
+    fa = fam.example1_second_limit(2, a=0.5)
+    mu = boundary_measure(decompose(fa, 1e-4), tol=1e-3)
+    data = mu.to_json()
+    assert all(type(x) is float for x in _leaves(data["atoms"]))
+    assert type(data["tail_bound"]) is float
+    assert json.dumps(data, indent=2) == json.dumps(
+        {**data, "atoms": _reference_atoms_json(mu)}, indent=2)
+    # the text is lossless: reading it back gives the stored values bit for bit
+    mu2 = AtomicMeasure.from_json(json.loads(json.dumps(data)))
+    assert np.array_equal(mu2.masses, mu.masses)
+    assert mu2.tail_bound == mu.tail_bound
+    # from_json canonicalizes the rows it reads, as it would a hand-written file
+    assert np.array_equal(mu2.points, canonicalize_rows(mu.points))
+
+    emp = sample_max_entropy(fam.make_polylimit([1.0, -1.0], 5.0), canonicalize(0.3, 1),
+                             depth=4, count=20, seed=3)
+    samples = emp.to_json()["samples"]
+    assert all(type(x) is float for x in _leaves(samples))
+    back = np.array([[complex(*z), complex(*w)] for z, w in json.loads(json.dumps(samples))])
+    assert np.array_equal(back, emp.samples)
