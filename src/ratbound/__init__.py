@@ -27,8 +27,6 @@ from .hpoly import (
     HPoly,
     RootList,
     compose_pair,
-    evaluate,
-    multiply,
     numeric_gcd,
     projective_residual,
     pullback_poly,
@@ -45,7 +43,6 @@ from .ratmap import (
     is_indeterminate,
     iterate_direct,
     iterate_formula,
-    iterate_formula_raw,
     local_degree,
     map_residual,
 )

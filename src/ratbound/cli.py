@@ -348,7 +348,8 @@ def build_parser():
                        help="falls back to RATBOUND_SEED, then 0")
         p.add_argument("--depth", type=int, default=20)
         p.add_argument("--count", type=int, default=10_000)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="sampler RNG stream partition; chunks run one after another")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

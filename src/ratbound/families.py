@@ -24,12 +24,19 @@ from .hpoly import HPoly
 from .ratmap import BoundaryMap
 
 
+def _p_from_roots(root_list):
+    """prod (z - r w) over root_list, the constant 1 if it is empty; None for None."""
+    if root_list is None:
+        return None
+    P = HPoly.constant(1.0)
+    for r in root_list:
+        P = P * HPoly.from_coeffs([-complex(r), 1.0])
+    return P
+
+
 def default_P(degree: int) -> HPoly:
     """prod_{i=1..degree} (z - i w); the degree-0 case is the constant 1."""
-    out = HPoly.constant(1.0)
-    for i in range(1, degree + 1):
-        out = out * HPoly.from_coeffs([-i, 1])
-    return out
+    return _p_from_roots(range(1, degree + 1))
 
 
 def _check_P(P: HPoly, degree: int, allow_constant=False):
@@ -204,19 +211,13 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
     d = len(root_list)
     if d < 2:
         raise ValueError("need at least two roots")
-    P = HPoly.constant(1.0)
-    for r in root_list:
-        P = P * HPoly.from_coeffs([-complex(r), 1.0])
-    return BoundaryMap(d, P, (1.0 / k) * (HPoly.w() ** d))
+    return BoundaryMap(d, _p_from_roots(root_list), (1.0 / k) * (HPoly.w() ** d))
 
 
 def polylimit_limit(root_list) -> BoundaryMap:
     """(P : 0): the constant-infinity map with holes at the roots of P."""
     d = len(root_list)
-    P = HPoly.constant(1.0)
-    for r in root_list:
-        P = P * HPoly.from_coeffs([-complex(r), 1.0])
-    return BoundaryMap(d, P, HPoly.zero(d))
+    return BoundaryMap(d, _p_from_roots(root_list), HPoly.zero(d))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +252,3 @@ class FamilySpec:
         if self.name == "polylimit":
             return make_polylimit(p["roots"], float(p.get("k", 1.0)))
         raise ValueError("custom maps are supplied via --input, not --family")
-
-
-def _p_from_roots(root_list):
-    if root_list is None:
-        return None
-    P = HPoly.constant(1.0)
-    for r in root_list:
-        P = P * HPoly.from_coeffs([-complex(r), 1.0])
-    return P

@@ -151,9 +151,9 @@ class HPoly:
             if z == 0:
                 return 0j
             t = w / z
-            return complex(z**d * _horner(c[::-1], t))
+            return complex(z**d * _horner_vec(c[::-1], t))
         s = z / w
-        return complex(w**d * _horner(c, s))
+        return complex(w**d * _horner_vec(c, s))
 
     @staticmethod
     def _evaluate_vec(polys, z, w) -> list:
@@ -198,13 +198,6 @@ class HPoly:
         return "HPoly(" + (" + ".join(terms) or "0") + f", deg={d})"
 
 
-def _horner(coeffs_asc, x):
-    acc = 0j
-    for c in coeffs_asc[::-1]:
-        acc = acc * x + c
-    return acc
-
-
 @dataclass
 class RootList:
     """Roots on P^1 with multiplicities; multiplicities sum to the degree."""
@@ -225,14 +218,6 @@ class RootList:
 
     def __len__(self):
         return len(self.entries)
-
-
-def multiply(P: HPoly, Q: HPoly) -> HPoly:
-    return P * Q
-
-
-def evaluate(P: HPoly, x) -> complex:
-    return P.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +351,8 @@ def _aberth(c, tol=1e-14, max_iter=160):
 
 
 def _horner_vec(coeffs_asc, x):
-    acc = np.zeros_like(x)
+    """sum c[i] x^i for a scalar or an array x; a scalar x stays scalar."""
+    acc = 0j
     for c in coeffs_asc[::-1]:
         acc = acc * x + c
     return acc
@@ -382,8 +368,8 @@ def _polish_multiple_root(core, z0, mult):
     dc = c[1:] * np.arange(1, len(c))
     z = z0
     for _ in range(6):
-        dv = _horner(dc, z)
-        pv = _horner(c, z)
+        dv = _horner_vec(dc, z)
+        pv = _horner_vec(c, z)
         if abs(dv) < 1e-300:
             return z0
         z = z - pv / dv

@@ -28,16 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, islice
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError
-from .hpoly import HPoly, RootList, roots
+from .hpoly import RootList, roots
 from .projline import (
     ProjPoint,
     _merge_close,
-    canonicalize,
     canonicalize_rows,
     chordal_cross,
     chordal_distance,
@@ -47,8 +47,7 @@ from .ratmap import (
     Decomposition,
     apply_pair,
     decompose,
-    local_degree,
-    _match_hole,
+    _orbit_steps,
 )
 
 DESIGN_VERSION = 1
@@ -229,12 +228,36 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
         out[use_w, :, 0] = 1.0
         out[use_w, :, 1] = rts
     for i in np.nonzero(fallback)[0]:
-        fiber = HPoly(e, C[i])
-        slots = []
-        for pt, mult in roots(fiber, 1e-10):
-            slots.extend([pt.as_array()] * mult)
-        out[i] = np.array(slots)
+        out[i] = _exact_slots(phi, pts[i])
     return canonicalize_rows(out.reshape(-1, 2)).reshape(n, e, 2)
+
+
+def _exact_slots(phi, row):
+    """The preimage slots of one row by the robust root finder: a root of
+    multiplicity m fills m equal slots."""
+    a = ProjPoint(complex(row[0]), complex(row[1]))
+    return [pt.as_array() for pt, mult in preimages(phi, a) for _ in range(mult)]
+
+
+def _pull_back(phi, pts, masses):
+    """One backward step: the phi-preimages of the rows, each with its row's mass.
+
+    Batched eigenvalues split a multiple preimage by up to ~3e-8, more than
+    pt, so a row with two slots within the root-clustering radius (the
+    radius roots uses for multiplicities) is solved again by _exact_slots.
+    Only siblings are tested: preimages of distinct nearby rows can lie
+    closer than that radius and are distinct points.  The children are then
+    merged at pt, which makes each multiple preimage one atom.
+    """
+    slots = batched_preimage_slots(phi, pts)
+    e = slots.shape[1]
+    z, w = slots[:, :, 0], slots[:, :, 1]
+    split = np.zeros(len(slots), dtype=bool)
+    for j, k in combinations(range(e), 2):
+        split |= np.abs(z[:, j] * w[:, k] - z[:, k] * w[:, j]) <= DEFAULTS.cluster_floor
+    for i in np.nonzero(split)[0]:
+        slots[i] = _exact_slots(phi, pts[i])
+    return merge_atoms(slots.reshape(-1, 2), np.repeat(masses, e))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +314,7 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     while level < n_levels:
         if total + len(cur_pts) * e > max_atoms:
             break
-        slots = batched_preimage_slots(dec.phi, cur_pts)
-        child_pts = slots.reshape(-1, 2)
-        child_ms = np.repeat(cur_ms / d, e)
-        child_pts, child_ms = merge_atoms(child_pts, child_ms)
+        child_pts, child_ms = _pull_back(dec.phi, cur_pts, cur_ms / d)
         all_pts.append(child_pts)
         all_ms.append(child_ms)
         cur_pts, cur_ms = child_pts, child_ms
@@ -324,18 +344,15 @@ def point_mass(dec: Decomposition, a: ProjPoint, tol: float = 1e-12,
         return depth / d, 0.0
     mass = Fraction(0)
     m = 1
-    x = a
     tail = Fraction(1)
     tol_exact = Fraction(tol)
-    for k in range(n_max):
-        depth, x = _match_hole(x, dec.holes, DEFAULTS.hole_match)
+    for k, (depth, deg) in enumerate(islice(_orbit_steps(dec, a), n_max)):
         if depth:
             mass += Fraction(m * depth, d ** (k + 1))
-        m *= local_degree(dec.phi, x)
+        m *= deg
         tail = Fraction(m, d ** (k + 1))
         if tail < tol_exact:
             break
-        x = apply_pair(dec.phi, x)
     return float(mass), float(tail)
 
 
@@ -353,9 +370,9 @@ def pullback(dec: Decomposition, mu: AtomicMeasure, normalize: bool = False) -> 
     if e == 0:
         pts, ms = hole_pts, depths
     else:
-        slots = batched_preimage_slots(dec.phi, mu.points)
-        pts = np.concatenate([slots.reshape(-1, 2), hole_pts])
-        ms = np.concatenate([np.repeat(mu.masses, e), depths])
+        pts, ms = _pull_back(dec.phi, mu.points, mu.masses)
+        pts = np.concatenate([pts, hole_pts])
+        ms = np.concatenate([ms, depths])
     pts, ms = merge_atoms(pts, ms)
     scale = d if normalize else 1.0
     tail = mu.tail_bound * e / scale
@@ -366,32 +383,15 @@ def pullback(dec: Decomposition, mu: AtomicMeasure, normalize: bool = False) -> 
 # inverse-iteration sampling
 
 
-def _distinct_count(points, eps=DEFAULTS.hole_match):
-    pts, _ = merge_atoms(points, np.ones(len(points)), eps)
-    return len(pts)
-
-
-def backward_tree(f: BoundaryMap, a: ProjPoint, depth: int,
-                  tol: float = 1e-10) -> AtomicMeasure:
+def backward_tree(f: BoundaryMap, a: ProjPoint, depth: int) -> AtomicMeasure:
     """Exact enumeration of f^-depth(a) with multiplicities, mass d^-depth each.
 
-    Brute-force oracle for the sampler; feasible for d^depth in the
-    thousands.
+    Brute-force oracle for the sampler; feasible for d^depth up to ~10^5.
     """
-    d = f.d
-    atoms = [(a, 1)]
+    pts, ms = a.as_array()[None, :], np.ones(1)
     for _ in range(depth):
-        nxt = []
-        for pt, mult in atoms:
-            for child, cm in preimages(f.pair(), pt, tol):
-                nxt.append((child, mult * cm))
-        pts = np.array([p.as_array() for p, _ in nxt])
-        ms = np.array([float(m) for _, m in nxt])
-        pts, ms = merge_atoms(pts, ms, DEFAULTS.pt)
-        atoms = [(canonicalize(p[0], p[1]), m) for p, m in zip(pts, ms)]
-    pts = np.array([p.as_array() for p, _ in atoms])
-    ms = np.array([m for _, m in atoms], dtype=float) / d**depth
-    return AtomicMeasure(pts, ms, 0.0, "exact backward tree")
+        pts, ms = _pull_back(f.pair(), pts, ms)
+    return AtomicMeasure(pts, ms / f.d**depth, 0.0, "exact backward tree")
 
 
 def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
@@ -403,6 +403,8 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     one of the d preimages uniformly with multiplicity weights.  The stream
     is deterministic given (seed, workers): worker i draws from
     default_rng([seed, i]) and chunks are concatenated in worker order.
+    The chunks run one after another in this process, so `workers` selects
+    a partition of the random stream, not parallelism.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")
@@ -468,23 +470,21 @@ def mass_in_disk(mu, center: ProjPoint, radius: float) -> float:
 
 
 def _nonexceptional_hole(dec: Decomposition, probe_depth: int = 3):
-    """First hole whose backward tree grows to >= 3 distinct points, if any."""
+    """First hole whose backward tree holds >= 3 distinct points, if any."""
     for pt, _ in dec.holes:
-        cloud = [(pt, 1)]
-        seen = [pt.as_array()]
+        pts, ms = pt.as_array()[None, :], np.ones(1)
+        seen = [pts]
         for _ in range(probe_depth):
-            nxt = []
-            for x, m in cloud:
-                for child, cm in preimages(dec.phi, x, 1e-10):
-                    nxt.append((child, m * cm))
-            cloud = nxt
-            seen.extend(x.as_array() for x, _ in cloud)
-            if _distinct_count(np.array(seen)) >= 3:
-                return pt
+            pts, ms = _pull_back(dec.phi, pts, ms)
+            seen.append(pts)
+        cloud = np.concatenate(seen)
+        distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
+        if len(distinct) >= 3:
+            return pt
     return None
 
 
-def support_report(dec: Decomposition, mu: AtomicMeasure | None = None):
+def support_report(dec: Decomposition):
     """Classify supp(mu_f) for degenerate f: J(f) vs the exceptional set.
 
     Reports which structural case applies; the detection is a finite

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .hpoly import (
     HPoly,
     RootList,
     compose_pair,
-    count_zeros_in_disk,
     numeric_gcd,
     projective_residual,
     pullback_poly,
@@ -221,20 +221,6 @@ def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
     return BoundaryMap(f.d**n, Pn, Qn)
 
 
-def iterate_formula_raw(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
-                        dec: Decomposition | None = None):
-    """Unnormalized coefficient pair of f^n, for scale-sensitive checks.
-
-    The coefficient map f -> f^n is homogeneous of degree (d^n - 1)/(d - 1),
-    which only raw output can exhibit.
-    """
-    if dec is None:
-        dec = decompose(f, tol)
-    if dec.indeterminate:
-        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
-    return _iterate_product(f, n, dec, renormalize=False)
-
-
 def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
     """Plain n-fold composition, renormalized each step.
 
@@ -281,6 +267,22 @@ def _match_hole(x: ProjPoint, holes, tol: float):
     return 0, x
 
 
+def _orbit_steps(dec: Decomposition, z: ProjPoint,
+                 hole_tol: float = DEFAULTS.hole_match,
+                 ram_tol: float = DEFAULTS.ramification):
+    """Yield (depth_k, local degree at x_k) along the forward phi-orbit x_k of z.
+
+    Orbit points matching a hole are snapped to the hole center before the
+    local degree is read and the orbit continues.  The walk is lazy and
+    endless: x_(k+1) is computed only when step k+1 is asked for.
+    """
+    x = z
+    while True:
+        depth, x = _match_hole(x, dec.holes, hole_tol)
+        yield depth, local_degree(dec.phi, x, ram_tol)
+        x = apply_pair(dec.phi, x)
+
+
 def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int,
                       hole_tol: float = DEFAULTS.hole_match,
                       ram_tol: float = DEFAULTS.ramification):
@@ -288,19 +290,15 @@ def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int,
 
     m_k is the multiplicity of z as a solution of phi^k = phi^k(z) (the
     product of local degrees along the orbit) and depth_k the depth of
-    phi^k(z) as a hole of f (0 off the hole set).  Orbit points matching a
-    hole are snapped to the hole center before continuing.
+    phi^k(z) as a hole of f (0 off the hole set).
     """
     if dec.e == 0:
         raise ValueError("orbit terms require deg(phi) >= 1")
     terms = []
     m = 1
-    x = z
-    for _ in range(n_terms):
-        depth, x = _match_hole(x, dec.holes, hole_tol)
+    for depth, deg in islice(_orbit_steps(dec, z, hole_tol, ram_tol), n_terms):
         terms.append((m, depth))
-        m *= local_degree(dec.phi, x, ram_tol)
-        x = apply_pair(dec.phi, x)
+        m *= deg
     return terms
 
 
@@ -331,21 +329,12 @@ def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
     return seq
 
 
-def depth_at_point(H_n: HPoly, z: ProjPoint, radius: float = 1e-2) -> int:
-    """Depth of z as a zero of an (expanded) gcd factor.
-
-    Counted by the argument principle on a small contour, which stays
-    reliable on degree-d^n products where coefficient thresholds fail.
-    """
-    return count_zeros_in_disk(H_n, z, radius)
-
-
 def iterate_hole_factor(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
                         dec: Decomposition | None = None) -> HPoly:
     """The gcd factor H_n = prod_k (phi^k* H)^(d^(n-k-1)) of f^n, expanded.
 
     Degree d^n - e^n; its vanishing orders are the hole depths of f^n, so
-    depth_at_point(iterate_hole_factor(f, n), z) cross-checks the
+    count_zeros_in_disk(iterate_hole_factor(f, n), z) cross-checks the
     combinatorial hole_depth_sequence when d^n is small.
     """
     if dec is None:

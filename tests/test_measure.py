@@ -11,10 +11,12 @@ from ratbound import (
     ExceptionalPointError,
     HPoly,
     IndeterminateMapError,
+    ProjPoint,
     backward_tree,
     boundary_measure,
     canonicalize,
     chordal_distance,
+    compose_pair,
     decompose,
     hole_depth_sequence,
     mass_in_disk,
@@ -28,7 +30,8 @@ from ratbound import (
 )
 from ratbound import families as fam
 from ratbound.measure import batched_preimage_slots, merge_atoms
-from ratbound.projline import canonicalize_rows
+from ratbound.projline import canonicalize_rows, chordal_cross
+from ratbound.ratmap import apply_pair
 
 
 def hp(*coeffs):
@@ -36,6 +39,10 @@ def hp(*coeffs):
 
 
 SQUARING = BoundaryMap(2, hp(0, 0, 1), hp(1, 0, 0))
+# the Mobius conjugate of criterion 10: M o (z^2 : w^2) o M^-1
+MOBIUS = (hp(0.3 + 0.1j, 1), hp(1, -0.2j))
+CONJUGATE = BoundaryMap(2, *compose_pair(
+    MOBIUS, compose_pair(SQUARING.pair(), (hp(-(0.3 + 0.1j), 1), hp(1, 0.2j)))))
 
 
 def delta(pt):
@@ -141,6 +148,21 @@ def test_boundary_measure_formal_on_indeterminacy():
     mu = boundary_measure(decompose(g, 1e-6), tol=1e-9)
     assert "discontinuous" in mu.note
     assert abs(mu.total_mass() - 1) < 1e-12
+
+
+def test_boundary_measure_double_preimage_is_one_atom():
+    # f = H phi with phi = z^2 + c and the hole at c: z = 0 is the double
+    # phi-preimage of the hole, one atom of mass 2/9 however eigvals split it
+    c = 0.3 + 0.1j
+    H = hp(-c, 1)
+    dec = decompose(BoundaryMap(3, H * hp(c, 0, 1), H * hp(1, 0, 0)), 1e-6)
+    mu = boundary_measure(dec, tol=0.2)
+    # levels 0..3: the hole, z = 0, the two roots of -c, their four preimages
+    assert len(mu.points) == 1 + 1 + 2 + 4
+    assert abs(mu.total_mass() + mu.tail_bound - 1) < 1e-12
+    mass, _ = point_mass(dec, ZERO)
+    assert mass == pytest.approx(2 / 9, abs=1e-12)
+    assert mu.mass_near(ZERO, 1e-9) == pytest.approx(mass, abs=1e-12)
 
 
 def test_atom_merge_adds_masses():
@@ -293,6 +315,45 @@ def test_sampler_rejects_degenerate_map():
         sample_max_entropy(f, canonicalize(1, 1), depth=5, count=10, seed=1)
 
 
+def test_sampler_rejects_conjugate_critical_fixed_points():
+    # M(0) and M(inf) are double preimages of themselves; batched eigenvalues
+    # split each by ~1e-8, which the walker must still count as one point
+    for x in (ZERO, INFINITY):
+        with pytest.raises(ExceptionalPointError):
+            sample_max_entropy(CONJUGATE, apply_pair(MOBIUS, x), depth=5, count=10, seed=1)
+
+
+def _backward_tree_per_node(f, a, depth, tol=1e-10):
+    """Reference enumeration of f^-depth(a): one roots call per atom, merged at pt."""
+    atoms = [(a, 1)]
+    for _ in range(depth):
+        nxt = [(child, mult * cm) for pt, mult in atoms
+               for child, cm in preimages(f.pair(), pt, tol)]
+        pts = np.array([p.as_array() for p, _ in nxt])
+        ms = np.array([float(m) for _, m in nxt])
+        pts, ms = merge_atoms(pts, ms)
+        atoms = [(canonicalize(p[0], p[1]), m) for p, m in zip(pts, ms)]
+    pts = np.array([p.as_array() for p, _ in atoms])
+    ms = np.array([m for _, m in atoms], dtype=float) / f.d**depth
+    return AtomicMeasure(pts, ms, 0.0)
+
+
+@pytest.mark.parametrize("f, a, depth", [
+    (SQUARING, canonicalize(0.5, 1), 10),
+    (CONJUGATE, canonicalize(0.4 - 0.3j, 1), 10),
+    (fam.make_example1(5, 0.4, 1e-3), canonicalize(0.3 + 0.2j, 1), 3),
+    (fam.make_polylimit([1, -1], 5), canonicalize(0.3, 1), 6),
+], ids=["squaring", "conjugate", "example1-d5", "polylimit"])
+def test_backward_tree_matches_per_node_reference(f, a, depth):
+    tree = backward_tree(f, a, depth)
+    ref = _backward_tree_per_node(f, a, depth)
+    assert len(tree.points) == len(ref.points)
+    nearest = chordal_cross(ref.points, tree.points).argmin(axis=1)
+    assert sorted(nearest) == list(range(len(tree.points)))
+    assert np.abs(tree.masses[nearest] - ref.masses).max() <= 1e-12
+    assert weak_distance(tree, ref) <= 1e-12
+
+
 def test_backward_tree_brute_force_oracle():
     a = canonicalize(0.5, 1)
     tree = backward_tree(SQUARING, a, 10)
@@ -367,6 +428,26 @@ def test_support_report_branches():
     H = HPoly.from_roots([(canonicalize(1, 1), 1), (canonicalize(2, 1), 1)])
     rep3 = support_report(decompose(BoundaryMap(2, 3.0 * H, H), 1e-6))
     assert rep3["case"] == "constant"
+
+
+@pytest.mark.parametrize("f, tol, case, witness", [
+    (fam.example1_second_limit(3, a=0.4), 1e-4, "non-exceptional hole", canonicalize(1, 1)),
+    (fam.example2_second_limit(3, 2, a=0.4), 1e-4, "non-exceptional hole", canonicalize(1, 1)),
+    (fam.make_epstein_FT(1.75), 1e-6, "non-exceptional hole", ZERO),
+    (fam.cubic_limit(), 1e-6, "all holes exceptional", None),
+    # phi = z^2 with holes at its exceptional points 0 and infinity, then at 1
+    (BoundaryMap(4, hp(0, 1) * hp(1, 0) * hp(0, 0, 1), hp(0, 1) * hp(1, 0) * hp(1, 0, 0)),
+     1e-8, "all holes exceptional", None),
+    (BoundaryMap(3, hp(-1, 1) * hp(0, 0, 1), hp(-1, 1) * hp(1, 0, 0)), 1e-8,
+     "non-exceptional hole", canonicalize(1, 1)),
+], ids=["example1-d3", "example2-32", "FT", "cubic", "squaring-0-inf", "squaring-1"])
+def test_support_report_verdicts(f, tol, case, witness):
+    rep = support_report(decompose(f, tol))
+    assert rep["case"] == case
+    if witness is None:
+        assert "witness_hole" not in rep
+    else:
+        assert chordal_distance(ProjPoint.from_json(rep["witness_hole"]), witness) < 1e-6
 
 
 def test_measure_json_roundtrip():

@@ -22,7 +22,8 @@ from ratbound import (
     resultant,
 )
 from ratbound import families as fam
-from ratbound.ratmap import depth_at_point, iterate_hole_factor, orbit_depth_terms
+from ratbound.hpoly import count_zeros_in_disk
+from ratbound.ratmap import iterate_hole_factor, orbit_depth_terms
 
 
 def hp(*coeffs):
@@ -285,7 +286,7 @@ def test_hole_depth_cross_check_against_expansion():
         Hn = iterate_hole_factor(fa, n, 1e-4)
         for pt in pts:
             comb = hole_depth_sequence(fa, pt, n, 1e-4)[n - 1] * 4**n
-            assert depth_at_point(Hn, pt) == comb
+            assert count_zeros_in_disk(Hn, pt) == comb
 
 
 def test_local_degree_detection():
