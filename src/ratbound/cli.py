@@ -3,9 +3,10 @@
 Verbs: decompose | indeterminate | iterate | measure | pointmass | sample |
 converge | properness | escape.  Maps come from --input <json> or --family
 <name> with repeatable --param k=v; seeds fall back to the RATBOUND_SEED
-environment variable.  Structured results are JSON, sweeps are CSV with
-floats at 17 significant digits; every output embeds the tolerance block
-for provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain,
+environment variable.  Structured results are JSON whose text is exactly
+`json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV with floats
+at 17 significant digits; every output embeds the tolerance block for
+provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain,
 4 numerical failure.
 """
 
@@ -17,6 +18,9 @@ import json
 import math
 import os
 import sys
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,8 +105,106 @@ def _envelope(args, result):
 
 
 def _emit_json(args, result):
-    text = json.dumps(_envelope(args, result), indent=2)
-    _write(args.out, text + "\n")
+    _write(args.out, _json_text(_envelope(args, result)) + "\n")
+
+
+# The JSON encoder.  Its text is byte for byte json.dumps(value, indent=2),
+# whose indented path runs json's pure-Python generators.  Values are
+# rendered a column at a time: the items of all lists in a column form one
+# column, each key of same-keyed dicts forms one, and same-keyed dicts and
+# lists of one length are filled into one %-template per shape.
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(value):
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _float_texts(values, level):
+    texts = list(map(float.__repr__, values))
+    if not _NONFINITE.keys().isdisjoint(texts):
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return texts
+
+
+@functools.cache
+def _template(open_, slots, close, level):
+    inner = "\n" + "  " * (level + 1)
+    return (open_ + inner + ("," + inner).join(slots) + "\n" + "  " * level + close).__mod__
+
+
+@functools.cache
+def _dict_template(keys, level):
+    slots = tuple(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    return _template("{", slots, "}", level)
+
+
+def _list_texts(values, level):
+    lengths = list(map(len, values))
+    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1))
+    if len(values) > 1 and len(set(lengths)) == 1 and lengths[0]:
+        # a table of rows: one template for all of them
+        n = lengths[0]
+        return list(map(_template("[", ("%s",) * n, "]", level), zip(*[texts] * n)))
+    sep = ",\n" + "  " * (level + 1)
+    return [_template("[", ("%s",), "]", level)(sep.join(islice(texts, n))) if n else "[]"
+            for n in lengths]
+
+
+def _dict_texts(values, level):
+    """None when the dicts differ in keys; keys must be str."""
+    shapes = set(map(tuple, values))
+    if len(shapes) != 1:
+        return None
+    (keys,) = shapes
+    if not keys:
+        return ["{}"] * len(values)
+    fill = _dict_template(keys, level)
+    if len(values) == 1:
+        return [fill(tuple(_json_texts(list(values[0].values()), level + 1)))]
+    columns = [_json_texts(list(map(itemgetter(k), values)), level + 1) for k in keys]
+    return list(map(fill, zip(*columns)))
+
+
+# column renderers in json's order of isinstance checks (bool before int)
+_RENDERERS = (
+    (str, lambda values, level: list(map(encode_basestring_ascii, values))),
+    ((type(None), bool), lambda values, level: list(map(_CONSTANTS.__getitem__, values))),
+    (int, lambda values, level: list(map(int.__repr__, values))),
+    (float, _float_texts),
+    ((list, tuple), _list_texts),
+    (dict, _dict_texts),
+)
+# one item of a mixed column, for the exact scalar types
+_SCALAR_TEXT = {str: encode_basestring_ascii, type(None): _CONSTANTS.__getitem__,
+                bool: _CONSTANTS.__getitem__, int: int.__repr__, float: _float_text}
+
+
+@functools.cache
+def _renderer(kind):
+    for base, render in _RENDERERS:
+        if issubclass(kind, base):
+            return render
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_text(value):
+    """json.dumps(value, indent=2), byte for byte."""
+    return _json_texts([value], 0)[0]
+
+
+def _json_texts(values, level):
+    """The indented JSON text of each of `values`, all opening at nesting `level`."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        texts = _renderer(*kinds)(values, level)
+        if texts is not None:
+            return texts
+    return [_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
+            else _renderer(type(v))([v], level)[0] for v in values]
 
 
 def _emit_csv(args, header_fields, rows, extra_header=None):
@@ -177,11 +279,13 @@ def cmd_measure(args):
     f = _load_map(args, params)
     dec = decompose(f, args.tol or DEFAULTS.gcd)
     mu = boundary_measure(dec, float(params.get("tail_tol", 1e-9)))
+    angles, infinite = cone_angle_report(mu)
+    measure = mu.to_json()
     cones = [
-        {"point": pt.to_json(), "angle": angle, "infinite_end": bool(inf)}
-        for pt, angle, inf in cone_angle_report(mu)
+        {"point": atom["point"], "angle": angle, "infinite_end": inf}
+        for atom, angle, inf in zip(measure["atoms"], angles.tolist(), infinite.tolist())
     ]
-    _emit_json(args, {"measure": mu.to_json(), "cone_angles": cones})
+    _emit_json(args, {"measure": measure, "cone_angles": cones})
 
 
 def cmd_pointmass(args):

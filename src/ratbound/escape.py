@@ -224,21 +224,17 @@ def escape_grid(f: BoundaryMap, re_range, im_range, n_re: int, n_im: int,
 # cone angles
 
 
-def cone_angle_report(mu) -> list:
-    """Per atom: (point, cone angle 2pi - 4pi*mass, infinite_end = mass >= 1/2).
+def cone_angle_report(mu):
+    """(angles, infinite_ends) per atom of mu, in atom order: the cone angles
+    2pi - 4pi*mass and the boolean mask mass >= 1/2.
 
-    A probability measure admits at most two infinite ends; more than two
-    flags a malformed input and raises.
+    A probability measure admits at most two infinite ends; an atom mass
+    above 1 or more than two infinite ends flags a malformed input and raises.
     """
-    out = []
-    infinite_ends = 0
-    for pt, mass in mu.atoms:
-        if mass > 1.0 + 1e-12:
-            raise ValueError(f"atom mass {mass} exceeds 1")
-        angle = 2.0 * math.pi - 4.0 * math.pi * mass
-        infinite = mass >= 0.5
-        infinite_ends += infinite
-        out.append((pt, angle, infinite))
-    if infinite_ends > 2:
+    above = mu.masses > 1.0 + 1e-12
+    if above.any():
+        raise ValueError(f"atom mass {float(mu.masses[above][0])} exceeds 1")
+    infinite = mu.masses >= 0.5
+    if np.count_nonzero(infinite) > 2:
         raise ValueError("more than two infinite ends: not a probability measure")
-    return out
+    return 2.0 * math.pi - 4.0 * math.pi * mu.masses, infinite

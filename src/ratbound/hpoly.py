@@ -175,7 +175,8 @@ class HPoly:
     def to_json(self):
         return {
             "degree": self.degree,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
+            "coeffs": [[re, im] for re, im in zip(self.coeffs.real.tolist(),
+                                                   self.coeffs.imag.tolist())],
         }
 
     @staticmethod

@@ -91,13 +91,6 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    @property
-    def atoms(self):
-        return [
-            (ProjPoint(complex(z), complex(w)), float(m))
-            for (z, w), m in zip(self.points, self.masses)
-        ]
-
     def mass_near(self, pt: ProjPoint, radius: float = DEFAULTS.hole_match) -> float:
         d = chordal_cross(self.points, pt.as_array()[None, :])[:, 0]
         return float(self.masses[d <= radius].sum())

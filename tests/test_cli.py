@@ -1,9 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratbound import families as fam
-from ratbound.cli import main
+from ratbound.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -257,3 +261,80 @@ def test_escape_grid_indeterminate_exit_code(tmp_path, capsys):
                  "--param", "re=-1:1:3", "--param", "im=-1:1:3", "--out", str(out_path)])
     assert code == 3
     assert not out_path.exists()
+
+
+# -- JSON output: byte for byte json.dumps(envelope, indent=2) ---------------
+
+KEYS = st.text(max_size=6)
+LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+          | st.floats().map(np.float64))
+
+
+def _json_values(children):
+    same_keys = st.lists(KEYS, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4))
+    same_length = st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(children, min_size=n, max_size=n), max_size=4))
+    return (st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple) | same_keys | same_length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(LEAVES, _json_values, max_leaves=40))
+def test_encoder_matches_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [{}], [[]], [[], []], {"a": {}, "b": []}, [{"a": {}}, {"a": {}}],
+    [1, "a", None, True, False, 1.5, [2], {"k": 3}],
+    [{"a": 1, "b": [1.0, 2.0]}, {"a": 2, "b": [3.0, 4.0]}],
+    [{"a": 1}, {"b": 1}], [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    [[1, 2], [3]], [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
+    (1, (2.0, "x")), [(1, 2), [3, 4]], [(), []],
+    [np.float64(0.1), np.float64(-0.0), np.float64("nan")], [np.float64(1.5), 2.5],
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 1e16, 0.1],
+    {"x": math.nan, "y": -math.inf},
+    [True, False, True], [0, -1, 2 ** 70], [None, None], [1, True, 1.0],
+    {"%": "%", "%s": "%s", "%%d": 1, '"q"': "'", "back\\slash": "\\", "é✓\u2028": "ü\x00"},
+    [{"%s": 1, '"': 2}, {"%s": 3, '"': 4}],
+    "plain", 7, None, False, 2.5, math.nan,
+])
+def test_encoder_explicit_cases(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [[np.int64(1)], {"a": np.bool_(True)}, {1j}, [1, {"a": 1j}]])
+def test_encoder_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _json_text(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("value", [{1: "x"}, [{"a": 1}, {"a": 2, 3: 4}], {None: 1}])
+def test_encoder_rejects_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_cli_json_is_json_dumps_indent_2(tmp_path):
+    ft = fam.make_epstein_FT(1.0)
+    path = write_map(tmp_path, ft)
+    e1 = ["--family", "example1", "--param", "d=3", "--param", "t=0.01"]
+    runs = {
+        "measure": ["measure", "--input", path, "--param", "tail_tol=1e-4"],
+        "decompose": ["decompose", *e1],
+        "iterate": ["iterate", "--input", path, "--param", "n=2"],
+        "pointmass": ["pointmass", *e1, "--param", "at=0"],
+        "indeterminate": ["indeterminate", "--input", path],
+        "sample": ["sample", *e1, "--count", "200", "--depth", "8", "--seed", "4"],
+    }
+    for verb, argv in runs.items():
+        out = tmp_path / f"{verb}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", verb
+    cones = json.loads((tmp_path / "measure.json").read_text())["result"]["cone_angles"]
+    assert len(cones) == 2 ** 14

@@ -319,10 +319,9 @@ def test_sup_normalization_squaring():
 
 def test_cone_angle_delta_infinity():
     mu = AtomicMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
-    ((pt, angle, inf_end),) = cone_angle_report(mu)
-    assert pt.is_infinity
-    assert angle == pytest.approx(-2 * math.pi)
-    assert inf_end
+    angles, inf_ends = cone_angle_report(mu)
+    assert angles.tolist() == [pytest.approx(-2 * math.pi)]
+    assert inf_ends.tolist() == [True]
 
 
 def test_cone_angle_uniform_atoms():
@@ -331,21 +330,35 @@ def test_cone_angle_uniform_atoms():
     from ratbound.projline import canonicalize_rows
 
     mu = AtomicMeasure(canonicalize_rows(pts), np.full(d, 1 / d))
-    rep = cone_angle_report(mu)
-    for _, angle, inf_end in rep:
-        assert angle == pytest.approx(2 * math.pi * (1 - 2 / d))
-        assert not inf_end
+    angles, inf_ends = cone_angle_report(mu)
+    assert angles.tolist() == [pytest.approx(2 * math.pi * (1 - 2 / d))] * d
+    assert not inf_ends.any()
 
 
 def test_cone_angle_zero_mass_smooth():
     mu = AtomicMeasure(
         np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1e-15])
     )
-    rep = cone_angle_report(mu)
-    assert rep[1][1] == pytest.approx(2 * math.pi)
+    angles, _ = cone_angle_report(mu)
+    assert angles[1] == pytest.approx(2 * math.pi)
 
 
 def test_cone_angle_mass_above_one_rejected():
     mu = AtomicMeasure(np.array([[1.0, 0.0]]), np.array([1.5]))
     with pytest.raises(ValueError):
         cone_angle_report(mu)
+
+
+def test_cone_angle_more_than_two_infinite_ends_rejected():
+    pts = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], dtype=complex)
+    mu = AtomicMeasure(pts, np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="infinite ends"):
+        cone_angle_report(mu)
+
+
+def test_cone_angles_match_per_atom_formula():
+    masses = np.array([1.0, 0.5, 1 / 3, 0.1, 1e-15, 2 ** -14])
+    mu = AtomicMeasure(np.tile([[0.0, 1.0]], (len(masses), 1)), masses)
+    angles, inf_ends = cone_angle_report(mu)
+    assert angles.tolist() == [2.0 * math.pi - 4.0 * math.pi * m for m in masses.tolist()]
+    assert inf_ends.tolist() == [m >= 0.5 for m in masses.tolist()]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -367,3 +369,15 @@ def test_projective_residual_closed_form():
         for lam in (np.vdot(b, a) / np.vdot(b, b)) * (1 + np.linspace(-0.01, 0.01, 41))
     )
     assert closed <= grid + 1e-12
+
+
+def test_to_json_rows_are_plain_floats_with_the_old_text():
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    c[1], c[3] = complex(-0.0, 0.0), complex(1e300, -5e-324)
+    P = hp(*c)
+    rows = P.to_json()["coeffs"]
+    assert all(type(x) is float for row in rows for x in row)
+    old_rows = [[x.real, x.imag] for x in P.coeffs]  # np.float64 leaves
+    assert json.dumps(rows, indent=2) == json.dumps(old_rows, indent=2)
+    assert json.dumps(rows) == json.dumps(old_rows)
