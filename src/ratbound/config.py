@@ -1,6 +1,6 @@
 """Default tolerances, centralized so CLI outputs can echo them verbatim."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class Tolerances:
     cluster_floor: float = 1e-7
 
     def as_dict(self):
-        return asdict(self)
+        # the frozen instance holds exactly its fields, in declaration order
+        return dict(vars(self))
 
 
 DEFAULTS = Tolerances()

@@ -154,21 +154,6 @@ def example2_second_limit(d: int, k: int, a: complex,
     return BoundaryMap(d * d, top, bottom)
 
 
-def example2_companion(d: int, k: int, a: complex, t: complex,
-                       P: HPoly | None = None) -> BoundaryMap:
-    """h_{a,t} = (a t z^d + w^k P : t z^d); the second iterates tend to the
-    constant-a map h_a."""
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    if not 2 <= k <= d:
-        raise ValueError("k must satisfy 2 <= k <= d")
-    P = default_P(d - k) if P is None else P
-    _check_P(P, d - k, allow_constant=(k == d))
-    zd = _zpow(d, d)
-    return BoundaryMap(d, complex(a) * complex(t) * zd + (HPoly.w() ** k) * P,
-                       complex(t) * zd)
-
-
 def example2_companion_limit(d: int, k: int, a: complex,
                              P: HPoly | None = None) -> BoundaryMap:
     """h_a = (a w^(kd) P^d : w^(kd) P^d), constant a; on I(d^2) iff P(a) = 0."""

@@ -3,9 +3,10 @@
 An HPoly of degree d stores d+1 complex coefficients with the convention
 coeffs[i] * z^i * w^(d-i).  This module provides the algebraic substrate:
 evaluation, products, pair composition, the Sylvester resultant, all-roots
-finding on P^1 (simultaneous Aberth-Ehrlich iteration with Newton polish
-and chordal clustering for multiplicities), and an approximate gcd
-computed by matching root clusters of the two inputs.
+finding on P^1 (companion-matrix eigenvalues with Newton polish and
+chordal clustering for multiplicities), and an approximate gcd computed by
+matching root clusters of the two inputs.  One batched companion kernel,
+_companion_roots, serves both roots and the preimage slots of measure.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
 gcd because floating-point remainder sequences degrade exactly where these
@@ -310,45 +311,23 @@ def projective_residual(a, b) -> float:
 # root finding
 
 
-def _aberth(c, tol=1e-14, max_iter=160):
-    """All roots of sum c[i] x^i by simultaneous Aberth-Ehrlich iteration."""
-    c = np.asarray(c, dtype=complex)
-    n = len(c) - 1
-    if n < 1:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([-c[0] / c[1]])
-    monic = c / c[-1]
-    dp = monic[1:] * np.arange(1, n + 1)
+def _companion_roots(C):
+    """Roots, as a (k, n) array, of the rows of C (k, n+1): ascending
+    coefficients with a nonzero last entry.
 
-    radius = 1.0 + float(np.abs(monic[:-1]).max())  # Cauchy bound
-    r0 = abs(monic[0]) ** (1.0 / n) if monic[0] != 0 else 0.0
-    radius = min(radius, max(r0, 0.5))
-    angles = 2 * np.pi * np.arange(n) / n + 0.376
-    x = radius * np.exp(1j * angles)
-
-    for _ in range(max_iter):
-        pv = _horner_vec(monic, x)
-        dpv = _horner_vec(dp, x)
-        newton = np.where(dpv != 0, pv / np.where(dpv == 0, 1, dpv), 0.1)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * s
-        step = newton / np.where(denom == 0, 1, denom)
-        bad = ~np.isfinite(step)
-        if bad.any():
-            step = np.where(bad, 0, step)
-        x = x - step
-        if np.abs(step).max() <= tol * (1.0 + np.abs(x).max()):
-            break
-    # Newton polish
-    for _ in range(3):
-        pv = _horner_vec(monic, x)
-        dpv = _horner_vec(dp, x)
-        ok = np.abs(dpv) > 1e-300
-        x = np.where(ok, x - pv / np.where(ok, dpv, 1), x)
-    return x
+    The eigenvalues of each row's monic companion matrix (the method of
+    numpy.roots, backward stable by Edelman-Murakami, Math. Comp. 1995),
+    in one batched eigvals call.
+    """
+    k, width = C.shape
+    n = width - 1
+    monic = C / C[:, -1:]
+    A = np.zeros((k, n, n), dtype=complex)
+    if n > 1:
+        idx = np.arange(n - 1)
+        A[:, idx + 1, idx] = 1.0
+    A[:, :, -1] = -monic[:, :-1]
+    return np.linalg.eigvals(A)
 
 
 def _horner_vec(coeffs_asc, x):
@@ -382,9 +361,9 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
 
     Leading coefficients below tol * (max modulus) contribute multiplicity at
     (1:0); exactly-zero trailing coefficients contribute at (0:1); the
-    remaining dehomogenized core is solved by Aberth-Ehrlich iteration and
-    the numeric roots are clustered (connected components of the chordal
-    relation) at radius max(tol, 1e-7).
+    remaining dehomogenized core is solved by _companion_roots plus three
+    Newton steps, and the numeric roots are clustered (connected components
+    of the chordal relation) at radius max(tol, 1e-7).
     """
     if P.is_zero:
         raise ValueError("roots undefined for the zero polynomial")
@@ -406,26 +385,48 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
     if m_inf:
         raw.append((INFINITY, m_inf))
     if len(core) > 1:
-        for r in _aberth(core):
-            raw.append((canonicalize(r, 1.0), 1))
+        monic = core / core[-1]
+        dp = monic[1:] * np.arange(1, len(core))
+        x = _companion_roots(core[None, :])[0]
+        pv = _horner_vec(monic, x)
+        # three Newton steps, each kept only where it lowers |p|: inside a
+        # multiple root's cluster p' is round-off and a step can throw the
+        # root far outside the clustering radius (a step through p' = 0 is
+        # not finite, so it is not kept either)
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                x1 = x - pv / _horner_vec(dp, x)
+                pv1 = _horner_vec(monic, x1)
+                keep = np.abs(pv1) < np.abs(pv)
+                x, pv = np.where(keep, x1, x), np.where(keep, pv1, pv)
+        raw.extend((canonicalize(r, 1.0), 1) for r in x)
 
     radius = max(tol, DEFAULTS.cluster_floor)
-    rows, mults = _merge_close(
-        np.array([pt.as_array() for pt, _ in raw]).reshape(-1, 2),
-        np.array([m for _, m in raw], dtype=float), radius)
-    clustered = [(canonicalize(z, w), int(round(m))) for (z, w), m in zip(rows, mults)]
-
     refined = []
-    for center, mult in clustered:
+    for center, mult in _clusters(raw, radius):
         if mult > 1 and len(core) > mult and not center.is_infinity and abs(center.w) > 0.1:
             z0 = center.ratio()
             z1 = _polish_multiple_root(core, z0, mult)
             if abs(z1 - z0) <= radius * (1 + abs(z0)):
                 center = canonicalize(z1, 1.0)
         refined.append((center, mult))
+    return _sorted_roots(refined)
 
-    refined.sort(key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9)))
-    return RootList(refined)
+
+def _clusters(entries, radius):
+    """Merge (ProjPoint, multiplicity) entries within chordal radius: a
+    connected component becomes one entry at the multiplicity-weighted,
+    phase-aligned mean of its members, with the summed multiplicity."""
+    rows, mults = _merge_close(
+        np.array([pt.as_array() for pt, _ in entries]).reshape(-1, 2),
+        np.array([m for _, m in entries], dtype=float), radius)
+    return [(canonicalize(z, w), int(round(m))) for (z, w), m in zip(rows, mults)]
+
+
+def _sorted_roots(entries) -> RootList:
+    return RootList(sorted(
+        entries,
+        key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9))))
 
 
 def vanishing_order(P: HPoly, pt: ProjPoint, rel_tol: float = DEFAULTS.ramification) -> int:
@@ -513,6 +514,16 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
     reconstruction residual exceeds tol: that signals cluster splitting, so
     callers should loosen tol (numeric m-fold roots spread like eps^(1/m)).
     """
+    return _matched_gcd(P, Q, tol)[:3]
+
+
+def _matched_gcd(P: HPoly, Q: HPoly, tol: float):
+    """numeric_gcd's (H, p, q) plus the roots of H as a RootList.
+
+    The roots are the matched clusters merged at roots' clustering radius,
+    so H, built from known roots, is not solved again; only an H taken
+    whole from P or Q (a zero or proportional pair) goes through roots.
+    """
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
     if P.is_zero or Q.is_zero:
@@ -521,14 +532,14 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
         lam = _fit_scale(H.coeffs, other.coeffs)
         s = HPoly.constant(lam)
         zero = HPoly.zero(0)
-        return (H, zero, s) if P.is_zero else (H, s, zero)
+        p, q = (zero, s) if P.is_zero else (s, zero)
+        return H, p, q, roots(H, tol)
     if projective_residual(P.coeffs, Q.coeffs) < 1e-12:
-        # proportional pair: the gcd is the polynomial itself, no root
-        # detection needed (and none wanted: multiple roots would smear H)
+        # proportional pair: the gcd is the polynomial itself, taken whole
+        # rather than matched (multiple roots would smear a matched H)
         H = P.monic_leading()
-        return H, HPoly.constant(_fit_scale(H.coeffs, P.coeffs)), HPoly.constant(
-            _fit_scale(H.coeffs, Q.coeffs)
-        )
+        return (H, HPoly.constant(_fit_scale(H.coeffs, P.coeffs)),
+                HPoly.constant(_fit_scale(H.coeffs, Q.coeffs)), roots(H, tol))
 
     rp = roots(P, tol)
     rq = roots(Q, tol)
@@ -569,7 +580,7 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
                 f"gcd reconstruction residual {resid:.3e} exceeds tol {tol:.1e} on {name}; "
                 "root clusters may have split -- loosen tol"
             )
-    return H, p, q
+    return H, p, q, _sorted_roots(_clusters(shared, max(tol, DEFAULTS.cluster_floor)))
 
 
 def _fit_scale(basis, target):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError
-from .hpoly import RootList, roots
+from .hpoly import RootList, _companion_roots, roots
 from .projline import (
     ProjPoint,
     _merge_close,
@@ -176,19 +176,6 @@ def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> RootList:
     return roots(fiber, tol)
 
 
-def _companion_eigen_roots(C):
-    """Roots (as (k, e) array) of the monic-normalized rows of C (k, e+1)."""
-    k, width = C.shape
-    e = width - 1
-    monic = C / C[:, -1:]
-    A = np.zeros((k, e, e), dtype=complex)
-    if e > 1:
-        idx = np.arange(e - 1)
-        A[:, idx + 1, idx] = 1.0
-    A[:, :, -1] = -monic[:, :-1]
-    return np.linalg.eigvals(A)
-
-
 def batched_preimage_slots(phi, pts) -> np.ndarray:
     """Preimage slots under phi of each row of pts: (n, e, 2) canonical.
 
@@ -213,11 +200,11 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
 
     out = np.empty((n, e, 2), dtype=complex)
     if use_z.any():
-        rts = _companion_eigen_roots(C[use_z])
+        rts = _companion_roots(C[use_z])
         out[use_z, :, 0] = rts
         out[use_z, :, 1] = 1.0
     if use_w.any():
-        rts = _companion_eigen_roots(C[use_w, ::-1])
+        rts = _companion_roots(C[use_w, ::-1])
         out[use_w, :, 0] = 1.0
         out[use_w, :, 1] = rts
     for i in np.nonzero(fallback)[0]:

@@ -28,12 +28,11 @@ from .errors import IndeterminateMapError, NumericalFailure
 from .hpoly import (
     HPoly,
     RootList,
+    _matched_gcd,
     compose_pair,
-    numeric_gcd,
     projective_residual,
     pullback_poly,
     resultant,
-    roots,
     vanishing_order,
 )
 from .projline import ProjPoint, canonicalize, chordal_distance
@@ -138,9 +137,8 @@ class Decomposition:
 
 def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
     """Factor f = H*phi, record holes with depths and the constant value if e = 0."""
-    H, p, q = numeric_gcd(f.P, f.Q, tol)
+    H, p, q, holes = _matched_gcd(f.P, f.Q, tol)
     e = f.d - H.degree
-    holes = roots(H, tol) if H.degree >= 1 else RootList([])
     constant = None
     indeterminate = False
     cof_res = None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratbound import DEFAULTS, Tolerances
 from ratbound import families as fam
 from ratbound.cli import _json_text, main
 
@@ -20,6 +22,16 @@ def write_map(tmp_path, f, name="map.json"):
     path = tmp_path / name
     path.write_text(json.dumps(f.to_json()))
     return str(path)
+
+
+def test_tolerances_as_dict_matches_dataclasses_asdict():
+    # the envelope's tolerance block and the "# tol.*" CSV header lines: same
+    # keys, order and values as dataclasses.asdict, and a copy
+    for tol in (DEFAULTS, Tolerances(pt=1e-10, gcd=1e-4)):
+        got = tol.as_dict()
+        assert list(got.items()) == list(dataclasses.asdict(tol).items())
+        got["pt"] = 0.0
+        assert tol.pt != 0.0
 
 
 def test_decompose_indeterminate_d1(tmp_path, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratbound import (
     INFINITY,
@@ -82,6 +84,57 @@ def test_decompose_proportional_pair():
     assert dec.e == 0
     assert chordal_distance(dec.constant_value, canonicalize(0.3 + 0.4j, 1)) < 1e-9
     assert not dec.indeterminate
+
+
+def test_decompose_merges_matched_pieces_of_one_hole():
+    # P's double root at a matches Q's two simple roots 0.7 tol either side
+    # of it (1.4 tol apart, so roots keeps them apart): the two matched
+    # pieces are one hole of depth 2
+    tol, a = 1e-4, 0.5
+    delta = 0.7 * tol * (1 + a * a)  # affine offset of chordal size 0.7 tol
+    P = HPoly.from_roots([(canonicalize(a, 1), 2), (canonicalize(-2.0, 1), 1)])
+    Q = HPoly.from_roots([(canonicalize(a + delta, 1), 1), (canonicalize(a - delta, 1), 1),
+                          (canonicalize(3.0j, 1), 1)])
+    dec = decompose(BoundaryMap(3, P, Q), tol)
+    assert dec.e == 1
+    assert len(dec.holes) == 1 and dec.holes.multiplicity_at(canonicalize(a, 1), tol) == 2
+
+
+# ten sites on P^1, pairwise >= 0.2 apart chordally: 0, infinity and two
+# rings of four (moduli 0.5 and 2, angles offset by pi/4)
+_SITES = [ZERO, INFINITY] + [
+    canonicalize(r * np.exp(1j * (np.pi * k / 2 + off)), 1)
+    for r, off in ((0.5, 0.3), (2.0, 0.3 + np.pi / 4)) for k in range(4)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.permutations(range(len(_SITES))),
+    hole_mults=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    e=st.integers(0, 3),
+    scales=st.tuples(*[st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)] * 3),
+)
+# a triple hole that the Aberth-Ehrlich solver split 2 + 1
+@example(order=[4, 8, 9, 5, 6, 2, 7, 0, 1, 3], hole_mults=[3, 2, 1], e=2,
+         scales=(1.5829785316202978, 1.1543008205934153, 1.9118651351962603))
+# a triple hole that unguarded Newton polish split 2 + 1
+@example(order=[0, 5, 3, 4, 2, 1, 6, 7, 8, 9], hole_mults=[1, 3, 1], e=1,
+         scales=(1.0475596095620108, 2.0, -1.192092896e-07 + 1.8794708587807065j))
+def test_decompose_round_trips_planted_holes(order, hole_mults, e, scales):
+    # f = H * (p, q) with coprime cofactors: H on the first sites, p and q
+    # on disjoint later ones (constants when e = 0, a proportional pair)
+    sites = [_SITES[i] for i in order]
+    holes = list(zip(sites, hole_mults))
+    rest = sites[len(holes):]
+    H = HPoly.from_roots(holes, scales[0])
+    p = HPoly.from_roots([(pt, 1) for pt in rest[:e]], scales[1])
+    q = HPoly.from_roots([(pt, 1) for pt in rest[e:2 * e]], scales[2])
+    dec = decompose(BoundaryMap(H.degree + e, H * p, H * q), 1e-4)
+    assert dec.e == e
+    assert len(dec.holes) == len(holes)
+    for pt, mult in holes:
+        assert dec.holes.multiplicity_at(pt, 1e-6) == mult
 
 
 # -- indeterminacy -----------------------------------------------------------
