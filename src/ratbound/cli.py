@@ -20,7 +20,7 @@ import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_, itemgetter
 
 import numpy as np
 
@@ -72,6 +72,14 @@ def _parse_params(pairs):
     return params
 
 
+def _one(key, value):
+    """The value of --param `key` where one value belongs: the list a
+    comma-separated value parses to is a ValueError."""
+    if isinstance(value, list):
+        raise ValueError(f"--param {key} takes one value, got {len(value)}")
+    return value
+
+
 def _parse_point(value):
     if isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return INFINITY
@@ -113,6 +121,19 @@ def _emit_json(args, result):
 # rendered a column at a time: the items of all lists in a column form one
 # column, each key of same-keyed dicts forms one, and same-keyed dicts and
 # lists of one length are filled into one %-template per shape.
+#
+# A list object can sit at several places of one envelope: the cone rows of
+# `measure` share the point lists of its atoms.  Each _json_text call makes a
+# memo, keyed by the id of a column's first item, of the columns of nested
+# lists it has rendered.  A later column that is the same objects in the same
+# order takes their texts, re-indented to its own nesting level by replacing
+# each newline's indent (encoded strings hold no raw newline).  The memo
+# keeps only columns whose items are lists, and drops a column's items'
+# column once the column is kept: a column inside a kept one is matched, if
+# at all, through it, and keeping the leaf [re, im] columns would only hold
+# memory.  An entry is dropped at its first lookup, match or not, and the
+# memo is emptied before the top level is assembled, so an encode's peak
+# memory is what it would be without the memo.
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -123,7 +144,7 @@ def _float_text(value):
     return _NONFINITE.get(text, text)
 
 
-def _float_texts(values, level):
+def _float_texts(values, *_):
     texts = list(map(float.__repr__, values))
     if not _NONFINITE.keys().isdisjoint(texts):
         texts = [_NONFINITE.get(t, t) for t in texts]
@@ -142,19 +163,36 @@ def _dict_template(keys, level):
     return _template("{", slots, "}", level)
 
 
-def _list_texts(values, level):
+def _list_texts(values, level, memo):
+    seen = memo.pop(id(values[0]), None)
+    if seen and len(seen[0]) == len(values) and all(map(is_, seen[0], values)):
+        _, texts, at = seen
+        if at == level:
+            return texts
+        old, new = "\n" + "  " * at, "\n" + "  " * level
+        return [t.replace(old, new) for t in texts]
     lengths = list(map(len, values))
-    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1))
+    first = next(chain.from_iterable(values), None)
+    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1, memo))
+    nested = isinstance(first, (list, tuple))
+    if not level:
+        memo.clear()
+    elif nested:
+        memo.pop(id(first), None)  # the items' column: matched through this one, if at all
     if len(values) > 1 and len(set(lengths)) == 1 and lengths[0]:
         # a table of rows: one template for all of them
         n = lengths[0]
-        return list(map(_template("[", ("%s",) * n, "]", level), zip(*[texts] * n)))
-    sep = ",\n" + "  " * (level + 1)
-    return [_template("[", ("%s",), "]", level)(sep.join(islice(texts, n))) if n else "[]"
-            for n in lengths]
+        out = list(map(_template("[", ("%s",) * n, "]", level), zip(*[texts] * n)))
+    else:
+        sep = ",\n" + "  " * (level + 1)
+        out = [_template("[", ("%s",), "]", level)(sep.join(islice(texts, n))) if n else "[]"
+               for n in lengths]
+    if nested:
+        memo[id(values[0])] = (values, out, level)
+    return out
 
 
-def _dict_texts(values, level):
+def _dict_texts(values, level, memo):
     """None when the dicts differ in keys; keys must be str."""
     shapes = set(map(tuple, values))
     if len(shapes) != 1:
@@ -162,18 +200,21 @@ def _dict_texts(values, level):
     (keys,) = shapes
     if not keys:
         return ["{}"] * len(values)
-    fill = _dict_template(keys, level)
     if len(values) == 1:
-        return [fill(tuple(_json_texts(list(values[0].values()), level + 1)))]
-    columns = [_json_texts(list(map(itemgetter(k), values)), level + 1) for k in keys]
-    return list(map(fill, zip(*columns)))
+        rows = [tuple(_json_texts(list(values[0].values()), level + 1, memo))]
+    else:
+        rows = zip(*[_json_texts(list(map(itemgetter(k), values)), level + 1, memo)
+                     for k in keys])
+    if not level:
+        memo.clear()
+    return list(map(_dict_template(keys, level), rows))
 
 
 # column renderers in json's order of isinstance checks (bool before int)
 _RENDERERS = (
-    (str, lambda values, level: list(map(encode_basestring_ascii, values))),
-    ((type(None), bool), lambda values, level: list(map(_CONSTANTS.__getitem__, values))),
-    (int, lambda values, level: list(map(int.__repr__, values))),
+    (str, lambda values, *_: list(map(encode_basestring_ascii, values))),
+    ((type(None), bool), lambda values, *_: list(map(_CONSTANTS.__getitem__, values))),
+    (int, lambda values, *_: list(map(int.__repr__, values))),
     (float, _float_texts),
     ((list, tuple), _list_texts),
     (dict, _dict_texts),
@@ -193,18 +234,19 @@ def _renderer(kind):
 
 def _json_text(value):
     """json.dumps(value, indent=2), byte for byte."""
-    return _json_texts([value], 0)[0]
+    return _json_texts([value], 0, {})[0]
 
 
-def _json_texts(values, level):
-    """The indented JSON text of each of `values`, all opening at nesting `level`."""
+def _json_texts(values, level, memo):
+    """The indented JSON text of each of `values`, all opening at nesting `level`;
+    `memo` holds the shared-column texts of one _json_text call."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
-        texts = _renderer(*kinds)(values, level)
+        texts = _renderer(*kinds)(values, level, memo)
         if texts is not None:
             return texts
     return [_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
-            else _renderer(type(v))([v], level)[0] for v in values]
+            else _renderer(type(v))([v], level, memo)[0] for v in values]
 
 
 def _emit_csv(args, header_fields, rows, extra_header=None):
@@ -258,7 +300,7 @@ def cmd_indeterminate(args):
 
 def cmd_iterate(args):
     params = _parse_params(args.param)
-    n = int(params.pop("n", 2))
+    n = int(_one("n", params.pop("n", 2)))
     f = _load_map(args, params)
     gcd_tol = args.tol or DEFAULTS.gcd
     dec = decompose(f, gcd_tol)
@@ -278,7 +320,7 @@ def cmd_measure(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
     dec = decompose(f, args.tol or DEFAULTS.gcd)
-    mu = boundary_measure(dec, float(params.get("tail_tol", 1e-9)))
+    mu = boundary_measure(dec, float(_one("tail_tol", params.get("tail_tol", 1e-9))))
     angles, infinite = cone_angle_report(mu)
     measure = mu.to_json()
     cones = [
@@ -290,16 +332,16 @@ def cmd_measure(args):
 
 def cmd_pointmass(args):
     params = _parse_params(args.param)
-    at = _parse_point(params.pop("at", "inf"))
+    at = _parse_point(_one("at", params.pop("at", "inf")))
     f = _load_map(args, params)
     dec = decompose(f, args.tol or DEFAULTS.gcd)
-    mass, err = point_mass(dec, at, float(params.get("series_tol", 1e-12)))
+    mass, err = point_mass(dec, at, float(_one("series_tol", params.get("series_tol", 1e-12))))
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
 
 def cmd_sample(args):
     params = _parse_params(args.param)
-    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
+    a0 = _parse_point(_one("a0", params.pop("a0", complex(0.5, 0.5))))
     f = _load_map(args, params)
     emp = sample_max_entropy(
         f, a0, depth=args.depth, count=args.count, seed=_seed(args),
@@ -318,12 +360,13 @@ def cmd_sample(args):
 def _target_measure(args, params):
     """The limit measure a converge sweep is compared against."""
     name = args.family
-    d = int(params.get("d", 2))
+    d = int(_one("d", params.get("d", 2)))
     P = fam._p_from_roots(params.get("P_roots"))
     if name == "example1":
-        limit = fam.example1_second_limit(d, params.get("a", 1.0), P)
+        limit = fam.example1_second_limit(d, _one("a", params.get("a", 1.0)), P)
     elif name == "example2":
-        limit = fam.example2_second_limit(d, int(params["k"]), params.get("a", 1.0), P)
+        limit = fam.example2_second_limit(d, int(_one("k", params["k"])),
+                                          _one("a", params.get("a", 1.0)), P)
     elif name == "polylimit":
         limit = fam.polylimit_limit(params["roots"])
     elif name == "cubic_eps":
@@ -331,20 +374,20 @@ def _target_measure(args, params):
     else:
         raise ValueError(f"converge sweeps are not defined for family {name!r}")
     dec = decompose(limit, FAMILY_LIMIT_GCD_TOL)
-    return boundary_measure(dec, float(params.get("tail_tol", 1e-6)))
+    return boundary_measure(dec, float(_one("tail_tol", params.get("tail_tol", 1e-6))))
 
 
 def cmd_converge(args):
     params = _parse_params(args.param)
-    sweep = params.pop("sweep", "t")
+    sweep = _one("sweep", params.pop("sweep", "t"))
     values = params.pop("values", None)
     if values is None:
         raise ValueError("converge needs --param values=v1,v2,...")
     if not isinstance(values, list):
         values = [values]
-    center = _parse_point(params.pop("center", "inf"))
-    radius = float(params.pop("radius", 0.1))
-    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
+    center = _parse_point(_one("center", params.pop("center", "inf")))
+    radius = float(_one("radius", params.pop("radius", 0.1)))
+    a0 = _parse_point(_one("a0", params.pop("a0", complex(0.5, 0.5))))
     target = _target_measure(args, params)
     rows = []
     dists = []
@@ -376,8 +419,8 @@ def _fmt_value(v):
 
 def cmd_properness(args):
     params = _parse_params(args.param)
-    n = int(params.pop("n", 2))
-    sweep = params.pop("sweep", "t")
+    n = int(_one("n", params.pop("n", 2)))
+    sweep = _one("sweep", params.pop("sweep", "t"))
     values = params.pop("values", None)
     rows = []
     if values is None:
@@ -408,7 +451,7 @@ def cmd_escape(args):
     re_lo, re_hi, n_re = _parse_range(re_spec)
     im_lo, im_hi, n_im = _parse_range(im_spec)
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
-                       n_max=int(params.get("n_max", 50)))
+                       n_max=int(_one("n_max", params.get("n_max", 50))))
     _emit_csv(args, ["re", "im", "G"], rows)
 
 

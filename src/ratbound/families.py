@@ -224,6 +224,10 @@ class FamilySpec:
 
     def build(self) -> BoundaryMap:
         p = self.parameters
+        listed = [k for k in ("d", "k", "a", "t", "T", "eps") if isinstance(p.get(k), list)]
+        if listed:
+            # a comma-separated --param value parses to a list
+            raise ValueError(f"parameter {', '.join(listed)} takes one value")
         if self.name == "example1":
             P = _p_from_roots(p.get("P_roots"))
             return make_example1(int(p["d"]), p.get("a", 1.0), p["t"], P)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratbound import DEFAULTS, Tolerances
+from ratbound import cli
 from ratbound import families as fam
 from ratbound.cli import _json_text, main
 
@@ -256,6 +258,21 @@ def test_validation_error_exit_code(capsys):
     assert main(["converge", "--family", "example1", "--param", "d=2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--param", "tail_tol=1,2"],
+    ["sample", "--param", "a0=1,2"],
+    ["pointmass", "--param", "at=1,2"],
+    ["escape", "--param", "n_max=1,2"],
+    ["iterate", "--param", "n=1,2"],
+    ["decompose", "--param", "T=1,2"],
+])
+def test_list_where_one_value_belongs_exits_2(capsys, argv):
+    # a comma-separated --param value parses to a list
+    assert main(argv + ["--family", "epstein_FT"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ratbound: ") and "takes one value" in err
+
+
 def test_float_formatting_17_digits(tmp_path):
     out_path = tmp_path / "p.csv"
     main(["properness", "--family", "inversion", "--param", "sweep=k",
@@ -297,6 +314,32 @@ def test_encoder_matches_json_dumps_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+# shared by several explicit cases: nested lists (the point shape), an
+# empty list and a tuple of tuples
+_P, _Q, _E, _T = [[1.0, 2.0], [3.0, 4.0]], [[5.0], []], [], ((1, 2.5), ("x",))
+
+
+def _aliased(pool):
+    """Trees that reuse the objects of `pool`: at several depths, repeated
+    within one column, and in columns that are prefixes or permutations of
+    one another."""
+    columns = (st.lists(st.sampled_from(pool), max_size=5) | st.permutations(pool)
+               | st.integers(0, len(pool)).map(lambda n: pool[:n]))
+    rows = columns.map(lambda column: [{"point": p} for p in column])
+    return st.recursive(LEAVES | st.sampled_from(pool) | columns | rows, _json_values,
+                        max_leaves=20)
+
+
+POINTS = st.lists(st.lists(LEAVES, max_size=2), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POINTS | POINTS.map(tuple) | st.just([]), min_size=1, max_size=4)
+       .flatmap(_aliased))
+def test_encoder_matches_json_dumps_with_shared_lists(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("value", [
     {}, [], [{}], [[]], [[], []], {"a": {}, "b": []}, [{"a": {}}, {"a": {}}],
     [1, "a", None, True, False, 1.5, [2], {"k": 3}],
@@ -311,6 +354,17 @@ def test_encoder_matches_json_dumps_indent_2(value):
     {"%": "%", "%s": "%s", "%%d": 1, '"q"': "'", "back\\slash": "\\", "é✓\u2028": "ü\x00"},
     [{"%s": 1, '"': 2}, {"%s": 3, '"': 4}],
     "plain", 7, None, False, 2.5, math.nan,
+    # one list object in several places; in the dicts, "a" and "b" render as
+    # separate columns, with "b" one level deeper
+    {"a": [{"p": _P}, {"p": _Q}], "b": {"c": [{"p": _P, "x": 1}, {"p": _Q, "x": 2}]}},
+    {"b": {"c": [{"p": _P}, {"p": _Q}]}, "a": [{"p": _P, "x": 1}, {"p": _Q, "x": 2}]},
+    [_P, _P, _Q, _P], [{"p": _P}, {"p": _P}], [[_P, _Q], [_P, _Q]],
+    {"a": [{"p": _P}, {"p": _Q}], "b": {"c": [{"p": _P, "x": 1}]}},
+    {"a": [{"p": _P}], "b": {"c": [{"p": _P, "x": 1}, {"p": _Q, "x": 2}]}},
+    {"a": [{"p": _P}, {"p": _Q}], "b": {"c": [{"p": _P, "x": 1}, {"p": [[6.0]], "x": 2}]}},
+    {"a": [{"p": _P}, {"p": _Q}], "b": {"c": [{"p": _Q, "x": 1}, {"p": _P, "x": 2}]}},
+    [[_E, _E], {"x": [_E, [_E]]}, [[_E]], {"y": [[_E]]}],
+    {"a": [_T, _T], "b": [[_T]], "c": _T, "d": [{"t": _T}]},
 ])
 def test_encoder_explicit_cases(value):
     assert _json_text(value) == json.dumps(value, indent=2)
@@ -350,3 +404,38 @@ def test_cli_json_is_json_dumps_indent_2(tmp_path):
         assert text == json.dumps(json.loads(text), indent=2) + "\n", verb
     cones = json.loads((tmp_path / "measure.json").read_text())["result"]["cone_angles"]
     assert len(cones) == 2 ** 14
+
+
+@pytest.fixture(scope="module")
+def ft_measure_envelope(tmp_path_factory):
+    """The envelope cmd_measure hands the encoder for F_T (T=1) at tail_tol 1e-4."""
+    tmp = tmp_path_factory.mktemp("ft")
+    path = write_map(tmp, fam.make_epstein_FT(1.0))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_json_text", lambda value: seen.append(value) or "")
+        argv = ["measure", "--input", path, "--param", "tail_tol=1e-4", "--out", str(tmp / "o")]
+        assert main(argv) == 0
+    return seen[0]
+
+
+def test_measure_cone_rows_share_the_atoms_point_lists(ft_measure_envelope):
+    # the encoder renders a shared point column once; fresh lists here would
+    # format every point twice without changing the text
+    result = ft_measure_envelope["result"]
+    atoms, cones = result["measure"]["atoms"], result["cone_angles"]
+    assert len(cones) == len(atoms) == 2 ** 14
+    assert all(cone["point"] is atom["point"] for atom, cone in zip(atoms, cones))
+
+
+def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
+    # peak/len(text) was 2.25 before shared columns were rendered once
+    # (21.3 MB for 9.4 MB of text); keeping rendered columns past their use
+    # shows here
+    tracemalloc.start()
+    try:
+        text = _json_text(ft_measure_envelope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
