@@ -24,12 +24,18 @@ from .hpoly import HPoly
 from .ratmap import BoundaryMap
 
 
+def _root_list(roots) -> list:
+    """A root list as given, or a one-element list for a single root: a
+    --param value without a comma parses to a scalar."""
+    return [roots] if np.ndim(roots) == 0 else list(roots)
+
+
 def _p_from_roots(root_list):
     """prod (z - r w) over root_list, the constant 1 if it is empty; None for None."""
     if root_list is None:
         return None
     P = HPoly.constant(1.0)
-    for r in root_list:
+    for r in _root_list(root_list):
         P = P * HPoly.from_coeffs([-complex(r), 1.0])
     return P
 
@@ -193,6 +199,7 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
     """p_k = (P : w^d / k) for P = prod (z - r_i w); k -> oo gives (P : 0)."""
     if k <= 0:
         raise ValueError("k must be positive")
+    root_list = _root_list(root_list)
     d = len(root_list)
     if d < 2:
         raise ValueError("need at least two roots")
@@ -201,6 +208,7 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
 
 def polylimit_limit(root_list) -> BoundaryMap:
     """(P : 0): the constant-infinity map with holes at the roots of P."""
+    root_list = _root_list(root_list)
     d = len(root_list)
     return BoundaryMap(d, _p_from_roots(root_list), HPoly.zero(d))
 

@@ -145,12 +145,28 @@ def canonicalize_rows(pairs) -> np.ndarray:
     return a
 
 
+# Pairs per row block of chordal_cross: a block's three complex temporaries
+# (16 bytes a pair each, 1.5 MB in all) fit a 2 MB L2 cache.  Blocks of 2^13
+# to 2^16 pairs timed alike on a 2-core Xeon.
+_CROSS_BLOCK = 2**15
+
+
 def chordal_cross(A, B) -> np.ndarray:
-    """All chordal distances between canonical rows of A (n, 2) and B (m, 2)."""
+    """All chordal distances between canonical rows of A (n, 2) and B (m, 2).
+
+    Rows of A are taken in blocks of about _CROSS_BLOCK pairs, so only the
+    float (n, m) result is held at full size, bit for bit the one-shot formula.
+    """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    d = np.abs(A[:, 0, None] * B[None, :, 1] - A[:, 1, None] * B[None, :, 0])
-    return np.minimum(d, 1.0)
+    out = np.empty((len(A), len(B)))
+    step = max(1, _CROSS_BLOCK // max(len(B), 1))
+    bz, bw = B[None, :, 0], B[None, :, 1]
+    for lo in range(0, len(A), step):
+        a, d = A[lo:lo + step], out[lo:lo + step]
+        np.abs(a[:, 0, None] * bw - a[:, 1, None] * bz, out=d)
+        np.minimum(d, 1.0, out=d)
+    return out
 
 
 # A generic direction: the conjugate and rotationally symmetric point sets of

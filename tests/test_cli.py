@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratbound import DEFAULTS, Tolerances
+from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
 from ratbound import cli
 from ratbound import families as fam
 from ratbound.cli import _json_text, main
@@ -206,6 +207,50 @@ def test_converge_csv(tmp_path, capsys):
     assert len(rows) == 2
     dists = [float(r[1]) for r in rows]
     assert dists[1] < dists[0]  # closer to the limit measure at larger k
+
+
+def test_converge_rows_equal_weak_distance_to_the_target(tmp_path):
+    # the sweep integrates its target once; each row is still exactly
+    # weak_distance(emp, target) for that row's sample cloud
+    out_path = tmp_path / "sweep.csv"
+    params = ["d=2", "a=0.5", "tail_tol=1e-3"]
+    argv = ["converge", "--family", "example1", "--param", "values=1e-1,1e-2,1e-3",
+            "--seed", "5", "--depth", "10", "--count", "300", "--out", str(out_path)]
+    for p in params:
+        argv += ["--param", p]
+    assert main(argv) == 0
+    rows = [l.split(",") for l in out_path.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[3] for r in rows] == ["ok"] * 3
+    fixed = cli._parse_params(params)
+    target = cli._target_measure(argparse.Namespace(family="example1"), fixed)
+    for t, row in zip((1e-1, 1e-2, 1e-3), rows):
+        f = fam.FamilySpec("example1", {**fixed, "t": t}).build()
+        emp = sample_max_entropy(f, canonicalize(0.5 + 0.5j, 1.0), depth=10, count=300, seed=5)
+        assert float(row[1]) == weak_distance(emp, target)
+
+
+def test_converge_target_of_bad_mass_fails_each_row(capsys):
+    # tail_tol 0.5 stops the target after two levels, at total mass 0.75;
+    # every row reports that, as when each row called weak_distance
+    code, out = run(capsys, "converge", "--family", "example1", "--param", "d=2",
+                    "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
+                    "--seed", "2", "--depth", "6", "--count", "50")
+    assert code == 0
+    rows = [l.split(",", 3) for l in out.splitlines() if not l.startswith("#")][1:]
+    flag = "error: total mass 0.75 outside [0.9, 1.1]"
+    assert [r[1:] for r in rows] == [["nan", "nan", flag]] * 2
+
+
+def test_single_root_where_a_root_list_belongs(tmp_path, capsys):
+    # a --param value without a comma parses to a scalar: a one-root list
+    assert main(["decompose", "--family", "polylimit", "--param", "roots=1"]) == 2
+    assert capsys.readouterr().err == "ratbound: need at least two roots\n"
+    code, out = run(capsys, "decompose", "--family", "example1", "--param", "d=2",
+                    "--param", "t=0.1", "--param", "P_roots=2")
+    assert code == 0
+    f = fam.make_example1(2, 1.0, 0.1, fam._p_from_roots([2]))
+    assert out == run(capsys, "decompose", "--input", write_map(tmp_path, f))[1]
 
 
 def test_properness_csv_inversion_family(tmp_path, capsys):

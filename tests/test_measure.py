@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,22 @@ def test_weak_distance_symmetric_and_bounded():
     nu = delta(canonicalize(2, 1))
     assert weak_distance(mu, nu) == pytest.approx(weak_distance(nu, mu))
     assert 0 <= weak_distance(mu, nu) <= 1
+
+
+def test_weak_distance_peak_memory_is_one_float_distance_table():
+    # the 32-point design against F_T's 16,384 atoms: the float (n, 32) table
+    # is n*32*8 bytes (4.2 MB).  The peak above it is 1.31 tables with the
+    # row-blocked chordal kernel and 4.06 with the one-shot formula, whose
+    # complex (n, 32) temporaries alone take 2 tables each; 1.5 leaves 0.19
+    mu = boundary_measure(decompose(fam.make_epstein_FT(1.0), 1e-6), 1e-4)
+    table = len(mu.points) * 32 * 8
+    tracemalloc.start()
+    try:
+        assert weak_distance(mu, mu) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table
 
 
 # -- disk masses and support ------------------------------------------------------

@@ -14,7 +14,7 @@ from ratbound import (
     mobius_apply,
 )
 from ratbound.config import DEFAULTS
-from ratbound.projline import _merge_close, canonicalize_rows, chordal_cross
+from ratbound.projline import _CROSS_BLOCK, _merge_close, canonicalize_rows, chordal_cross
 
 
 def test_canonicalize_scaling():
@@ -130,6 +130,30 @@ def test_chordal_cross_matches_scalar():
             pi = canonicalize(A[i, 0], A[i, 1])
             qj = canonicalize(B[j, 0], B[j, 1])
             assert abs(D[i, j] - chordal_distance(pi, qj)) < 1e-12
+
+
+def _row_counts(m):
+    """0, 1, a row block of chordal_cross against m columns, one either side
+    of it, or several blocks and a remainder."""
+    rows = max(1, _CROSS_BLOCK // max(m, 1))
+    return st.sampled_from([0, 1, rows - 1, rows, rows + 1]) | st.builds(
+        lambda k, r: k * rows + r, st.integers(2, 4), st.integers(1, max(1, rows - 1)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 32, _CROSS_BLOCK + 3])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_chordal_cross_blocks_equal_the_one_shot_formula(m, data, seed):
+    # rows neither canonical nor of unit norm, so some products pass 1 and clip
+    n = data.draw(_row_counts(m))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    B = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    one_shot = np.minimum(
+        np.abs(A[:, 0, None] * B[None, :, 1] - A[:, 1, None] * B[None, :, 0]), 1.0)
+    got = chordal_cross(A, B)
+    assert got.shape == (n, m) and got.dtype == np.float64
+    assert np.array_equal(got, one_shot)
 
 
 # -- merging close rows ---------------------------------------------------------
