@@ -17,11 +17,9 @@ from .errors import (
 from .projline import (
     INFINITY,
     ZERO,
-    Mobius,
     ProjPoint,
     canonicalize,
     chordal_distance,
-    mobius_apply,
 )
 from .hpoly import (
     HPoly,
@@ -66,7 +64,6 @@ from .escape import (
     escape_rate,
     escape_rate_constant_case,
     functional_equation_residual,
-    sup_normalization,
 )
 from . import families
 

@@ -255,16 +255,21 @@ def _emit_csv(args, header_fields, rows, extra_header=None):
         lines.append(f"# tol.{key}={val:.17g}")
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key}={val}")
-    lines.append(",".join(header_fields))
+    lines.append(",".join(map(_fmt, header_fields)))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _write(args.out, "\n".join(lines) + "\n")
 
 
 def _fmt(value):
+    """A CSV field: a float at 17 significant digits; any other value as
+    str, quoted RFC 4180 style when it holds a comma, a quote or a newline."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write(path, text):
@@ -406,10 +411,10 @@ def cmd_converge(args):
                 target_integrals = _design_integrals(target)
             dist = float(np.abs(_design_integrals(emp) - target_integrals).max())
             md = mass_in_disk(emp, center, radius)
-            rows.append((_fmt_value(v), dist, md, "ok"))
+            rows.append((v, dist, md, "ok"))
             dists.append(dist)
         except (ValueError, NumericalFailure, MathDomainError) as exc:
-            rows.append((_fmt_value(v), math.nan, math.nan, f"error: {exc}"))
+            rows.append((v, math.nan, math.nan, f"error: {exc}"))
     summary = {
         "distances_decreasing": all(b <= a for a, b in zip(dists, dists[1:])),
         "final_distance": dists[-1] if dists else math.nan,
@@ -417,10 +422,6 @@ def cmd_converge(args):
     _emit_csv(args, [sweep, "weak_distance", "mass_in_disk", "flag"], rows,
               {"seed": _seed(args), "depth": args.depth, "count": args.count,
                **{f"summary.{k}": v for k, v in summary.items()}})
-
-
-def _fmt_value(v):
-    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def cmd_properness(args):
@@ -445,7 +446,7 @@ def cmd_properness(args):
                 row_params[sweep] = v
                 f = fam.FamilySpec(args.family, row_params).build()
             fn = iterate_formula(f, n, args.tol or DEFAULTS.gcd)
-            rows.append((_fmt_value(v), abs(resultant(fn.P, fn.Q))))
+            rows.append((v, abs(resultant(fn.P, fn.Q))))
     _emit_csv(args, [sweep, "abs_resultant"], rows, {"n": n})
 
 

@@ -179,44 +179,28 @@ def escape_rate_constant_case(dec: Decomposition, x) -> float:
     return math.log(hx) / d + math.log(hab) / (d * (d - 1))
 
 
-def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60,
-                                 tol: float = 1e-13) -> float:
-    """|G(F(x)) - d G(x)|, which the defining limit forces to vanish."""
+def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
+    """|G(F(x)) - d G(x)|, which the defining limit forces to vanish; each
+    rate stops at residual 1e-13."""
     z, w = complex(x[0]), complex(x[1])
     fz, fw = f.evaluate_pair((z, w))
-    value, _, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, tol)
+    value, _, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)
     if hit_hole.any():
         raise MathDomainError("orbit hit a hole line; functional equation undefined")
     return abs(value[1] - f.d * value[0])
 
 
-def sup_normalization(f: BoundaryMap, n_grid: int = 12, n_max: int = 60,
-                      tol: float = 1e-12) -> float:
-    """sup{G_F(x) : ||x|| = 1} over a deterministic sup-sphere grid.
-
-    Utility for the normalization sup G = 0 of lift comparisons; no
-    convergence assertion is attached to it.
-    """
-    angles = 2 * np.pi * np.arange(n_grid) / n_grid
-    circle = np.cos(angles) + 1j * np.sin(angles)
-    radii = np.arange(n_grid // 2 + 1) / (n_grid // 2)
-    u = np.repeat(circle, len(radii) * n_grid)
-    v = np.tile(np.outer(radii, circle).ravel(), n_grid)
-    value, _, _, _, hit_hole = _escape_rows(
-        f, np.concatenate([u, v]), np.concatenate([v, u]), n_max, tol)
-    return float(value[~hit_hole].max(initial=-np.inf))
-
-
 def escape_grid(f: BoundaryMap, re_range, im_range, n_re: int, n_im: int,
-                n_max: int = 50, tol: float = 1e-12):
+                n_max: int = 50):
     """Rows (re z, im z, G(z, 1)) over a rectangle, for CSV export.
 
-    Rows run over re within im, as one batch with per-point stopping.
+    Rows run over re within im, as one batch with per-point stopping at
+    residual 1e-12.
     """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
     re, im = np.tile(res, n_im), np.repeat(ims, n_re)
-    value = _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, tol)[0]
+    value = _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, 1e-12)[0]
     return list(zip(re.tolist(), im.tolist(), value.tolist()))
 
 

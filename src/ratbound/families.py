@@ -83,9 +83,9 @@ def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> Bou
     return BoundaryMap(d, complex(a) * complex(t) * zd + wP, complex(t) * zd)
 
 
-def example1_limit(d: int, P: HPoly | None = None) -> BoundaryMap:
-    """The t -> 0 limit g = (w P : 0), a point of I(d)."""
-    P = default_P(d - 1) if P is None else P
+def example1_limit(d: int) -> BoundaryMap:
+    """The t -> 0 limit g = (w P : 0) for the default P, a point of I(d)."""
+    P = default_P(d - 1)
     _check_P(P, d - 1)
     return BoundaryMap(d, HPoly.w() * P, HPoly.zero(d))
 
@@ -104,9 +104,10 @@ def example1_second_limit(d: int, a: complex, P: HPoly | None = None) -> Boundar
     return BoundaryMap(d * d, top, bottom)
 
 
-def example1_phi(d: int, a: complex, P: HPoly | None = None):
-    """phi_a = (a w P + z^d : w P), the degree-d map carried by f_a."""
-    P = default_P(d - 1) if P is None else P
+def example1_phi(d: int, a: complex):
+    """phi_a = (a w P + z^d : w P) for the default P, the degree-d map
+    carried by f_a."""
+    P = default_P(d - 1)
     _check_P(P, d - 1)
     wP = HPoly.w() * P
     return complex(a) * wP + _zpow(d, d), wP
@@ -131,9 +132,10 @@ def make_example2(d: int, k: int, a: complex, t: complex,
     return BoundaryMap(d, top, bottom)
 
 
-def example2_limit(d: int, k: int, P: HPoly | None = None) -> BoundaryMap:
-    """The t -> 0 limit (w^k P : 0) with a depth-k hole at infinity."""
-    P = default_P(d - k) if P is None else P
+def example2_limit(d: int, k: int) -> BoundaryMap:
+    """The t -> 0 limit (w^k P : 0) for the default P, with a depth-k hole
+    at infinity."""
+    P = default_P(d - k)
     _check_P(P, d - k, allow_constant=(k == d))
     return BoundaryMap(d, (HPoly.w() ** k) * P, HPoly.zero(d))
 
@@ -160,10 +162,10 @@ def example2_second_limit(d: int, k: int, a: complex,
     return BoundaryMap(d * d, top, bottom)
 
 
-def example2_companion_limit(d: int, k: int, a: complex,
-                             P: HPoly | None = None) -> BoundaryMap:
-    """h_a = (a w^(kd) P^d : w^(kd) P^d), constant a; on I(d^2) iff P(a) = 0."""
-    P = default_P(d - k) if P is None else P
+def example2_companion_limit(d: int, k: int, a: complex) -> BoundaryMap:
+    """h_a = (a w^(kd) P^d : w^(kd) P^d) for the default P, constant a; on
+    I(d^2) iff P(a) = 0."""
+    P = default_P(d - k)
     _check_P(P, d - k, allow_constant=(k == d))
     H = (HPoly.w() ** (k * d)) * (P**d)
     return BoundaryMap(d * d, complex(a) * H, H)

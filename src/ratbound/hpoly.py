@@ -209,9 +209,6 @@ class RootList:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def points(self):
-        return [p for p, _ in self.entries]
-
     def multiplicity_at(self, pt: ProjPoint, tol: float = DEFAULTS.hole_match) -> int:
         return sum(m for p, m in self.entries if chordal_distance(p, pt) <= tol)
 
@@ -429,14 +426,12 @@ def _sorted_roots(entries) -> RootList:
         key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9))))
 
 
-def vanishing_order(P: HPoly, pt: ProjPoint, rel_tol: float = DEFAULTS.ramification) -> int:
+def vanishing_order(P: HPoly, pt: ProjPoint) -> int:
     """Order of vanishing of P at a projective point.
 
     Expands g(s) = P(u + s v) along a unit direction v orthogonal to u; the
-    order is the first coefficient whose modulus is not pure cancellation
-    noise.  Each g_k is compared against the magnitude sum of the terms
-    that built it, so the test survives the coefficient dynamic range of
-    high-degree products.
+    order is the first k whose |g_k| exceeds DEFAULTS.ramification times
+    the largest |g_j|: smaller coefficients are taken as cancellation noise.
     """
     if P.is_zero:
         return P.degree + 1
@@ -451,7 +446,7 @@ def vanishing_order(P: HPoly, pt: ProjPoint, rel_tol: float = DEFAULTS.ramificat
         b = _binom_expand(u[1], v[1], d - i)
         g += c * np.convolve(a, b)
     mods = np.abs(g)
-    cutoff = rel_tol * mods.max()
+    cutoff = DEFAULTS.ramification * mods.max()
     for k in range(d + 1):
         if mods[k] > cutoff:
             return k
@@ -468,8 +463,7 @@ def _binom_expand(x, y, n):
     return out
 
 
-def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2,
-                        nodes: int = 512) -> int:
+def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2) -> int:
     """Zeros of P (with multiplicity) in a small disk, by the argument
     principle.
 
@@ -488,8 +482,8 @@ def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2,
     B = HPoly.from_coeffs([wc, np.conj(zc)])
     rotated = substitute(P.normalize(), A, B)
     r = radius
+    theta = 2 * np.pi * np.arange(513) / 512  # 512 steps round the circle
     for _ in range(8):
-        theta = 2 * np.pi * np.arange(nodes + 1) / nodes
         ring = r * np.exp(1j * theta)
         vals = _horner_vec(rotated.coeffs, ring)
         if np.abs(vals).min() > 1e-250:

@@ -47,7 +47,7 @@ from .ratmap import (
     Decomposition,
     apply_pair,
     decompose,
-    _orbit_steps,
+    _depth_series,
 )
 
 DESIGN_VERSION = 1
@@ -92,8 +92,7 @@ class AtomicMeasure:
         return float(self.masses.sum())
 
     def mass_near(self, pt: ProjPoint, radius: float = DEFAULTS.hole_match) -> float:
-        d = chordal_cross(self.points, pt.as_array()[None, :])[:, 0]
-        return float(self.masses[d <= radius].sum())
+        return mass_in_disk(self, pt, radius)
 
     def to_json(self):
         re, im = self.points.real.tolist(), self.points.imag.tolist()
@@ -307,30 +306,21 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     return AtomicMeasure(pts, ms, (e / d) ** level, note)
 
 
-def point_mass(dec: Decomposition, a: ProjPoint, tol: float = 1e-12,
-               n_max: int = 400):
+# terms of the forward-orbit series point_mass sums at most
+_POINT_MASS_TERMS = 400
+
+
+def point_mass(dec: Decomposition, a: ProjPoint, tol: float = 1e-12):
     """mu_f({a}) by the forward-orbit series; returns (mass, error_bound).
 
     The running multiplicity m is the product of local degrees of phi along
     the orbit; truncating after the d^-(k+1) term leaves at most m/d^(k+1),
-    which is the returned geometric error bound.  For e = 0 the mass is
-    read directly off the hole list (error 0).
+    which is the returned geometric error bound.  The sum stops at the first
+    bound below tol, or after _POINT_MASS_TERMS terms.  For e = 0 the mass
+    is read directly off the hole list (error 0).
     """
-    d, e = dec.d, dec.e
-    if e == d:
-        return 0.0, 0.0
-    if e == 0:
-        depth = dec.holes.multiplicity_at(a)
-        return depth / d, 0.0
-    mass = Fraction(0)
-    m = 1
-    tail = Fraction(1)
     tol_exact = Fraction(tol)
-    for k, (depth, deg) in enumerate(islice(_orbit_steps(dec, a), n_max)):
-        if depth:
-            mass += Fraction(m * depth, d ** (k + 1))
-        m *= deg
-        tail = Fraction(m, d ** (k + 1))
+    for mass, tail in islice(_depth_series(dec, a), _POINT_MASS_TERMS):
         if tail < tol_exact:
             break
     return float(mass), float(tail)
@@ -450,12 +440,12 @@ def mass_in_disk(mu, center: ProjPoint, radius: float) -> float:
 # support report
 
 
-def _nonexceptional_hole(dec: Decomposition, probe_depth: int = 3):
-    """First hole whose backward tree holds >= 3 distinct points, if any."""
+def _nonexceptional_hole(dec: Decomposition):
+    """First hole whose backward tree to depth 3 holds >= 3 distinct points, if any."""
     for pt, _ in dec.holes:
         pts, ms = pt.as_array()[None, :], np.ones(1)
         seen = [pts]
-        for _ in range(probe_depth):
+        for _ in range(3):
             pts, ms = _pull_back(dec.phi, pts, ms)
             seen.append(pts)
         cloud = np.concatenate(seen)

@@ -1,4 +1,4 @@
-"""Points of the projective line, the chordal metric, and Mobius maps.
+"""Points of the projective line and the chordal metric.
 
 A point (z:w) of P^1 is stored by a canonical representative: the pair is
 scaled to unit Euclidean norm (|z|^2 + |w|^2 = 1) and rotated so that the
@@ -37,9 +37,6 @@ class ProjPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.z, self.w], dtype=complex)
 
-    def close_to(self, other: "ProjPoint", tol: float = DEFAULTS.pt) -> bool:
-        return chordal_distance(self, other) <= tol
-
     def to_json(self):
         return [[self.z.real, self.z.imag], [self.w.real, self.w.imag]]
 
@@ -76,55 +73,6 @@ ZERO = canonicalize(0, 1)
 def chordal_distance(p: ProjPoint, q: ProjPoint) -> float:
     """d(p, q) = |z_p w_q - z_q w_p| for canonical representatives."""
     return min(abs(p.z * q.w - q.z * p.w), 1.0)
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """An invertible 2x2 complex matrix acting on P^1."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def is_singular(self, tol: float = 1e-12) -> bool:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2
-        return abs(self.det()) <= tol * scale if scale > 0 else True
-
-    def inverse(self) -> "Mobius":
-        if self.is_singular():
-            raise ValueError("singular matrix has no inverse")
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(1, 0, 0, 1)
-
-    @staticmethod
-    def translation(t: complex) -> "Mobius":
-        return Mobius(1, t, 0, 1)
-
-    @staticmethod
-    def swap() -> "Mobius":
-        """(z:w) -> (w:z), i.e. z -> 1/z."""
-        return Mobius(0, 1, 1, 0)
-
-
-def mobius_apply(M: Mobius, p: ProjPoint) -> ProjPoint:
-    if M.is_singular():
-        raise ValueError("singular matrix does not act on P^1")
-    return canonicalize(M.a * p.z + M.b * p.w, M.c * p.z + M.d * p.w)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class BoundaryMap:
 
     def evaluate_pair(self, x):
         return self.P.evaluate(x), self.Q.evaluate(x)
-
-    def apply(self, pt: ProjPoint) -> ProjPoint:
-        """Image of a point; fails on (numerical) holes where the pair vanishes."""
-        z, w = self.evaluate_pair(pt)
-        if max(abs(z), abs(w)) < 1e-14:
-            raise NumericalFailure(f"map vanishes at {pt}: point is (numerically) a hole")
-        return canonicalize(z, w)
 
     def to_json(self):
         return {"d": self.d, "P": self.P.to_json(), "Q": self.Q.to_json()}
@@ -155,10 +148,9 @@ def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
     return Decomposition(f.d, H, (p, q), holes, e, constant, indeterminate, cof_res, residual)
 
 
-def is_indeterminate(f: BoundaryMap, tol: float = DEFAULTS.indeterminacy,
-                     gcd_tol: float = DEFAULTS.gcd) -> bool:
+def is_indeterminate(f: BoundaryMap, tol: float = DEFAULTS.indeterminacy) -> bool:
     """True iff phi is constant and |H(constant value)| < tol (H normalized)."""
-    dec = decompose(f, gcd_tol)
+    dec = decompose(f)
     if dec.e != 0:
         return False
     return bool(abs(dec.H.normalize().evaluate(dec.constant_value)) < tol)
@@ -176,32 +168,18 @@ def _phi_pair_normalize(pair):
     return HPoly(p.degree, p.coeffs / scale), HPoly(q.degree, q.coeffs / scale)
 
 
-def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition, renormalize: bool):
-    """The pair (H_n, phi^n) of the product formula: f^n = H_n * phi^n."""
+def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
+    """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, with
+    each factor renormalized at every step."""
     d = f.d
     H = dec.H
     p, q = dec.phi
     prod = HPoly.constant(1.0)
     Phi = (HPoly.z(), HPoly.w())
     for k in range(n):
-        prod = prod * (pullback_poly(Phi, H) ** (d ** (n - k - 1)))
-        if renormalize:
-            prod = prod.normalize()
-        Phi = compose_pair((p, q), Phi)
-        if renormalize:
-            Phi = _phi_pair_normalize(Phi)
+        prod = (prod * (pullback_poly(Phi, H) ** (d ** (n - k - 1)))).normalize()
+        Phi = _phi_pair_normalize(compose_pair((p, q), Phi))
     return prod, Phi
-
-
-def _iterate_product(f: BoundaryMap, n: int, dec: Decomposition, renormalize: bool):
-    prod, Phi = _iterate_parts(f, n, dec, renormalize)
-    Pn, Qn = prod * Phi[0], prod * Phi[1]
-    if not (np.isfinite(Pn.coeffs).all() and np.isfinite(Qn.coeffs).all()):
-        raise NumericalFailure(f"iterate n={n}: the degree-{f.d**n} product formula "
-                               "overflowed to non-finite coefficients")
-    if max(Pn.max_modulus(), Qn.max_modulus()) == 0.0:
-        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
-    return Pn, Qn
 
 
 def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
@@ -215,7 +193,13 @@ def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
         raise IndeterminateMapError("iterate undefined on indeterminacy locus")
     if n == 1:
         return f
-    Pn, Qn = _iterate_product(f, n, dec, renormalize=True)
+    prod, Phi = _iterate_parts(f, n, dec)
+    Pn, Qn = prod * Phi[0], prod * Phi[1]
+    if not (np.isfinite(Pn.coeffs).all() and np.isfinite(Qn.coeffs).all()):
+        raise NumericalFailure(f"iterate n={n}: the degree-{f.d**n} product formula "
+                               "overflowed to non-finite coefficients")
+    if max(Pn.max_modulus(), Qn.max_modulus()) == 0.0:
+        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
     return BoundaryMap(f.d**n, Pn, Qn)
 
 
@@ -240,7 +224,7 @@ def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
 # hole-depth bookkeeping along orbits
 
 
-def local_degree(phi, x: ProjPoint, rel_tol: float = DEFAULTS.ramification) -> int:
+def local_degree(phi, x: ProjPoint) -> int:
     """Local degree of phi at x: multiplicity of x as solution of phi = phi(x).
 
     Detected as the vanishing order at x of the fiber polynomial
@@ -252,12 +236,12 @@ def local_degree(phi, x: ProjPoint, rel_tol: float = DEFAULTS.ramification) -> i
         raise ValueError("local degree undefined for constant phi")
     img = apply_pair(phi, x)
     fiber = img.w * p - img.z * q
-    order = vanishing_order(fiber, x, rel_tol)
+    order = vanishing_order(fiber, x)
     return min(max(order, 1), e)
 
 
-def _match_hole(x: ProjPoint, holes, tol: float):
-    hits = [(pt, m) for pt, m in holes if chordal_distance(pt, x) <= tol]
+def _match_hole(x: ProjPoint, holes):
+    hits = [(pt, m) for pt, m in holes if chordal_distance(pt, x) <= DEFAULTS.hole_match]
     if len(hits) > 1:
         raise NumericalFailure("hole matching ambiguous, tighten tolerances")
     if hits:
@@ -265,25 +249,22 @@ def _match_hole(x: ProjPoint, holes, tol: float):
     return 0, x
 
 
-def _orbit_steps(dec: Decomposition, z: ProjPoint,
-                 hole_tol: float = DEFAULTS.hole_match,
-                 ram_tol: float = DEFAULTS.ramification):
+def _orbit_steps(dec: Decomposition, z: ProjPoint):
     """Yield (depth_k, local degree at x_k) along the forward phi-orbit x_k of z.
 
-    Orbit points matching a hole are snapped to the hole center before the
-    local degree is read and the orbit continues.  The walk is lazy and
-    endless: x_(k+1) is computed only when step k+1 is asked for.
+    Orbit points within chordal hole_match of a hole are snapped to the
+    hole center before the local degree is read and the orbit continues.
+    The walk is lazy and endless: x_(k+1) is computed only when step k+1 is
+    asked for.
     """
     x = z
     while True:
-        depth, x = _match_hole(x, dec.holes, hole_tol)
-        yield depth, local_degree(dec.phi, x, ram_tol)
+        depth, x = _match_hole(x, dec.holes)
+        yield depth, local_degree(dec.phi, x)
         x = apply_pair(dec.phi, x)
 
 
-def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int,
-                      hole_tol: float = DEFAULTS.hole_match,
-                      ram_tol: float = DEFAULTS.ramification):
+def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int):
     """[(m_k, depth_k)] for k < n_terms along the forward phi-orbit of z.
 
     m_k is the multiplicity of z as a solution of phi^k = phi^k(z) (the
@@ -294,7 +275,7 @@ def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int,
         raise ValueError("orbit terms require deg(phi) >= 1")
     terms = []
     m = 1
-    for depth, deg in islice(_orbit_steps(dec, z, hole_tol, ram_tol), n_terms):
+    for depth, deg in islice(_orbit_steps(dec, z), n_terms):
         terms.append((m, depth))
         m *= deg
     return terms
@@ -312,32 +293,42 @@ def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
         dec = decompose(f, tol)
     if dec.indeterminate:
         raise IndeterminateMapError("hole depths undefined on indeterminacy locus")
-    d = f.d
-    if dec.e == d:
-        return [Fraction(0)] * N
-    if dec.e == 0:
-        depth = dec.holes.multiplicity_at(z)
-        return [Fraction(depth, d)] * N
-    terms = orbit_depth_terms(dec, z, N)
-    seq = []
-    acc = Fraction(0)
-    for k, (m, depth) in enumerate(terms):
-        acc += Fraction(m * depth, d ** (k + 1))
-        seq.append(acc)
-    return seq
+    return [partial for partial, _ in islice(_depth_series(dec, z), N)]
 
 
-def iterate_hole_factor(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
-                        dec: Decomposition | None = None) -> HPoly:
+def _depth_series(dec: Decomposition, z: ProjPoint):
+    """Yield (S_k, T_k) for k = 0, 1, ...: the partial sum
+    S_k = sum_{j<=k} m_j depth_j / d^(j+1) = d_z(f^(k+1))/d^(k+1) of the
+    forward-orbit series for mu_f({z}), and its tail bound
+    T_k = m_(k+1)/d^(k+1), as exact rationals.
+
+    For e = d there are no holes (all terms 0); for e = 0 the series is its
+    first term, the depth of z as a hole over d.  Both have tail 0.
+    """
+    d, e = dec.d, dec.e
+    if e == d:
+        yield from repeat((Fraction(0), Fraction(0)))
+    elif e == 0:
+        yield from repeat((Fraction(dec.holes.multiplicity_at(z), d), Fraction(0)))
+    else:
+        partial = Fraction(0)
+        m = 1
+        for k, (depth, deg) in enumerate(_orbit_steps(dec, z)):
+            if depth:
+                partial += Fraction(m * depth, d ** (k + 1))
+            m *= deg
+            yield partial, Fraction(m, d ** (k + 1))
+
+
+def iterate_hole_factor(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> HPoly:
     """The gcd factor H_n = prod_k (phi^k* H)^(d^(n-k-1)) of f^n, expanded.
 
     Degree d^n - e^n; its vanishing orders are the hole depths of f^n, so
     count_zeros_in_disk(iterate_hole_factor(f, n), z) cross-checks the
     combinatorial hole_depth_sequence when d^n is small.
     """
-    if dec is None:
-        dec = decompose(f, tol)
+    dec = decompose(f, tol)
     if dec.indeterminate:
         raise IndeterminateMapError("iterate undefined on indeterminacy locus")
-    prod, _ = _iterate_parts(f, n, dec, renormalize=True)
+    prod, _ = _iterate_parts(f, n, dec)
     return prod

@@ -330,7 +330,7 @@ def test_criterion_9_escape_rates():
 
 def test_criterion_10_sampler_oracle():
     t0 = time.perf_counter()
-    # a Mobius conjugate of (z^2, w^2)
+    # a Moebius conjugate of (z^2, w^2)
     M = (hp(0.3 + 0.1j, 1), hp(1, -0.2j))  # (z + (0.3+0.1j) w, -0.2j z + w)
     Minv = (hp(-(0.3 + 0.1j), 1), hp(1, 0.2j))
     sq = (hp(0, 0, 1), hp(1, 0, 0))

@@ -1,14 +1,18 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratbound
 from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
 from ratbound import cli
 from ratbound import families as fam
@@ -237,7 +241,9 @@ def test_converge_target_of_bad_mass_fails_each_row(capsys):
                     "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
                     "--seed", "2", "--depth", "6", "--count", "50")
     assert code == 0
-    rows = [l.split(",", 3) for l in out.splitlines() if not l.startswith("#")][1:]
+    # the flag holds a comma, so its field is quoted and the rows stay 4 wide
+    header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+    assert all(len(r) == len(header) for r in rows)
     flag = "error: total mass 0.75 outside [0.9, 1.1]"
     assert [r[1:] for r in rows] == [["nan", "nan", flag]] * 2
 
@@ -484,3 +490,19 @@ def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+def test_readme_names_resolve():
+    # without running the tour: every rb.<name> / fam.<name> of the "Library
+    # tour" block exists, and the CLI block lists exactly the CLI's verbs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = re.findall(r"\b(rb|fam)\.(\w+)", tour)
+    assert names
+    for owner, name in names:
+        assert hasattr(ratbound if owner == "rb" else fam, name), f"{owner}.{name}"
+    cli_doc = readme.split("## CLI", 1)[1]
+    verbs = cli_doc.split("```\n", 1)[1].split("```", 1)[0].replace("|", " ").split()
+    assert verbs == list(cli.COMMANDS)
+    examples = set(re.findall(r"^ratbound (\w+)", cli_doc, re.M))
+    assert examples and examples <= set(cli.COMMANDS)

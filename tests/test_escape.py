@@ -17,7 +17,6 @@ from ratbound import (
     escape_rate_constant_case,
     functional_equation_residual,
     resultant,
-    sup_normalization,
 )
 from ratbound import families as fam
 from ratbound.escape import _escape_rows, escape_grid, escape_partial, escape_series_hterm
@@ -307,11 +306,6 @@ def test_escape_grid_rows():
     assert len(rows) == 9
     center = [r for r in rows if r[0] == 0 and r[1] == 0]
     assert center and abs(center[0][2]) < 1e-12
-
-
-def test_sup_normalization_squaring():
-    # G = log max(|z|,|w|) vanishes identically on the sup-norm sphere
-    assert abs(sup_normalization(SQUARING, n_grid=8)) < 1e-12
 
 
 # -- cone angles ----------------------------------------------------------------

@@ -40,7 +40,7 @@ def hp(*coeffs):
 
 
 SQUARING = BoundaryMap(2, hp(0, 0, 1), hp(1, 0, 0))
-# the Mobius conjugate of criterion 10: M o (z^2 : w^2) o M^-1
+# the Moebius conjugate of criterion 10: M o (z^2 : w^2) o M^-1
 MOBIUS = (hp(0.3 + 0.1j, 1), hp(1, -0.2j))
 CONJUGATE = BoundaryMap(2, *compose_pair(
     MOBIUS, compose_pair(SQUARING.pair(), (hp(-(0.3 + 0.1j), 1), hp(1, 0.2j)))))

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from ratbound import (
     INFINITY,
     ZERO,
-    Mobius,
     canonicalize,
     chordal_distance,
-    mobius_apply,
 )
 from ratbound.config import DEFAULTS
 from ratbound.projline import _CROSS_BLOCK, _merge_close, canonicalize_rows, chordal_cross
@@ -75,34 +73,6 @@ def test_chordal_triangle_inequality():
         assert chordal_distance(a, c) <= (
             chordal_distance(a, b) + chordal_distance(b, c) + 1e-12
         )
-
-
-def test_mobius_identity_and_swap():
-    p = canonicalize(0.2 - 0.4j, 1)
-    assert chordal_distance(mobius_apply(Mobius.identity(), p), p) < 1e-15
-    assert chordal_distance(mobius_apply(Mobius.swap(), INFINITY), ZERO) < 1e-15
-
-
-def test_mobius_translation():
-    p = mobius_apply(Mobius.translation(1), canonicalize(1, 1))
-    assert chordal_distance(p, canonicalize(2, 1)) < 1e-15
-
-
-def test_mobius_inverse_roundtrip():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        M = Mobius(a, b, c, d)
-        if M.is_singular(1e-6):
-            continue
-        p = canonicalize(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-        q = mobius_apply(M.inverse(), mobius_apply(M, p))
-        assert chordal_distance(p, q) < 1e-12
-
-
-def test_mobius_singular_rejected():
-    with pytest.raises(ValueError):
-        mobius_apply(Mobius(1, 1, 1, 1), ZERO)
 
 
 def test_point_json_roundtrip():

@@ -14,6 +14,7 @@ from ratbound import (
     NumericalFailure,
     canonicalize,
     chordal_distance,
+    compose_pair,
     decompose,
     hole_depth_sequence,
     is_indeterminate,
@@ -228,19 +229,17 @@ def test_iterate_second_limit_matches_paper_display():
 
 def test_iterate_coefficient_homogeneity_degree():
     # f -> f^n is homogeneous of degree (d^n - 1)/(d - 1) in the coefficients;
-    # checked on raw (unnormalized) output by scaling a coprime pair, whose
-    # decomposition H = 1, phi = (P, Q) is built by hand
-    from ratbound.hpoly import RootList
-    from ratbound.ratmap import Decomposition, _iterate_product
-
+    # checked on raw (unnormalized) output by scaling a coprime pair: with
+    # H = 1 the product formula is the n-fold composition of the pair
     rng = np.random.default_rng(22)
     f = random_rat2(rng)
     lam = 1.37 - 0.21j
 
     def raw_iterate(pair, n):
-        dec = Decomposition(2, HPoly.constant(1.0), pair, RootList([]),
-                            2, None, False, 1.0, 0.0)
-        return _iterate_product(f, n, dec, renormalize=False)
+        cur = pair
+        for _ in range(n - 1):
+            cur = compose_pair(pair, cur)
+        return cur
 
     for n in (2, 3):
         base = raw_iterate((f.P, f.Q), n)
