@@ -3,7 +3,8 @@
 Verbs: decompose | indeterminate | iterate | measure | pointmass | sample |
 converge | properness | escape.  Maps come from --input <json> or --family
 <name> with repeatable --param k=v; seeds fall back to the RATBOUND_SEED
-environment variable.  Structured results are JSON whose text is exactly
+environment variable; --tol, where a verb reads it, is decompose's gcd tolerance.
+Structured results are JSON whose text is exactly
 `json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV with floats
 at 17 significant digits; every output embeds the tolerance block for
 provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain,
@@ -42,7 +43,6 @@ from .ratmap import (
     BoundaryMap,
     decompose,
     hole_depth_sequence,
-    is_indeterminate,
     iterate_formula,
 )
 
@@ -287,7 +287,7 @@ def _write(path, text):
 def cmd_decompose(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
-    dec = decompose(f, args.tol or DEFAULTS.gcd)
+    dec = decompose(f, args.tol)
     rep = dec.report()
     rep["verdict"] = (
         "indeterminate" if dec.indeterminate
@@ -299,20 +299,18 @@ def cmd_decompose(args):
 def cmd_indeterminate(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
-    verdict = is_indeterminate(f, args.tol or DEFAULTS.indeterminacy)
-    _emit_json(args, {"indeterminate": bool(verdict)})
+    _emit_json(args, {"indeterminate": decompose(f, args.tol).indeterminate})
 
 
 def cmd_iterate(args):
     params = _parse_params(args.param)
     n = int(_one("n", params.pop("n", 2)))
     f = _load_map(args, params)
-    gcd_tol = args.tol or DEFAULTS.gcd
-    dec = decompose(f, gcd_tol)
-    fn = iterate_formula(f, n, gcd_tol, dec=dec)
+    dec = decompose(f, args.tol)
+    fn = iterate_formula(f, n, args.tol, dec=dec)
     table = []
     for pt, depth in dec.holes:
-        seq = hole_depth_sequence(f, pt, n, gcd_tol, dec=dec)
+        seq = hole_depth_sequence(f, pt, n, args.tol, dec=dec)
         table.append({
             "point": pt.to_json(),
             "depth": depth,
@@ -324,7 +322,7 @@ def cmd_iterate(args):
 def cmd_measure(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
-    dec = decompose(f, args.tol or DEFAULTS.gcd)
+    dec = decompose(f, args.tol)
     mu = boundary_measure(dec, float(_one("tail_tol", params.get("tail_tol", 1e-9))))
     angles, infinite = cone_angle_report(mu)
     measure = mu.to_json()
@@ -339,7 +337,7 @@ def cmd_pointmass(args):
     params = _parse_params(args.param)
     at = _parse_point(_one("at", params.pop("at", "inf")))
     f = _load_map(args, params)
-    dec = decompose(f, args.tol or DEFAULTS.gcd)
+    dec = decompose(f, args.tol)
     mass, err = point_mass(dec, at, float(_one("series_tol", params.get("series_tol", 1e-12))))
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
@@ -432,7 +430,7 @@ def cmd_properness(args):
     rows = []
     if values is None:
         f = _load_map(args, params)
-        fn = iterate_formula(f, n, args.tol or DEFAULTS.gcd)
+        fn = iterate_formula(f, n, args.tol)
         rows.append(("-", abs(resultant(fn.P, fn.Q))))
     else:
         if not isinstance(values, list):
@@ -445,7 +443,7 @@ def cmd_properness(args):
                 row_params = dict(params)
                 row_params[sweep] = v
                 f = fam.FamilySpec(args.family, row_params).build()
-            fn = iterate_formula(f, n, args.tol or DEFAULTS.gcd)
+            fn = iterate_formula(f, n, args.tol)
             rows.append((v, abs(resultant(fn.P, fn.Q))))
     _emit_csv(args, [sweep, "abs_resultant"], rows, {"n": n})
 
@@ -485,6 +483,14 @@ COMMANDS = {
 }
 
 
+def _tolerance(text):
+    """A --tol value: a positive, finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ratbound",
@@ -497,7 +503,8 @@ def build_parser():
         p.add_argument("--family", help="named family (see families module)")
         p.add_argument("--param", action="append", metavar="K=V",
                        help="family/command parameter, repeatable")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULTS.gcd,
+                       help="gcd tolerance: root-matching radius and residual bound")
         p.add_argument("--seed", type=int, default=None,
                        help="falls back to RATBOUND_SEED, then 0")
         p.add_argument("--depth", type=int, default=20)

@@ -499,24 +499,18 @@ def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2) -> in
 
 
 def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
-    """Approximate gcd by root-cluster matching: returns (H, p, q).
+    """Approximate gcd by root-cluster matching: returns (H, p, q, holes).
 
     H is the monic-leading product over matched root clusters (match =
     chordal distance < tol, shared multiplicity = min of the two); p and q
     are cofactors rebuilt from the unmatched roots with scales fitted so
-    that H*p ~ P and H*q ~ Q coefficientwise.  Raises NumericalFailure if a
-    reconstruction residual exceeds tol: that signals cluster splitting, so
-    callers should loosen tol (numeric m-fold roots spread like eps^(1/m)).
-    """
-    return _matched_gcd(P, Q, tol)[:3]
-
-
-def _matched_gcd(P: HPoly, Q: HPoly, tol: float):
-    """numeric_gcd's (H, p, q) plus the roots of H as a RootList.
-
-    The roots are the matched clusters merged at roots' clustering radius,
-    so H, built from known roots, is not solved again; only an H taken
-    whole from P or Q (a zero or proportional pair) goes through roots.
+    that H*p ~ P and H*q ~ Q coefficientwise.  holes is the RootList of H:
+    the matched clusters merged at roots' clustering radius, so H, built
+    from known roots, is not solved again; only an H taken whole from P or
+    Q (a zero or proportional pair) goes through roots.  Raises
+    NumericalFailure if a reconstruction residual exceeds tol: that signals
+    cluster splitting, so callers should loosen tol (numeric m-fold roots
+    spread like eps^(1/m)).
     """
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")

@@ -33,21 +33,16 @@ from itertools import combinations, islice
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ExceptionalPointError, IndeterminateMapError
+from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
 from .hpoly import RootList, _companion_roots, roots
-from .projline import (
-    ProjPoint,
-    _merge_close,
-    canonicalize_rows,
-    chordal_cross,
-    chordal_distance,
-)
+from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross
 from .ratmap import (
     BoundaryMap,
     Decomposition,
     apply_pair,
     decompose,
     _depth_series,
+    _match_hole,
 )
 
 DESIGN_VERSION = 1
@@ -268,8 +263,11 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     weight d^-(n+1); level n carries exactly (1 - e/d)(e/d)^n of the mass,
     so stopping after N levels leaves tail_bound = (e/d)^N.  Expansion also
     stops early if the next level would exceed max_atoms (the reported
-    tail_bound always reflects the levels actually included).
+    tail_bound always reflects the levels actually included).  tol must be
+    positive: (e/d)^N underflows to 0, so no N reaches a tol <= 0.
     """
+    if not tol > 0:
+        raise ValueError(f"tail tol must be positive, got {tol}")
     d, e = dec.d, dec.e
     if e == d:
         raise ValueError("map is nondegenerate: mu_f is not atomic, use sampling")
@@ -317,8 +315,10 @@ def point_mass(dec: Decomposition, a: ProjPoint, tol: float = 1e-12):
     the orbit; truncating after the d^-(k+1) term leaves at most m/d^(k+1),
     which is the returned geometric error bound.  The sum stops at the first
     bound below tol, or after _POINT_MASS_TERMS terms.  For e = 0 the mass
-    is read directly off the hole list (error 0).
+    is read directly off the hole list (error 0).  tol must be finite.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"series tol must be finite, got {tol}")
     tol_exact = Fraction(tol)
     for mass, tail in islice(_depth_series(dec, a), _POINT_MASS_TERMS):
         if tail < tol_exact:
@@ -374,15 +374,17 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     is deterministic given (seed, workers): worker i draws from
     default_rng([seed, i]) and chunks are concatenated in worker order.
     The chunks run one after another in this process, so `workers` selects
-    a partition of the random stream, not parallelism.
+    a partition of the random stream, not parallelism.  Degree d < 2 is a
+    MathDomainError, an exceptional start a an ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")
     dec = decompose(f, gcd_tol)
     if dec.e != f.d:
         raise ValueError("sampling requires a nondegenerate map")
-    probe = backward_tree(f, a, min(3, depth))
-    if len(probe.points) == 1:
+    if f.d < 2:
+        raise MathDomainError("inverse-iteration sampling needs degree d >= 2")
+    if _is_exceptional(f.pair(), a):
         raise ExceptionalPointError("exceptional point")
 
     d = f.d
@@ -440,19 +442,18 @@ def mass_in_disk(mu, center: ProjPoint, radius: float) -> float:
 # support report
 
 
-def _nonexceptional_hole(dec: Decomposition):
-    """First hole whose backward tree to depth 3 holds >= 3 distinct points, if any."""
-    for pt, _ in dec.holes:
-        pts, ms = pt.as_array()[None, :], np.ones(1)
-        seen = [pts]
-        for _ in range(3):
-            pts, ms = _pull_back(dec.phi, pts, ms)
-            seen.append(pts)
-        cloud = np.concatenate(seen)
-        distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
-        if len(distinct) >= 3:
-            return pt
-    return None
+def _is_exceptional(phi, a: ProjPoint) -> bool:
+    """True iff phi^-k(a), k = 0..3, hold fewer than 3 points distinct at
+    chordal hole_match.  For deg phi >= 2 a non-exceptional a has 3 already
+    among phi^-k(a), k <= 2, since at most two values are totally ramified."""
+    pts, ms = a.as_array()[None, :], np.ones(1)
+    seen = [pts]
+    for _ in range(3):
+        pts, ms = _pull_back(phi, pts, ms)
+        seen.append(pts)
+    cloud = np.concatenate(seen)
+    distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
+    return len(distinct) < 3
 
 
 def support_report(dec: Decomposition):
@@ -472,18 +473,13 @@ def support_report(dec: Decomposition):
         rep["case"] = "constant"
         rep["claim"] = "J(phi) is empty; supp mu_f is the hole set itself"
         return rep
-    witness = _nonexceptional_hole(dec)
+    witness = next((pt for pt, _ in dec.holes if not _is_exceptional(dec.phi, pt)), None)
     orbits = {}
     for pt, _ in dec.holes:
-        x = pt
-        orbit = [x]
+        orbit = [pt]
         for _ in range(20):
-            x = apply_pair(dec.phi, x)
-            orbit.append(x)
-        hits = sum(
-            1 for y in orbit if any(chordal_distance(y, h) <= DEFAULTS.hole_match
-                                    for h, _ in dec.holes)
-        )
+            orbit.append(apply_pair(dec.phi, orbit[-1]))
+        hits = sum(1 for y in orbit if _match_hole(y, dec.holes)[0])
         orbits[repr(pt)] = {"length": len(orbit), "hole_hits": hits}
     rep["forward_orbit_probe"] = orbits
     if witness is not None:

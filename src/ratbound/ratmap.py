@@ -28,8 +28,8 @@ from .errors import IndeterminateMapError, NumericalFailure
 from .hpoly import (
     HPoly,
     RootList,
-    _matched_gcd,
     compose_pair,
+    numeric_gcd,
     projective_residual,
     pullback_poly,
     resultant,
@@ -129,8 +129,9 @@ class Decomposition:
 
 
 def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
-    """Factor f = H*phi, record holes with depths and the constant value if e = 0."""
-    H, p, q, holes = _matched_gcd(f.P, f.Q, tol)
+    """Factor f = H*phi, record holes with depths and the constant value if e = 0;
+    the one I(d) test: e = 0 and |H(constant)| < DEFAULTS.indeterminacy."""
+    H, p, q, holes = numeric_gcd(f.P, f.Q, tol)
     e = f.d - H.degree
     constant = None
     indeterminate = False
@@ -148,12 +149,9 @@ def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
     return Decomposition(f.d, H, (p, q), holes, e, constant, indeterminate, cof_res, residual)
 
 
-def is_indeterminate(f: BoundaryMap, tol: float = DEFAULTS.indeterminacy) -> bool:
-    """True iff phi is constant and |H(constant value)| < tol (H normalized)."""
-    dec = decompose(f)
-    if dec.e != 0:
-        return False
-    return bool(abs(dec.H.normalize().evaluate(dec.constant_value)) < tol)
+def is_indeterminate(f: BoundaryMap) -> bool:
+    """True iff f is on I(d): decompose's verdict at the default gcd tolerance."""
+    return decompose(f).indeterminate
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +239,8 @@ def local_degree(phi, x: ProjPoint) -> int:
 
 
 def _match_hole(x: ProjPoint, holes):
+    """(depth, hole) for the one hole within chordal hole_match of x, or (0, x)
+    off the hole set; two such holes raise NumericalFailure."""
     hits = [(pt, m) for pt, m in holes if chordal_distance(pt, x) <= DEFAULTS.hole_match]
     if len(hits) > 1:
         raise NumericalFailure("hole matching ambiguous, tighten tolerances")
@@ -309,7 +309,7 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     if e == d:
         yield from repeat((Fraction(0), Fraction(0)))
     elif e == 0:
-        yield from repeat((Fraction(dec.holes.multiplicity_at(z), d), Fraction(0)))
+        yield from repeat((Fraction(_match_hole(z, dec.holes)[0], d), Fraction(0)))
     else:
         partial = Fraction(0)
         m = 1

@@ -193,6 +193,34 @@ def test_sample_exceptional_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_sample_degree_one_exit_code(tmp_path, capsys):
+    from ratbound import BoundaryMap, HPoly
+
+    f = BoundaryMap(1, HPoly.from_coeffs([0, 2]), HPoly.from_coeffs([1, 0]))  # z -> 2z
+    code = main(["sample", "--input", write_map(tmp_path, f),
+                 "--param", "a0=1", "--depth", "3", "--count", "10"])
+    assert code == 3
+    assert "d >= 2" in capsys.readouterr().err
+
+
+def test_sample_csv_rows_are_the_json_samples(capsys):
+    argv = ["sample", "--family", "example1", "--param", "d=3", "--param", "t=1e-2",
+            "--seed", "11", "--depth", "7", "--count", "40"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    samples = json.loads(out)["result"]["samples"]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+    assert (meta["seed"], meta["depth"], meta["count"]) == ("11", "7", "40")
+    header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert header == ["z_re", "z_im", "w_re", "w_im"]
+    # 17 significant digits round-trip the JSON floats exactly
+    assert [[float(x) for x in r] for r in rows] == [
+        [zr, zi, wr, wi] for (zr, zi), (wr, wi) in samples]
+
+
 def test_converge_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = main([
@@ -246,6 +274,45 @@ def test_converge_target_of_bad_mass_fails_each_row(capsys):
     assert all(len(r) == len(header) for r in rows)
     flag = "error: total mass 0.75 outside [0.9, 1.1]"
     assert [r[1:] for r in rows] == [["nan", "nan", flag]] * 2
+
+
+@pytest.mark.parametrize("family, params, sweep, values", [
+    ("example2", ["d=3", "k=2", "a=0.5"], "t", "1e-1,1e-2"),
+    ("cubic_eps", [], "eps", "1e-1,1e-3"),
+])
+def test_converge_targets(family, params, sweep, values, capsys):
+    argv = ["converge", "--family", family, "--param", f"sweep={sweep}",
+            "--param", f"values={values}", "--seed", "3", "--depth", "10", "--count", "300"]
+    for p in params:
+        argv += ["--param", p]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+    assert header == [sweep, "weak_distance", "mass_in_disk", "flag"]
+    assert [r[3] for r in rows] == ["ok", "ok"]
+    assert all(0.0 <= float(r[1]) < 1.0 for r in rows)
+
+
+def test_converge_family_without_a_sweep_target_exits_2(capsys):
+    code = main(["converge", "--family", "epstein_FT", "--param", "values=1,2"])
+    assert code == 2
+    assert "not defined for family 'epstein_FT'" in capsys.readouterr().err
+
+
+def test_properness_of_one_map(capsys):
+    # without values: one row "-" for the map itself, |Res(f^n)| = 0 exactly
+    # when f is degenerate
+    code, out = run(capsys, "properness", "--family", "epstein_FT", "--param", "T=1")
+    assert code == 0
+    header, *rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert header == ["t", "abs_resultant"]
+    assert len(rows) == 1 and rows[0][0] == "-" and float(rows[0][1]) < 1e-10
+    code, out = run(capsys, "properness", "--family", "example1", "--param", "d=2",
+                    "--param", "t=0.1", "--param", "n=3")
+    assert code == 0
+    _, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert row[0] == "-" and float(row[1]) > 0.0
+    assert "# n=3" in out.splitlines()
 
 
 def test_single_root_where_a_root_list_belongs(tmp_path, capsys):
@@ -322,6 +389,51 @@ def test_list_where_one_value_belongs_exits_2(capsys, argv):
     assert main(argv + ["--family", "epstein_FT"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ratbound: ") and "takes one value" in err
+
+
+def test_tol_defaults_to_the_gcd_tolerance():
+    assert cli.build_parser().parse_args(["decompose"]).tol == DEFAULTS.gcd
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+def test_tol_must_be_positive_and_finite(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--family", "epstein_FT", f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be positive and finite" in err
+
+
+def test_indeterminate_verdict_is_decompose_verdict_at_the_same_tol(tmp_path, capsys):
+    # --tol is the gcd tolerance for indeterminate too: its flag is the
+    # decompose verdict, never a second |H(c)| threshold
+    from ratbound import BoundaryMap, HPoly
+
+    root = canonicalize(0.7 - 0.2j, 1)
+    H = HPoly.from_roots([(root, 1), (canonicalize(3, 1), 1)])
+    for c in (root.ratio(), root.ratio() + 1e-5):
+        path = write_map(tmp_path, BoundaryMap(2, c * H, H))
+        for tol in ("1e-6", "1e-4"):
+            _, flag = run(capsys, "indeterminate", "--input", path, "--tol", tol)
+            _, dec = run(capsys, "decompose", "--input", path, "--tol", tol)
+            verdict = json.loads(dec)["result"]["verdict"] == "indeterminate"
+            assert json.loads(flag)["result"]["indeterminate"] is verdict is (c == root.ratio())
+
+
+def test_measure_and_pointmass_reject_bad_truncation_tolerances(capsys):
+    for argv in (["measure", "--param", "tail_tol=0"],
+                 ["measure", "--param", "tail_tol=nan"],
+                 ["pointmass", "--param", "series_tol=inf"],
+                 ["pointmass", "--param", "series_tol=-inf"],
+                 ["pointmass", "--param", "series_tol=nan"]):
+        assert main(argv + ["--family", "epstein_FT", "--param", "T=1"]) == 2
+        assert capsys.readouterr().err.startswith("ratbound: ")
+
+
+def test_pointmass_ambiguous_hole_exits_4(tmp_path, capsys):
+    path = write_map(tmp_path, fam.polylimit_limit([0, 1.5e-6, 1, 2]))
+    assert main(["pointmass", "--input", path, "--param", "at=7.5e-7"]) == 4
+    assert "ambiguous" in capsys.readouterr().err
 
 
 def test_float_formatting_17_digits(tmp_path):

@@ -331,7 +331,7 @@ def test_roots_resultant_consistency():
 
 
 def test_gcd_monomials():
-    H, p, q = numeric_gcd(hp(0, 0, 1, 0), hp(0, 1, 0, 0), 1e-6)  # z^2 w, z w^2
+    H, p, q, _ = numeric_gcd(hp(0, 0, 1, 0), hp(0, 1, 0, 0), 1e-6)  # z^2 w, z w^2
     assert H.degree == 2
     assert roots(H, 1e-8).multiplicity_at(ZERO) == 1
     assert roots(H, 1e-8).multiplicity_at(INFINITY) == 1
@@ -344,7 +344,7 @@ def test_gcd_coprime_gives_constant():
     P = hp(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     Q = hp(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     assert abs(resultant(P.normalize(), Q.normalize())) > 1e-6
-    H, p, q = numeric_gcd(P, Q, 1e-8)
+    H, p, q, _ = numeric_gcd(P, Q, 1e-8)
     assert H.degree == 0
     assert np.allclose(p.coeffs, P.coeffs)
     assert np.allclose(q.coeffs, Q.coeffs)
@@ -355,7 +355,7 @@ def test_gcd_root_matching():
     shared = canonicalize(1, 1)
     P = HPoly.from_roots([(shared, 1), (canonicalize(-1, 1), 1)])
     Q = HPoly.from_roots([(shared, 1), (INFINITY, 1)])
-    H, p, q = numeric_gcd(P, Q, 1e-6)
+    H, p, q, _ = numeric_gcd(P, Q, 1e-6)
     assert H.degree == 1
     assert roots(H, 1e-8).multiplicity_at(shared, 1e-8) == 1
     assert projective_residual(p.coeffs, [1, 1]) < 1e-10  # z + w
@@ -364,7 +364,7 @@ def test_gcd_root_matching():
 
 def test_gcd_zero_polynomial_side():
     P = hp(0, 1, 1, 0)  # zw(z + w)
-    H, p, q = numeric_gcd(P, HPoly.zero(3), 1e-8)
+    H, p, q, _ = numeric_gcd(P, HPoly.zero(3), 1e-8)
     assert projective_residual(H.coeffs, P.coeffs) < 1e-12
     assert q.is_zero and p.degree == 0 and not p.is_zero
     with pytest.raises(ValueError):
@@ -379,7 +379,7 @@ def test_gcd_round_trip():
         p0 = hp(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         q0 = hp(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
         P, Q = H0 * p0, H0 * q0
-        H, p, q = numeric_gcd(P, Q, 1e-6)
+        H, p, q, _ = numeric_gcd(P, Q, 1e-6)
         assert H.degree >= 2
         assert projective_residual((H * p).coeffs, P.coeffs) < 1e-8
         assert projective_residual((H * q).coeffs, Q.coeffs) < 1e-8
@@ -391,11 +391,11 @@ def test_gcd_tight_tolerance_sees_split_clusters_as_coprime():
     six = canonicalize(1, 1)
     P = HPoly.from_roots([(six, 6)]) * hp(1, 1)
     Q = HPoly.from_roots([(six, 6)]) * hp(2, 1)
-    H, p, q = numeric_gcd(P, Q, 1e-9)
+    H, p, q, _ = numeric_gcd(P, Q, 1e-9)
     assert H.degree == 0
     assert projective_residual((H * p).coeffs, P.coeffs) < 1e-12
     # while a tolerance above the cluster spread recovers the shared factor
-    H2, p2, q2 = numeric_gcd(P, Q, 1e-2)
+    H2, p2, q2, _ = numeric_gcd(P, Q, 1e-2)
     assert H2.degree == 6
 
 

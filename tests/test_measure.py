@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,8 @@ from ratbound import (
     ExceptionalPointError,
     HPoly,
     IndeterminateMapError,
+    MathDomainError,
+    NumericalFailure,
     ProjPoint,
     backward_tree,
     boundary_measure,
@@ -337,6 +340,26 @@ def test_sampler_rejects_exceptional_start():
         sample_max_entropy(SQUARING, INFINITY, depth=5, count=10, seed=1)
 
 
+def test_sampler_starts_below_depth_3_from_a_nonexceptional_critical_value():
+    # phi = 1 + 1/z^2: phi^-1(1) = {inf} and phi^-2(1) = {0}, each double,
+    # but phi^-3(1) = {i, -i}, so 1 is not exceptional at any depth
+    f = BoundaryMap(2, hp(1, 0, 1), hp(0, 0, 1))
+    for depth, end in ((1, INFINITY), (2, ZERO)):
+        emp = sample_max_entropy(f, canonicalize(1, 1), depth=depth, count=20, seed=1)
+        assert emp.count == 20
+        assert chordal_cross(emp.samples, end.as_array()[None, :]).max() < 1e-6
+    emp = sample_max_entropy(f, canonicalize(1, 1), depth=3, count=200, seed=1)
+    assert chordal_cross(emp.samples, np.array([[1j, 1], [-1j, 1]])).min(axis=1).max() < 1e-6
+
+
+def test_sampler_rejects_degree_one():
+    # every point of a Moebius map has one preimage; 1, 1/2, 1/4, 1/8 are
+    # distinct, so the exceptional-point test alone would let z -> 2z through
+    f = BoundaryMap(1, hp(0, 2), hp(1, 0))
+    with pytest.raises(MathDomainError, match="d >= 2"):
+        sample_max_entropy(f, canonicalize(1, 1), depth=3, count=10, seed=1)
+
+
 def test_sampler_rejects_degenerate_map():
     f = BoundaryMap(3, hp(0, 0, 1, 0), hp(1, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -454,6 +477,28 @@ def test_weak_distance_peak_memory_is_one_float_distance_table():
 def test_mass_in_disk_trivial():
     assert mass_in_disk(delta(INFINITY), INFINITY, 0.1) == 1.0
     assert mass_in_disk(delta(INFINITY), ZERO, 0.1) == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_boundary_measure_rejects_a_tail_tol_no_level_reaches(tol):
+    # (e/d)^N underflows to 0.0, which is >= 0: the level count never ends
+    with pytest.raises(ValueError, match="tail tol"):
+        boundary_measure(decompose(fam.make_epstein_FT(1.0), 1e-6), tol)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_point_mass_rejects_a_non_finite_series_tol(tol):
+    with pytest.raises(ValueError, match="series tol"):
+        point_mass(decompose(fam.make_epstein_FT(1.0), 1e-6), INFINITY, tol)
+
+
+def test_point_mass_of_an_ambiguous_constant_case_hole_raises():
+    # holes at 0 and 1.5e-6 both lie within hole_match of 7.5e-7; summing
+    # their depths would give a silent mass 1/2
+    dec = decompose(fam.polylimit_limit([0, 1.5e-6, 1, 2]))
+    with pytest.raises(NumericalFailure, match="ambiguous"):
+        point_mass(dec, canonicalize(7.5e-7, 1))
+    assert point_mass(dec, ZERO) == (0.25, 0.0)
 
 
 def test_support_report_branches():

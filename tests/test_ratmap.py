@@ -25,7 +25,7 @@ from ratbound import (
     resultant,
 )
 from ratbound import families as fam
-from ratbound.hpoly import count_zeros_in_disk
+from ratbound.hpoly import count_zeros_in_disk, numeric_gcd
 from ratbound.ratmap import iterate_hole_factor, orbit_depth_terms
 
 
@@ -136,6 +136,25 @@ def test_decompose_round_trips_planted_holes(order, hole_mults, e, scales):
     assert len(dec.holes) == len(holes)
     for pt, mult in holes:
         assert dec.holes.multiplicity_at(pt, 1e-6) == mult
+
+
+@pytest.mark.parametrize("f, tol", [
+    (fam.example1_second_limit(3, a=0.4), 1e-4),
+    (fam.example2_second_limit(3, 2, a=0.4), 1e-4),
+    (fam.make_epstein_FT(1.0), 1e-6),
+    (fam.cubic_limit(), 1e-6),
+    (fam.polylimit_limit([1.0, -1.0, 2.0]), 1e-6),
+    (fam.example1_limit(3), 1e-6),
+    (fam.make_example1(2, a=0.5, t=1e-2), 1e-6),
+], ids=["example1-d3", "example2-32", "FT", "cubic", "polylimit", "example1-limit", "nondeg"])
+def test_numeric_gcd_holes_are_the_decomposition_holes(f, tol):
+    # one shared-factor computation: decompose's holes are numeric_gcd's
+    H, p, q, holes = numeric_gcd(f.P, f.Q, tol)
+    dec = decompose(f, tol)
+    assert H.degree == dec.H.degree == holes.total_multiplicity() == f.d - dec.e
+    assert [m for _, m in holes] == [m for _, m in dec.holes]
+    assert all(np.array_equal(a.as_array(), b.as_array())
+               for (a, _), (b, _) in zip(holes, dec.holes))
 
 
 # -- indeterminacy -----------------------------------------------------------
