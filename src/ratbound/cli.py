@@ -510,7 +510,10 @@ def build_parser():
         p.add_argument("--depth", type=int, default=20)
         p.add_argument("--count", type=int, default=10_000)
         p.add_argument("--workers", type=int, default=1,
-                       help="sampler RNG stream partition; chunks run one after another")
+                       help="sampler RNG stream partition; chunks run one after "
+                            "another. The stream depends on (seed, workers) only, never "
+                            "on threads: the root kernel may split large batches over a "
+                            "fixed pool of at most two, separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

@@ -171,11 +171,13 @@ def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> RootList:
 
 
 def batched_preimage_slots(phi, pts) -> np.ndarray:
-    """Preimage slots under phi of each row of pts: (n, e, 2) canonical.
+    """Preimage slots under phi of each row of pts: (n, e, 2) representatives.
 
     Each row yields exactly e slots counted with multiplicity.  Rows are
     solved in whichever affine chart has the larger leading coefficient;
     rows degenerate in both charts fall back to the robust root finder.
+    Callers canonicalize the slots they keep (canonicalize_rows works row by
+    row, so a subset gets the bits it would get among all).
     """
     p, q = phi
     e = p.degree
@@ -203,7 +205,7 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
         out[use_w, :, 1] = rts
     for i in np.nonzero(fallback)[0]:
         out[i] = _exact_slots(phi, pts[i])
-    return canonicalize_rows(out.reshape(-1, 2)).reshape(n, e, 2)
+    return out
 
 
 def _exact_slots(phi, row):
@@ -223,8 +225,9 @@ def _pull_back(phi, pts, masses):
     closer than that radius and are distinct points.  The children are then
     merged at pt, which makes each multiple preimage one atom.
     """
-    slots = batched_preimage_slots(phi, pts)
-    e = slots.shape[1]
+    raw = batched_preimage_slots(phi, pts)
+    n, e = raw.shape[:2]
+    slots = canonicalize_rows(raw.reshape(-1, 2)).reshape(n, e, 2)
     z, w = slots[:, :, 0], slots[:, :, 1]
     split = np.zeros(len(slots), dtype=bool)
     for j, k in combinations(range(e), 2):
@@ -371,11 +374,13 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
 
     Runs `count` independent backward orbits from a, at each step choosing
     one of the d preimages uniformly with multiplicity weights.  The stream
-    is deterministic given (seed, workers): worker i draws from
-    default_rng([seed, i]) and chunks are concatenated in worker order.
-    The chunks run one after another in this process, so `workers` selects
-    a partition of the random stream, not parallelism.  Degree d < 2 is a
-    MathDomainError, an exceptional start a an ExceptionalPointError.
+    depends on (seed, workers) only, never on the thread count: worker i
+    draws from default_rng([seed, i]) and chunks are concatenated in worker
+    order.  The chunks run one after another in this process, so `workers`
+    selects a partition of the random stream, not parallelism; the root
+    kernel may split a large batch over a fixed pool of at most two threads,
+    separate from BLAS's.  Degree d < 2 is a MathDomainError, an exceptional
+    start a an ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")
@@ -389,17 +394,15 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
 
     d = f.d
     chunks = []
-    base = count // workers
-    sizes = [base + (1 if i < count % workers else 0) for i in range(workers)]
-    for widx, size in enumerate(sizes):
-        if size == 0:
-            continue
+    # workers past the count would draw nothing, so they are never visited
+    for widx in range(min(workers, count)):
+        size = count // workers + (widx < count % workers)
         rng = np.random.default_rng([seed, widx])
         X = np.tile(a.as_array(), (size, 1))
         for _ in range(depth):
             slots = batched_preimage_slots(f.pair(), X)
             pick = rng.integers(0, d, size)
-            X = slots[np.arange(size), pick]
+            X = canonicalize_rows(slots[np.arange(size), pick])
         chunks.append(X)
     samples = np.concatenate(chunks)
     return EmpiricalMeasure(

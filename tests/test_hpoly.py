@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 
 import mpmath
 import numpy as np
@@ -19,7 +21,8 @@ from ratbound import (
     vanishing_order,
     wronskian,
 )
-from ratbound.hpoly import count_zeros_in_disk, substitute
+from ratbound import hpoly
+from ratbound.hpoly import _companion_roots, count_zeros_in_disk, substitute
 
 
 def hp(*coeffs):
@@ -293,6 +296,45 @@ def test_roots_against_mpmath_oracle(n):
         dist, got = min((chordal_distance(pt, canonicalize(center, 1)), m) for pt, m in rl)
         assert got == mult
         assert dist < (5e-14 if mult == 1 else 2e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_companion_roots_split_is_bit_identical(monkeypatch, n):
+    # batches just below, at and just above the split threshold (an odd
+    # size, so the halves differ) and one large batch; a split batch must
+    # give the very bits of the unsplit one, with the pool forced to 1
+    rng = np.random.default_rng(n)
+    K = hpoly._SPLIT_K
+    for k in (K - 1, K, K + 1, 2500):
+        C = rng.standard_normal((k, n + 1)) + 1j * rng.standard_normal((k, n + 1))
+        monkeypatch.setattr(hpoly, "_THREADS", 1)
+        whole = _companion_roots(C)
+        monkeypatch.setattr(hpoly, "_THREADS", 2)
+        monkeypatch.setattr(hpoly, "_pool", None)
+        split = _companion_roots(C)
+        assert (hpoly._pool is not None) == (n >= hpoly._SPLIT_N and k >= K)
+        assert whole.shape == split.shape == (k, n)
+        assert np.array_equal(whole.view(float), split.view(float))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_companion_roots_split_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but not its worker thread;
+    # a split there must start a pool of its own instead of waiting forever
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    rng = np.random.default_rng(1)
+    C = rng.standard_normal((hpoly._SPLIT_K, 6)) + 1j * rng.standard_normal((hpoly._SPLIT_K, 6))
+    whole = _companion_roots(C)
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)
+        os._exit(0 if np.array_equal(_companion_roots(C).view(float), whole.view(float)) else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_root_kernel_pool_is_capped_at_two_usable_cores():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert hpoly._THREADS == min(2, cores or 1)
 
 
 def test_roots_newton_polish_against_mpmath_oracle():

@@ -33,6 +33,7 @@ from ratbound import (
     weak_distance,
 )
 from ratbound import families as fam
+from ratbound import hpoly
 from ratbound.measure import batched_preimage_slots, merge_atoms
 from ratbound.projline import canonicalize_rows, chordal_cross
 from ratbound.ratmap import apply_pair
@@ -304,6 +305,68 @@ def test_sampler_worker_partition_deterministic():
     e1 = sample_max_entropy(SQUARING, a, depth=6, count=100, seed=7, workers=4)
     e2 = sample_max_entropy(SQUARING, a, depth=6, count=100, seed=7, workers=4)
     assert np.array_equal(e1.samples, e2.samples)
+
+
+def test_sampler_cost_does_not_grow_with_idle_workers():
+    # workers past the count draw nothing, so 10^12 of them give the stream
+    # of 10 and are never visited
+    a = canonicalize(0.2 + 0.1j, 1)
+    e1 = sample_max_entropy(SQUARING, a, depth=6, count=10, seed=7, workers=10)
+    e2 = sample_max_entropy(SQUARING, a, depth=6, count=10, seed=7, workers=10**12)
+    assert np.array_equal(e1.samples, e2.samples)
+
+
+def _stream_canonicalizing_every_slot(f, a, depth, count, seed, workers):
+    """Reference sampler: canonicalize all d slots of each step, then pick."""
+    d, chunks = f.d, []
+    for widx in range(min(workers, count)):
+        size = count // workers + (widx < count % workers)
+        rng = np.random.default_rng([seed, widx])
+        X = np.tile(a.as_array(), (size, 1))
+        for _ in range(depth):
+            raw = batched_preimage_slots(f.pair(), X)
+            slots = canonicalize_rows(raw.reshape(-1, 2)).reshape(size, d, 2)
+            X = slots[np.arange(size), rng.integers(0, d, size)]
+        chunks.append(X)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_stream_bit_identical_at_split_batches(monkeypatch, workers, threads):
+    # 2 * _SPLIT_K rows per chunk reach the split root kernel; the picked
+    # rows canonicalized alone must be the bits of canonicalizing every slot,
+    # whatever the thread count
+    monkeypatch.setattr(hpoly, "_THREADS", threads)
+    f = fam.make_example1(5, a=0.5, t=1e-3)
+    a = canonicalize(0.3 + 0.2j, 1)
+    count = 2 * hpoly._SPLIT_K * workers
+    emp = sample_max_entropy(f, a, depth=8, count=count, seed=5, workers=workers)
+    ref = _stream_canonicalizing_every_slot(f, a, 8, count, 5, workers)
+    assert np.array_equal(emp.samples.view(float), ref.view(float))
+
+
+def test_boundary_measure_bit_identical_to_canonicalizing_every_slot():
+    # H * phi with deg phi = 4: the last level pulls back 256 rows, a
+    # split-sized batch; the reference canonicalizes all raw slots of each
+    # level, then merges
+    H = hp(-2, 1)
+    dec = decompose(BoundaryMap(5, H * hp(0.3, 0, 0.5j, 0, 1), H * hp(1, 0.2, 0, 0.1, 0)))
+    d, e = dec.d, dec.e
+    mu = boundary_measure(dec, 0.3)
+    levels = round(math.log(mu.tail_bound) / math.log(e / d))
+    pts = np.array([pt.as_array() for pt, _ in dec.holes])
+    ms = np.array([m for _, m in dec.holes], dtype=float) / d
+    all_pts, all_ms = [pts], [ms]
+    for _ in range(levels - 1):
+        raw = batched_preimage_slots(dec.phi, pts)
+        pts, ms = merge_atoms(canonicalize_rows(raw.reshape(-1, 2)), np.repeat(ms / d, e))
+        all_pts.append(pts)
+        all_ms.append(ms)
+    assert e == 4 and len(pts) == 4 * hpoly._SPLIT_K
+    ref_pts, ref_ms = merge_atoms(np.concatenate(all_pts), np.concatenate(all_ms))
+    assert np.array_equal(mu.points.view(float), ref_pts.view(float))
+    assert np.array_equal(mu.masses, ref_ms)
 
 
 # Stored heads (first four canonical rows) of two seeded streams; the
