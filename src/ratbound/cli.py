@@ -2,8 +2,11 @@
 
 Verbs: decompose | indeterminate | iterate | measure | pointmass | sample |
 converge | properness | escape.  Maps come from --input <json> or --family
-<name> with repeatable --param k=v; seeds fall back to the RATBOUND_SEED
-environment variable; --tol, where a verb reads it, is decompose's gcd tolerance.
+<name> with repeatable --param k=v (values, roots and P_roots take a comma
+list, every other key one value); seeds fall back to the RATBOUND_SEED
+environment variable; --tol, read by every verb, is the gcd tolerance of every
+decomposition of the input map (a converge target decomposes at
+FAMILY_LIMIT_GCD_TOL).  --format offers the formats a verb writes.
 Structured results are JSON whose text is exactly
 `json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV with floats
 at 17 significant digits; every output embeds the tolerance block for
@@ -29,7 +32,7 @@ from . import families as fam
 from .config import DEFAULTS
 from .errors import MathDomainError, NumericalFailure
 from .escape import cone_angle_report, escape_grid
-from .hpoly import HPoly, resultant
+from .hpoly import resultant
 from .measure import (
     AtomicMeasure,
     _design_integrals,
@@ -51,9 +54,11 @@ from .ratmap import (
 FAMILY_LIMIT_GCD_TOL = 1e-4
 
 
+# --param keys that take a comma-separated list; every other key takes one value
+_LIST_PARAMS = ("values", "roots", "P_roots")
+
+
 def _parse_value(text):
-    if "," in text:
-        return [_parse_value(part) for part in text.split(",")]
     for cast in (int, float, complex):
         try:
             return cast(text)
@@ -63,21 +68,23 @@ def _parse_value(text):
 
 
 def _parse_params(pairs):
+    """The --param pairs as a dict, each value's shape decided here: a
+    _LIST_PARAMS value is a list (one item without a comma), and any other
+    key given a comma list is a ValueError."""
     params = {}
     for raw in pairs or []:
         if "=" not in raw:
             raise ValueError(f"--param expects key=value, got {raw!r}")
         key, text = raw.split("=", 1)
-        params[key.strip()] = _parse_value(text.strip())
+        key = key.strip()
+        items = [_parse_value(part) for part in text.strip().split(",")]
+        if key in _LIST_PARAMS:
+            params[key] = items
+        elif len(items) > 1:
+            raise ValueError(f"--param {key} takes one value, got {len(items)}")
+        else:
+            params[key] = items[0]
     return params
-
-
-def _one(key, value):
-    """The value of --param `key` where one value belongs: the list a
-    comma-separated value parses to is a ValueError."""
-    if isinstance(value, list):
-        raise ValueError(f"--param {key} takes one value, got {len(value)}")
-    return value
 
 
 def _parse_point(value):
@@ -103,10 +110,15 @@ def _seed(args):
     return int(os.environ.get("RATBOUND_SEED", "0"))
 
 
+def _tolerances(args):
+    """The tolerance block of an output: DEFAULTS, with gcd the --tol the verb ran with."""
+    return {**DEFAULTS.as_dict(), "gcd": args.tol}
+
+
 def _envelope(args, result):
     return {
         "command": args.command,
-        "tolerances": DEFAULTS.as_dict(),
+        "tolerances": _tolerances(args),
         "seed": _seed(args),
         "result": result,
     }
@@ -137,11 +149,6 @@ def _emit_json(args, result):
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(value):
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
 
 
 def _float_texts(values, *_):
@@ -219,9 +226,6 @@ _RENDERERS = (
     ((list, tuple), _list_texts),
     (dict, _dict_texts),
 )
-# one item of a mixed column, for the exact scalar types
-_SCALAR_TEXT = {str: encode_basestring_ascii, type(None): _CONSTANTS.__getitem__,
-                bool: _CONSTANTS.__getitem__, int: int.__repr__, float: _float_text}
 
 
 @functools.cache
@@ -245,13 +249,12 @@ def _json_texts(values, level, memo):
         texts = _renderer(*kinds)(values, level, memo)
         if texts is not None:
             return texts
-    return [_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
-            else _renderer(type(v))([v], level, memo)[0] for v in values]
+    return [_renderer(type(v))([v], level, memo)[0] for v in values]
 
 
 def _emit_csv(args, header_fields, rows, extra_header=None):
     lines = [f"# command={args.command}"]
-    for key, val in DEFAULTS.as_dict().items():
+    for key, val in _tolerances(args).items():
         lines.append(f"# tol.{key}={val:.17g}")
     for key, val in (extra_header or {}).items():
         lines.append(f"# {key}={val}")
@@ -304,7 +307,7 @@ def cmd_indeterminate(args):
 
 def cmd_iterate(args):
     params = _parse_params(args.param)
-    n = int(_one("n", params.pop("n", 2)))
+    n = int(params.pop("n", 2))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     fn = iterate_formula(f, n, args.tol, dec=dec)
@@ -323,7 +326,7 @@ def cmd_measure(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    mu = boundary_measure(dec, float(_one("tail_tol", params.get("tail_tol", 1e-9))))
+    mu = boundary_measure(dec, float(params.get("tail_tol", 1e-9)))
     angles, infinite = cone_angle_report(mu)
     measure = mu.to_json()
     cones = [
@@ -335,20 +338,20 @@ def cmd_measure(args):
 
 def cmd_pointmass(args):
     params = _parse_params(args.param)
-    at = _parse_point(_one("at", params.pop("at", "inf")))
+    at = _parse_point(params.pop("at", "inf"))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    mass, err = point_mass(dec, at, float(_one("series_tol", params.get("series_tol", 1e-12))))
+    mass, err = point_mass(dec, at, float(params.get("series_tol", 1e-12)))
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
 
 def cmd_sample(args):
     params = _parse_params(args.param)
-    a0 = _parse_point(_one("a0", params.pop("a0", complex(0.5, 0.5))))
+    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
     f = _load_map(args, params)
     emp = sample_max_entropy(
         f, a0, depth=args.depth, count=args.count, seed=_seed(args),
-        workers=args.workers,
+        workers=args.workers, gcd_tol=args.tol,
     )
     if args.format == "csv":
         rows = [
@@ -363,13 +366,12 @@ def cmd_sample(args):
 def _target_measure(args, params):
     """The limit measure a converge sweep is compared against."""
     name = args.family
-    d = int(_one("d", params.get("d", 2)))
+    d = int(params.get("d", 2))
     P = fam._p_from_roots(params.get("P_roots"))
     if name == "example1":
-        limit = fam.example1_second_limit(d, _one("a", params.get("a", 1.0)), P)
+        limit = fam.example1_second_limit(d, params.get("a", 1.0), P)
     elif name == "example2":
-        limit = fam.example2_second_limit(d, int(_one("k", params["k"])),
-                                          _one("a", params.get("a", 1.0)), P)
+        limit = fam.example2_second_limit(d, int(params["k"]), params.get("a", 1.0), P)
     elif name == "polylimit":
         limit = fam.polylimit_limit(params["roots"])
     elif name == "cubic_eps":
@@ -377,20 +379,18 @@ def _target_measure(args, params):
     else:
         raise ValueError(f"converge sweeps are not defined for family {name!r}")
     dec = decompose(limit, FAMILY_LIMIT_GCD_TOL)
-    return boundary_measure(dec, float(_one("tail_tol", params.get("tail_tol", 1e-6))))
+    return boundary_measure(dec, float(params.get("tail_tol", 1e-6)))
 
 
 def cmd_converge(args):
     params = _parse_params(args.param)
-    sweep = _one("sweep", params.pop("sweep", "t"))
+    sweep = params.pop("sweep", "t")
     values = params.pop("values", None)
     if values is None:
         raise ValueError("converge needs --param values=v1,v2,...")
-    if not isinstance(values, list):
-        values = [values]
-    center = _parse_point(_one("center", params.pop("center", "inf")))
-    radius = float(_one("radius", params.pop("radius", 0.1)))
-    a0 = _parse_point(_one("a0", params.pop("a0", complex(0.5, 0.5))))
+    center = _parse_point(params.pop("center", "inf"))
+    radius = float(params.pop("radius", 0.1))
+    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
     target = _target_measure(args, params)
     # weak_distance(emp, target), integrating the target once for the sweep;
     # taken at the first row that gets this far, so a target of bad mass
@@ -399,12 +399,11 @@ def cmd_converge(args):
     rows = []
     dists = []
     for v in values:
-        row_params = dict(params)
-        row_params[sweep] = v
         try:
-            f = fam.FamilySpec(args.family, row_params).build()
+            f = fam.FamilySpec(args.family, {**params, sweep: v}).build()
             emp = sample_max_entropy(f, a0, depth=args.depth, count=args.count,
-                                     seed=_seed(args), workers=args.workers)
+                                     seed=_seed(args), workers=args.workers,
+                                     gcd_tol=args.tol)
             if target_integrals is None:
                 target_integrals = _design_integrals(target)
             dist = float(np.abs(_design_integrals(emp) - target_integrals).max())
@@ -424,46 +423,32 @@ def cmd_converge(args):
 
 def cmd_properness(args):
     params = _parse_params(args.param)
-    n = int(_one("n", params.pop("n", 2)))
-    sweep = _one("sweep", params.pop("sweep", "t"))
+    n = int(params.pop("n", 2))
+    sweep = params.pop("sweep", "t")
     values = params.pop("values", None)
-    rows = []
     if values is None:
-        f = _load_map(args, params)
-        fn = iterate_formula(f, n, args.tol)
-        rows.append(("-", abs(resultant(fn.P, fn.Q))))
+        maps = [("-", _load_map(args, params))]
     else:
-        if not isinstance(values, list):
-            values = [values]
-        for v in values:
-            if args.family == "inversion":
-                # the d = 1 family (k w : z): documents properness failing at d = 1
-                f = BoundaryMap(1, complex(v) * HPoly.w(), HPoly.z())
-            else:
-                row_params = dict(params)
-                row_params[sweep] = v
-                f = fam.FamilySpec(args.family, row_params).build()
-            fn = iterate_formula(f, n, args.tol)
-            rows.append((v, abs(resultant(fn.P, fn.Q))))
+        maps = ((v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
+                for v in values)
+    rows = []
+    for v, f in maps:
+        fn = iterate_formula(f, n, args.tol)
+        rows.append((v, abs(resultant(fn.P, fn.Q))))
     _emit_csv(args, [sweep, "abs_resultant"], rows, {"n": n})
 
 
 def cmd_escape(args):
     params = _parse_params(args.param)
     f = _load_map(args, params)
-    re_spec = params.get("re", "-2:2:21")
-    im_spec = params.get("im", "-2:2:21")
-    re_lo, re_hi, n_re = _parse_range(re_spec)
-    im_lo, im_hi, n_im = _parse_range(im_spec)
+    re_lo, re_hi, n_re = _parse_range(params.get("re", "-2:2:21"))
+    im_lo, im_hi, n_im = _parse_range(params.get("im", "-2:2:21"))
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
-                       n_max=int(_one("n_max", params.get("n_max", 50))))
+                       n_max=int(params.get("n_max", 50)), dec=decompose(f, args.tol))
     _emit_csv(args, ["re", "im", "G"], rows)
 
 
 def _parse_range(spec):
-    if isinstance(spec, list):
-        lo, hi, n = spec
-        return float(lo), float(hi), int(n)
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:count, got {spec!r}")
@@ -491,6 +476,11 @@ def _tolerance(text):
     return value
 
 
+# the formats a verb writes, default first; every verb not listed writes json
+_FORMATS = {"sample": ("json", "csv"), "converge": ("csv",), "properness": ("csv",),
+            "escape": ("csv",)}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ratbound",
@@ -515,7 +505,8 @@ def build_parser():
                             "on threads: the root kernel may split large batches over a "
                             "fixed pool of at most two, separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        formats = _FORMATS.get(name, ("json",))
+        p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
 

@@ -7,6 +7,7 @@ Each constructor builds the displayed pair by exact coefficient arithmetic:
   epstein_FT      F_T = (zw(z^2 + T zw + w^2) : z^2 w^2)  in Ratbar_4
   cubic_eps       lift of p_eps(z) = eps z^3 + z^2,       eps -> 0 limit (z^2 w : w^3)
   polylimit       p_k = (P : w^d / k),                    k -> oo limit (P : 0)
+  inversion       (k w : z) at d = 1,                     f^2 = (k z : k w) for every k
 
 The t -> 0 limits of the second iterates of the example families are also
 provided in closed form, since they are the targets of the measure
@@ -24,18 +25,12 @@ from .hpoly import HPoly
 from .ratmap import BoundaryMap
 
 
-def _root_list(roots) -> list:
-    """A root list as given, or a one-element list for a single root: a
-    --param value without a comma parses to a scalar."""
-    return [roots] if np.ndim(roots) == 0 else list(roots)
-
-
 def _p_from_roots(root_list):
     """prod (z - r w) over root_list, the constant 1 if it is empty; None for None."""
     if root_list is None:
         return None
     P = HPoly.constant(1.0)
-    for r in _root_list(root_list):
+    for r in root_list:
         P = P * HPoly.from_coeffs([-complex(r), 1.0])
     return P
 
@@ -201,7 +196,6 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
     """p_k = (P : w^d / k) for P = prod (z - r_i w); k -> oo gives (P : 0)."""
     if k <= 0:
         raise ValueError("k must be positive")
-    root_list = _root_list(root_list)
     d = len(root_list)
     if d < 2:
         raise ValueError("need at least two roots")
@@ -210,15 +204,21 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
 
 def polylimit_limit(root_list) -> BoundaryMap:
     """(P : 0): the constant-infinity map with holes at the roots of P."""
-    root_list = _root_list(root_list)
     d = len(root_list)
     return BoundaryMap(d, _p_from_roots(root_list), HPoly.zero(d))
+
+
+def make_inversion(k: complex) -> BoundaryMap:
+    """(k w : z) at d = 1.  Its second iterate (k z : k w) is the identity for
+    every k, so f -> f^2 is not proper along k -> 0 or k -> oo."""
+    return BoundaryMap(1, complex(k) * HPoly.w(), HPoly.z())
 
 
 # ---------------------------------------------------------------------------
 # named family specs (the CLI input schema)
 
-FAMILY_NAMES = ("example1", "example2", "epstein_FT", "cubic_eps", "polylimit", "custom")
+FAMILY_NAMES = ("example1", "example2", "epstein_FT", "cubic_eps", "polylimit", "inversion",
+                "custom")
 
 
 @dataclass
@@ -234,10 +234,6 @@ class FamilySpec:
 
     def build(self) -> BoundaryMap:
         p = self.parameters
-        listed = [k for k in ("d", "k", "a", "t", "T", "eps") if isinstance(p.get(k), list)]
-        if listed:
-            # a comma-separated --param value parses to a list
-            raise ValueError(f"parameter {', '.join(listed)} takes one value")
         if self.name == "example1":
             P = _p_from_roots(p.get("P_roots"))
             return make_example1(int(p["d"]), p.get("a", 1.0), p["t"], P)
@@ -250,4 +246,6 @@ class FamilySpec:
             return make_cubic_eps(p["eps"])
         if self.name == "polylimit":
             return make_polylimit(p["roots"], float(p.get("k", 1.0)))
+        if self.name == "inversion":
+            return make_inversion(p["k"])
         raise ValueError("custom maps are supplied via --input, not --family")

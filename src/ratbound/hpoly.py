@@ -541,18 +541,11 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
     """
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
-    if P.is_zero or Q.is_zero:
-        other = Q if P.is_zero else P
-        H = other.monic_leading()
-        lam = _fit_scale(H.coeffs, other.coeffs)
-        s = HPoly.constant(lam)
-        zero = HPoly.zero(0)
-        p, q = (zero, s) if P.is_zero else (s, zero)
-        return H, p, q, roots(H, tol)
-    if projective_residual(P.coeffs, Q.coeffs) < 1e-12:
-        # proportional pair: the gcd is the polynomial itself, taken whole
-        # rather than matched (multiple roots would smear a matched H)
-        H = P.monic_leading()
+    if P.is_zero or Q.is_zero or projective_residual(P.coeffs, Q.coeffs) < 1e-12:
+        # a zero or proportional pair: the gcd is the nonzero polynomial, taken
+        # whole rather than matched (multiple roots would smear a matched H);
+        # a zero polynomial fits to the constant 0
+        H = (Q if P.is_zero else P).monic_leading()
         return (H, HPoly.constant(_fit_scale(H.coeffs, P.coeffs)),
                 HPoly.constant(_fit_scale(H.coeffs, Q.coeffs)), roots(H, tol))
 

@@ -383,12 +383,90 @@ def test_validation_error_exit_code(capsys):
     ["escape", "--param", "n_max=1,2"],
     ["iterate", "--param", "n=1,2"],
     ["decompose", "--param", "T=1,2"],
+    ["escape", "--param", "re=-2,2,21"],
+    ["converge", "--param", "sweep=t,k"],
 ])
 def test_list_where_one_value_belongs_exits_2(capsys, argv):
     # a comma-separated --param value parses to a list
     assert main(argv + ["--family", "epstein_FT"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ratbound: ") and "takes one value" in err
+
+
+def test_inversion_is_a_family_of_every_verb(capsys):
+    code, out = run(capsys, "decompose", "--family", "inversion", "--param", "k=2")
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"] == "nondegenerate"
+
+
+@pytest.mark.parametrize("verb, fmt", [("measure", "csv"), ("escape", "json"),
+                                       ("decompose", "csv"), ("converge", "json")])
+def test_format_a_verb_does_not_write_exits_2(verb, fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--family", "epstein_FT", "--format", fmt])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice" in capsys.readouterr().err
+
+
+def test_tolerance_block_echoes_tol(capsys):
+    code, out = run(capsys, "decompose", "--family", "epstein_FT", "--tol", "1e-4")
+    assert code == 0
+    block = json.loads(out)["tolerances"]
+    assert list(block.items()) == list({**DEFAULTS.as_dict(), "gcd": 1e-4}.items())
+    code, out = run(capsys, "sample", "--family", "example1", "--param", "d=2",
+                    "--param", "t=0.1", "--depth", "4", "--count", "5",
+                    "--tol", "1e-9", "--format", "csv")
+    assert code == 0
+    header = [l for l in out.splitlines() if l.startswith("# tol.")]
+    assert header == [f"# tol.{k}={v:.17g}"
+                      for k, v in {**DEFAULTS.as_dict(), "gcd": 1e-9}.items()]
+
+
+def test_sample_and_converge_read_tol(capsys):
+    # criterion 11b's map: at the default gcd radius a spurious shared root
+    # near infinity makes it degenerate; at --tol 1e-9 it is sampled
+    cubic = ["--family", "cubic_eps", "--param", "a0=0.4+0.1j", "--seed", "6",
+             "--depth", "8", "--count", "50", "--tol", "1e-9"]
+    code, out = run(capsys, "sample", *cubic, "--param", "eps=1e-6", "--format", "csv")
+    assert code == 0
+    emp = sample_max_entropy(fam.make_cubic_eps(1e-6), canonicalize(0.4 + 0.1j, 1),
+                             depth=8, count=50, seed=6, gcd_tol=1e-9)
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert [[float(x) for x in r] for r in rows] == [
+        [z.real, z.imag, w.real, w.imag] for z, w in emp.samples]
+    code, out = run(capsys, "converge", *cubic, "--param", "sweep=eps",
+                    "--param", "values=1e-6")
+    assert code == 0
+    header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+    assert [r[3] for r in rows] == ["ok"]
+
+
+def test_every_verb_decomposes_at_tol(tmp_path, monkeypatch):
+    # --tol is the gcd tolerance of every decomposition of the input map;
+    # only converge's target decomposes at FAMILY_LIMIT_GCD_TOL
+    import ratbound.ratmap as ratmap
+
+    seen = []
+    real = ratmap.numeric_gcd
+    monkeypatch.setattr(ratmap, "numeric_gcd",
+                        lambda P, Q, tol: seen.append(tol) or real(P, Q, tol))
+    e1 = ["--family", "example1", "--param", "d=2", "--param", "t=0.1"]
+    ft = ["--family", "epstein_FT", "--param", "T=1"]
+    small = ["--depth", "5", "--count", "20"]
+    runs = {
+        "decompose": e1, "indeterminate": e1, "iterate": e1, "properness": e1,
+        "measure": ft + ["--param", "tail_tol=1e-3"], "pointmass": ft,
+        "sample": e1 + small,
+        "converge": ["--family", "example1", "--param", "d=2", "--param", "values=0.1",
+                     "--param", "tail_tol=1e-3", *small],
+        "escape": ft + ["--param", "re=-1:1:3", "--param", "im=0:0:1"],
+    }
+    assert set(runs) == set(cli.COMMANDS)
+    for verb, argv in runs.items():
+        seen.clear()
+        assert main([verb, *argv, "--tol", "3e-5", "--out", str(tmp_path / verb)]) == 0, verb
+        assert 3e-5 in seen and DEFAULTS.gcd not in seen, (verb, seen)
+        assert set(seen) <= {3e-5, cli.FAMILY_LIMIT_GCD_TOL}, (verb, seen)
 
 
 def test_tol_defaults_to_the_gcd_tolerance():
