@@ -1,22 +1,23 @@
 """Command-line experiment runner.
 
-Verbs: decompose | indeterminate | iterate | measure | pointmass | sample |
-converge | properness | escape.  Maps come from --input <json> or --family
-<name> with repeatable --param k=v (values, roots and P_roots take a comma
-list, every other key one value); seeds fall back to the RATBOUND_SEED
-environment variable; --tol, read by every verb, is the gcd tolerance of every
-decomposition of the input map (a converge target decomposes at
-FAMILY_LIMIT_GCD_TOL).  --format offers the formats a verb writes.
-Structured results are JSON whose text is exactly
-`json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV with floats
-at 17 significant digits; every output embeds the tolerance block for
-provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain,
-4 numerical failure.
+Each verb accepts only the flags and --param keys it reads; any other exits 2.  Every
+verb takes a map from --input <json> (with no --param key) or --family <name> (keys:
+families.FAMILY_KEYS), --tol (the gcd tolerance of every decomposition of the input
+map; a converge target decomposes at FAMILY_LIMIT_GCD_TOL), --out and --format (the
+formats the verb writes); sample and converge also take --seed (falling back to
+RATBOUND_SEED), --depth, --count and --workers.  The verbs' own keys: iterate n;
+measure tail_tol; pointmass at series_tol; sample a0; converge sweep values center
+radius a0 tail_tol; properness n sweep values; escape re im n_max.  values, roots and
+P_roots take a comma list, every other key one value.  Structured results are JSON
+whose text is exactly `json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV
+with floats at 17 significant digits; every output embeds the tolerance block for
+provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -34,7 +35,6 @@ from .errors import MathDomainError, NumericalFailure
 from .escape import cone_angle_report, escape_grid
 from .hpoly import resultant
 from .measure import (
-    AtomicMeasure,
     _design_integrals,
     boundary_measure,
     mass_in_disk,
@@ -48,11 +48,6 @@ from .ratmap import (
     hole_depth_sequence,
     iterate_formula,
 )
-
-# gcd tolerance for the closed-form family limits, whose gcd factors carry
-# multiplicity-m roots (numeric m-fold roots spread like eps^(1/m))
-FAMILY_LIMIT_GCD_TOL = 1e-4
-
 
 # --param keys that take a comma-separated list; every other key takes one value
 _LIST_PARAMS = ("values", "roots", "P_roots")
@@ -87,16 +82,19 @@ def _parse_params(pairs):
     return params
 
 
-def _parse_point(value):
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return INFINITY
-    if isinstance(value, float) and math.isinf(value):
-        return INFINITY
-    return canonicalize(complex(value), 1.0)
+def _parse_point(key, value):
+    """A point --param value: a number; inf, or one that overflows, is infinity."""
+    # _parse_value leaves a str only where complex() fails too
+    z = complex(math.nan if isinstance(value, str) else value)
+    if cmath.isnan(z):
+        raise ValueError(f"--param {key} must be a point, got {value!r}")
+    return INFINITY if cmath.isinf(z) else canonicalize(z, 1.0)
 
 
 def _load_map(args, params):
     if args.input:
+        if params:
+            raise ValueError(f"a map from --input takes no --param {', '.join(params)}")
         with open(args.input) as fh:
             return BoundaryMap.from_json(json.load(fh))
     if args.family:
@@ -105,7 +103,7 @@ def _load_map(args, params):
 
 
 def _seed(args):
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only sample and converge take --seed
         return args.seed
     return int(os.environ.get("RATBOUND_SEED", "0"))
 
@@ -307,7 +305,7 @@ def cmd_indeterminate(args):
 
 def cmd_iterate(args):
     params = _parse_params(args.param)
-    n = int(params.pop("n", 2))
+    n = fam.int_param("n", params.pop("n", 2))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     fn = iterate_formula(f, n, args.tol, dec=dec)
@@ -324,9 +322,10 @@ def cmd_iterate(args):
 
 def cmd_measure(args):
     params = _parse_params(args.param)
+    tail_tol = float(params.pop("tail_tol", 1e-9))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    mu = boundary_measure(dec, float(params.get("tail_tol", 1e-9)))
+    mu = boundary_measure(dec, tail_tol)
     angles, infinite = cone_angle_report(mu)
     measure = mu.to_json()
     cones = [
@@ -338,16 +337,17 @@ def cmd_measure(args):
 
 def cmd_pointmass(args):
     params = _parse_params(args.param)
-    at = _parse_point(params.pop("at", "inf"))
+    at = _parse_point("at", params.pop("at", math.inf))
+    series_tol = float(params.pop("series_tol", 1e-12))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    mass, err = point_mass(dec, at, float(params.get("series_tol", 1e-12)))
+    mass, err = point_mass(dec, at, series_tol)
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
 
 def cmd_sample(args):
     params = _parse_params(args.param)
-    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
+    a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
     f = _load_map(args, params)
     emp = sample_max_entropy(
         f, a0, depth=args.depth, count=args.count, seed=_seed(args),
@@ -363,44 +363,28 @@ def cmd_sample(args):
         _emit_json(args, emp.to_json())
 
 
-def _target_measure(args, params):
-    """The limit measure a converge sweep is compared against."""
-    name = args.family
-    d = int(params.get("d", 2))
-    P = fam._p_from_roots(params.get("P_roots"))
-    if name == "example1":
-        limit = fam.example1_second_limit(d, params.get("a", 1.0), P)
-    elif name == "example2":
-        limit = fam.example2_second_limit(d, int(params["k"]), params.get("a", 1.0), P)
-    elif name == "polylimit":
-        limit = fam.polylimit_limit(params["roots"])
-    elif name == "cubic_eps":
-        return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
-    else:
-        raise ValueError(f"converge sweeps are not defined for family {name!r}")
-    dec = decompose(limit, FAMILY_LIMIT_GCD_TOL)
-    return boundary_measure(dec, float(params.get("tail_tol", 1e-6)))
-
-
 def cmd_converge(args):
     params = _parse_params(args.param)
     sweep = params.pop("sweep", "t")
     values = params.pop("values", None)
     if values is None:
         raise ValueError("converge needs --param values=v1,v2,...")
-    center = _parse_point(params.pop("center", "inf"))
+    center = _parse_point("center", params.pop("center", math.inf))
     radius = float(params.pop("radius", 0.1))
-    a0 = _parse_point(params.pop("a0", complex(0.5, 0.5)))
-    target = _target_measure(args, params)
+    a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
+    tail_tol = float(params.pop("tail_tol", 1e-6))
+    target = fam.FamilySpec(args.family, params).limit(tail_tol)
+    # the specs check their keys here, before any row runs
+    specs = [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
     # weak_distance(emp, target), integrating the target once for the sweep;
     # taken at the first row that gets this far, so a target of bad mass
     # fails every row as weak_distance would
     target_integrals = None
     rows = []
     dists = []
-    for v in values:
+    for v, spec in zip(values, specs):
         try:
-            f = fam.FamilySpec(args.family, {**params, sweep: v}).build()
+            f = spec.build()
             emp = sample_max_entropy(f, a0, depth=args.depth, count=args.count,
                                      seed=_seed(args), workers=args.workers,
                                      gcd_tol=args.tol)
@@ -423,7 +407,7 @@ def cmd_converge(args):
 
 def cmd_properness(args):
     params = _parse_params(args.param)
-    n = int(params.pop("n", 2))
+    n = fam.int_param("n", params.pop("n", 2))
     sweep = params.pop("sweep", "t")
     values = params.pop("values", None)
     if values is None:
@@ -440,11 +424,12 @@ def cmd_properness(args):
 
 def cmd_escape(args):
     params = _parse_params(args.param)
+    re_lo, re_hi, n_re = _parse_range(params.pop("re", "-2:2:21"))
+    im_lo, im_hi, n_im = _parse_range(params.pop("im", "-2:2:21"))
+    n_max = fam.int_param("n_max", params.pop("n_max", 50))
     f = _load_map(args, params)
-    re_lo, re_hi, n_re = _parse_range(params.get("re", "-2:2:21"))
-    im_lo, im_hi, n_im = _parse_range(params.get("im", "-2:2:21"))
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
-                       n_max=int(params.get("n_max", 50)), dec=decompose(f, args.tol))
+                       n_max=n_max, dec=decompose(f, args.tol))
     _emit_csv(args, ["re", "im", "G"], rows)
 
 
@@ -468,12 +453,14 @@ COMMANDS = {
 }
 
 
-def _tolerance(text):
-    """A --tol value: a positive, finite float."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _positive(cast):
+    """The argparse type of a flag whose value, read by `cast`, is positive and finite."""
+    def positive(text):
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    return positive
 
 
 # the formats a verb writes, default first; every verb not listed writes json
@@ -489,21 +476,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", help="path to a BoundaryMap JSON file")
-        p.add_argument("--family", help="named family (see families module)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", help="path to a BoundaryMap JSON file")
+        source.add_argument("--family", help="named family (see families module)")
         p.add_argument("--param", action="append", metavar="K=V",
                        help="family/command parameter, repeatable")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULTS.gcd,
+        p.add_argument("--tol", type=_positive(float), default=DEFAULTS.gcd,
                        help="gcd tolerance: root-matching radius and residual bound")
-        p.add_argument("--seed", type=int, default=None,
-                       help="falls back to RATBOUND_SEED, then 0")
-        p.add_argument("--depth", type=int, default=20)
-        p.add_argument("--count", type=int, default=10_000)
-        p.add_argument("--workers", type=int, default=1,
-                       help="sampler RNG stream partition; chunks run one after "
-                            "another. The stream depends on (seed, workers) only, never "
-                            "on threads: the root kernel may split large batches over a "
-                            "fixed pool of at most two, separate from BLAS's")
+        if name in ("sample", "converge"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="falls back to RATBOUND_SEED, then 0")
+            p.add_argument("--depth", type=_positive(int), default=20)
+            p.add_argument("--count", type=_positive(int), default=10_000)
+            p.add_argument("--workers", type=_positive(int), default=1,
+                           help="sampler RNG stream partition; chunks run one after another. "
+                                "The stream depends on (seed, workers) only, never on threads: "
+                                "the root kernel may split large batches over a fixed pool of "
+                                "at most two, separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
         formats = _FORMATS.get(name, ("json",))
         p.add_argument("--format", choices=formats, default=formats[0])

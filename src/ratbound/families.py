@@ -9,6 +9,9 @@ Each constructor builds the displayed pair by exact coefficient arithmetic:
   polylimit       p_k = (P : w^d / k),                    k -> oo limit (P : 0)
   inversion       (k w : z) at d = 1,                     f^2 = (k z : k w) for every k
 
+FamilySpec builds one by name from the --param keys FAMILY_KEYS lists for it (d and
+example2's k integers); any other key, or a missing required one, is a ValueError.
+
 The t -> 0 limits of the second iterates of the example families are also
 provided in closed form, since they are the targets of the measure
 convergence runs.  Default P for tests is prod_i (z - i*w), i = 1..deg,
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hpoly import HPoly
-from .ratmap import BoundaryMap
+from .measure import AtomicMeasure, boundary_measure
+from .ratmap import BoundaryMap, decompose
 
 
 def _p_from_roots(root_list):
@@ -217,35 +221,78 @@ def make_inversion(k: complex) -> BoundaryMap:
 # ---------------------------------------------------------------------------
 # named family specs (the CLI input schema)
 
-FAMILY_NAMES = ("example1", "example2", "epstein_FT", "cubic_eps", "polylimit", "inversion",
-                "custom")
+# each family's --param keys, every one read by build(); any other key is a ValueError
+FAMILY_KEYS = {
+    "example1": ("d", "t", "a", "P_roots"),
+    "example2": ("d", "k", "t", "a", "P_roots"),
+    "epstein_FT": ("T",),
+    "cubic_eps": ("eps",),
+    "polylimit": ("roots", "k"),
+    "inversion": ("k",),
+}
+
+# gcd tolerance for the closed-form family limits, whose gcd factors carry
+# multiplicity-m roots (numeric m-fold roots spread like eps^(1/m))
+FAMILY_LIMIT_GCD_TOL = 1e-4
+
+
+def int_param(key, value):
+    """An integer --param value: an int, or a float with no fractional part."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"--param {key} must be an integer, got {value!r}")
 
 
 @dataclass
 class FamilySpec:
-    """A named family plus parameter values; build() yields the BoundaryMap."""
+    """A named family and its --param values: build() gives the map, limit() a converge target."""
 
     name: str
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.name!r}; choose from {FAMILY_NAMES}")
+        keys = FAMILY_KEYS.get(self.name)
+        if keys is None:
+            raise ValueError(f"unknown family {self.name!r}; choose from {tuple(FAMILY_KEYS)}")
+        unknown = ", ".join(key for key in self.parameters if key not in keys)
+        if unknown:
+            raise ValueError(f"family {self.name} takes no --param {unknown}; its keys: {keys}")
+
+    def _get(self, key, *default):
+        if key not in self.parameters and not default:
+            raise ValueError(f"family {self.name} needs --param {key}")
+        return self.parameters.get(key, *default)
+
+    def _int(self, key):
+        return int_param(key, self._get(key))
 
     def build(self) -> BoundaryMap:
-        p = self.parameters
+        get, P = self._get, _p_from_roots(self._get("P_roots", None))
         if self.name == "example1":
-            P = _p_from_roots(p.get("P_roots"))
-            return make_example1(int(p["d"]), p.get("a", 1.0), p["t"], P)
+            return make_example1(self._int("d"), get("a", 1.0), get("t"), P)
         if self.name == "example2":
-            P = _p_from_roots(p.get("P_roots"))
-            return make_example2(int(p["d"]), int(p["k"]), p.get("a", 1.0), p["t"], P)
+            return make_example2(self._int("d"), self._int("k"), get("a", 1.0), get("t"), P)
         if self.name == "epstein_FT":
-            return make_epstein_FT(p.get("T", 1.0))
+            return make_epstein_FT(get("T", 1.0))
         if self.name == "cubic_eps":
-            return make_cubic_eps(p["eps"])
+            return make_cubic_eps(get("eps"))
         if self.name == "polylimit":
-            return make_polylimit(p["roots"], float(p.get("k", 1.0)))
-        if self.name == "inversion":
-            return make_inversion(p["k"])
-        raise ValueError("custom maps are supplied via --input, not --family")
+            return make_polylimit(get("roots"), float(get("k", 1.0)))
+        return make_inversion(get("k"))
+
+    def limit(self, tail_tol: float) -> AtomicMeasure:
+        """The measure a converge sweep tends to, read without the swept key: mu of the
+        closed-form limit of the second iterates (example1, example2) or of (P : 0)
+        (polylimit) at FAMILY_LIMIT_GCD_TOL and tail_tol; delta_infinity for cubic_eps."""
+        get, P = self._get, _p_from_roots(self._get("P_roots", None))
+        if self.name == "example1":
+            f = example1_second_limit(self._int("d"), get("a", 1.0), P)
+        elif self.name == "example2":
+            f = example2_second_limit(self._int("d"), self._int("k"), get("a", 1.0), P)
+        elif self.name == "polylimit":
+            f = polylimit_limit(get("roots"))
+        elif self.name == "cubic_eps":
+            return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
+        else:
+            raise ValueError(f"converge sweeps are not defined for family {self.name!r}")
+        return boundary_measure(decompose(f, FAMILY_LIMIT_GCD_TOL), tail_tol)

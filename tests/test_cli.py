@@ -245,17 +245,15 @@ def test_converge_rows_equal_weak_distance_to_the_target(tmp_path):
     # the sweep integrates its target once; each row is still exactly
     # weak_distance(emp, target) for that row's sample cloud
     out_path = tmp_path / "sweep.csv"
-    params = ["d=2", "a=0.5", "tail_tol=1e-3"]
     argv = ["converge", "--family", "example1", "--param", "values=1e-1,1e-2,1e-3",
+            "--param", "d=2", "--param", "a=0.5", "--param", "tail_tol=1e-3",
             "--seed", "5", "--depth", "10", "--count", "300", "--out", str(out_path)]
-    for p in params:
-        argv += ["--param", p]
     assert main(argv) == 0
     rows = [l.split(",") for l in out_path.read_text().splitlines()
             if not l.startswith("#")][1:]
     assert [r[3] for r in rows] == ["ok"] * 3
-    fixed = cli._parse_params(params)
-    target = cli._target_measure(argparse.Namespace(family="example1"), fixed)
+    fixed = {"d": 2, "a": 0.5}
+    target = fam.FamilySpec("example1", fixed).limit(1e-3)
     for t, row in zip((1e-1, 1e-2, 1e-3), rows):
         f = fam.FamilySpec("example1", {**fixed, "t": t}).build()
         emp = sample_max_entropy(f, canonicalize(0.5 + 0.5j, 1.0), depth=10, count=300, seed=5)
@@ -466,7 +464,7 @@ def test_every_verb_decomposes_at_tol(tmp_path, monkeypatch):
         seen.clear()
         assert main([verb, *argv, "--tol", "3e-5", "--out", str(tmp_path / verb)]) == 0, verb
         assert 3e-5 in seen and DEFAULTS.gcd not in seen, (verb, seen)
-        assert set(seen) <= {3e-5, cli.FAMILY_LIMIT_GCD_TOL}, (verb, seen)
+        assert set(seen) <= {3e-5, fam.FAMILY_LIMIT_GCD_TOL}, (verb, seen)
 
 
 def test_tol_defaults_to_the_gcd_tolerance():
@@ -682,6 +680,66 @@ def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
     assert peak <= 2.5 * len(text)
 
 
+def _exit(argv, capsys):
+    """main's exit code, argparse's SystemExit included, and what it wrote to stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+E1 = ["--family", "example1", "--param", "d=2"]
+FT = ["--family", "epstein_FT"]
+SAMPLER = ["--depth", "3", "--count", "5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["measure", *FT, "--param", "tial_tol=0.5"], "--param tial_tol"),
+    (["decompose", *FT, "--param", "TT=2"], "--param TT"),
+    (["decompose", "--input", "MAP", "--param", "tial_tol=0.5"], "--param tial_tol"),
+    (["decompose", "--input", "MAP", *FT], "--family: not allowed with argument --input"),
+    (["decompose", *FT, "--depth", "5", "--count", "3"], "arguments: --depth 5 --count 3"),
+    (["decompose", *E1], "family example1 needs --param t"),
+    (["decompose", "--family", "custom"], "unknown family 'custom'"),
+    (["decompose", "--family", "example1", "--param", "d=2.9", "--param", "t=0.1"],
+     "--param d must be an integer, got 2.9"),
+    (["iterate", *FT, "--param", "n=2.7"], "--param n must be an integer, got 2.7"),
+    (["iterate", *FT, "--param", "n=1e400"], "--param n must be an integer, got inf"),
+    (["escape", *FT, "--param", "n_max=1e400"], "--param n_max must be an integer"),
+    (["pointmass", *FT, "--param", "at=nan"], "--param at must be a point, got nan"),
+    (["sample", *E1, "--param", "t=0.1", "--param", "a0=nan", *SAMPLER],
+     "--param a0 must be a point, got nan"),
+    (["sample", *E1, "--param", "t=0.1", "--depth", "0"], "--depth: must be positive"),
+    (["converge", *E1, "--param", "values=0.1", "--count", "0"], "--count: must be positive"),
+    (["converge", *E1, "--param", "values=0.1", "--param", "tail_tol=1e-3",
+      "--param", "sweep=tt", *SAMPLER], "family example1 takes no --param tt"),
+])
+def test_inputs_a_verb_does_not_read_exit_2(argv, named, tmp_path, capsys):
+    # each exits 2 with a message naming the flag, key or value, before any output
+    path = write_map(tmp_path, fam.make_epstein_FT(1.0))
+    code, err = _exit([path if a == "MAP" else a for a in argv] + ["--out", str(tmp_path / "o")],
+                      capsys)
+    assert code == 2 and named in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_only_sample_and_converge_take_sampler_flags(capsys):
+    for verb in set(cli.COMMANDS) - {"sample", "converge"}:
+        for flag in ("--seed", "--depth", "--count", "--workers"):
+            code, err = _exit([verb, *FT, flag, "1"], capsys)
+            assert code == 2 and f"unrecognized arguments: {flag} 1" in err, (verb, flag)
+
+
+def test_converge_row_the_family_rejects_stays_an_error_row(capsys):
+    code, out = run(capsys, "converge", *E1, "--param", "values=0,0.1",
+                    "--param", "tail_tol=1e-3", *SAMPLER)
+    assert code == 0
+    _, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
+    assert [r[3] for r in rows] == ["error: t must be nonzero (the t = 0 limit is example1_limit)",
+                                    "ok"]
+
+
 def test_readme_names_resolve():
     # without running the tour: every rb.<name> / fam.<name> of the "Library
     # tour" block exists, and the CLI block lists exactly the CLI's verbs
@@ -696,3 +754,12 @@ def test_readme_names_resolve():
     assert verbs == list(cli.COMMANDS)
     examples = set(re.findall(r"^ratbound (\w+)", cli_doc, re.M))
     assert examples and examples <= set(cli.COMMANDS)
+    # the verb -> flags table is the parser's, and the family table FAMILY_KEYS
+    verb_table, family_table = cli_doc.split("| family |", 1)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {verb: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+             for verb, p in sub.choices.items()}
+    rows = re.findall(r"^\| `(\w+)` \| `(--[^|]*)` \|", verb_table, re.M)
+    assert {verb: row.split() for verb, row in rows} == flags
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", family_table, re.M)
+    assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == fam.FAMILY_KEYS

@@ -201,3 +201,40 @@ def test_family_spec_builds():
     assert g.d == 4
     with pytest.raises(ValueError):
         fam.FamilySpec("nope", {})
+    with pytest.raises(ValueError, match="family epstein_FT takes no --param TT"):
+        fam.FamilySpec("epstein_FT", {"TT": 2})
+
+
+# one value of every key each family takes, none of them its default
+EVERY_KEY = {
+    "example1": {"d": 3, "t": 0.1, "a": 0.5, "P_roots": [2, 3]},
+    "example2": {"d": 3, "k": 2, "t": 0.1, "a": 0.5, "P_roots": [2]},
+    "epstein_FT": {"T": 2.0},
+    "cubic_eps": {"eps": 0.1},
+    "polylimit": {"roots": [1, -1], "k": 2.0},
+    "inversion": {"k": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", list(fam.FAMILY_KEYS))
+def test_family_spec_reads_every_key_it_takes(name):
+    # without a key, build() either names the missing key or builds another map
+    params = EVERY_KEY[name]
+    assert tuple(params) == fam.FAMILY_KEYS[name]
+    full = fam.FamilySpec(name, params).build().to_json()
+    for key in params:
+        spec = fam.FamilySpec(name, {k: v for k, v in params.items() if k != key})
+        try:
+            assert spec.build().to_json() != full, key
+        except ValueError as exc:
+            assert str(exc) == f"family {name} needs --param {key}"
+
+
+def test_family_spec_limit():
+    # cubic_eps's target is delta_infinity exactly; the others read d as build() does
+    mu = fam.FamilySpec("cubic_eps").limit(1e-6)
+    assert mu.points.tolist() == [[1, 0]] and mu.masses.tolist() == [1.0]
+    with pytest.raises(ValueError, match="family example1 needs --param d"):
+        fam.FamilySpec("example1", {"a": 0.5}).limit(1e-3)
+    with pytest.raises(ValueError, match="not defined for family 'inversion'"):
+        fam.FamilySpec("inversion", {"k": 2}).limit(1e-3)
