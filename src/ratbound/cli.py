@@ -1,17 +1,11 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner; README.md's CLI section lists each verb's flags and keys.
 
-Each verb accepts only the flags and --param keys it reads; any other exits 2.  Every
-verb takes a map from --input <json> (with no --param key) or --family <name> (keys:
-families.FAMILY_KEYS), --tol (the gcd tolerance of every decomposition of the input
-map; a converge target decomposes at FAMILY_LIMIT_GCD_TOL), --out and --format (the
-formats the verb writes); sample and converge also take --seed (falling back to
-RATBOUND_SEED), --depth, --count and --workers.  The verbs' own keys: iterate n;
-measure tail_tol; pointmass at series_tol; sample a0; converge sweep values center
-radius a0 tail_tol; properness n sweep values; escape re im n_max.  values, roots and
-P_roots take a comma list, every other key one value.  Structured results are JSON
-whose text is exactly `json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV
-with floats at 17 significant digits; every output embeds the tolerance block for
-provenance.  Exit codes: 0 ok, 2 validation, 3 mathematical domain, 4 numerical failure.
+main parses the --param pairs once and hands the dict to the verb, which reads every
+input it takes before any work; a flag or key the verb does not read exits 2.
+Structured results are JSON whose text is exactly `json.dumps(envelope, indent=2)`
+plus a newline; sweeps are CSV with floats at 17 significant digits; every output
+embeds the tolerance block for provenance.  Exit codes: 0 ok, 2 validation, 3
+mathematical domain, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -56,22 +50,26 @@ _LIST_PARAMS = ("values", "roots", "P_roots")
 def _parse_value(text):
     for cast in (int, float, complex):
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             continue
+        # an int no float holds overflows to infinity, as the spelling 1e400 does
+        return float(text) if cast is int and abs(value) > sys.float_info.max else value
     return text
 
 
 def _parse_params(pairs):
     """The --param pairs as a dict, each value's shape decided here: a
     _LIST_PARAMS value is a list (one item without a comma), and any other
-    key given a comma list is a ValueError."""
+    key given a comma list, or a key given twice, is a ValueError."""
     params = {}
     for raw in pairs or []:
-        if "=" not in raw:
-            raise ValueError(f"--param expects key=value, got {raw!r}")
-        key, text = raw.split("=", 1)
+        key, sep, text = raw.partition("=")
         key = key.strip()
+        if not sep or not key:
+            raise ValueError(f"--param expects key=value, got {raw!r}")
+        if key in params:
+            raise ValueError(f"--param {key} given twice")
         items = [_parse_value(part) for part in text.strip().split(",")]
         if key in _LIST_PARAMS:
             params[key] = items
@@ -285,26 +283,21 @@ def _write(path, text):
 # commands
 
 
-def cmd_decompose(args):
-    params = _parse_params(args.param)
+def cmd_decompose(args, params):
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     rep = dec.report()
-    rep["verdict"] = (
-        "indeterminate" if dec.indeterminate
-        else ("degenerate" if dec.degenerate else "nondegenerate")
-    )
+    rep["verdict"] = ("indeterminate" if dec.indeterminate
+                      else "degenerate" if dec.degenerate else "nondegenerate")
     _emit_json(args, rep)
 
 
-def cmd_indeterminate(args):
-    params = _parse_params(args.param)
+def cmd_indeterminate(args, params):
     f = _load_map(args, params)
     _emit_json(args, {"indeterminate": decompose(f, args.tol).indeterminate})
 
 
-def cmd_iterate(args):
-    params = _parse_params(args.param)
+def cmd_iterate(args, params):
     n = fam.int_param("n", params.pop("n", 2))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
@@ -320,9 +313,8 @@ def cmd_iterate(args):
     _emit_json(args, {"iterate": fn.to_json(), "hole_depth_table": table})
 
 
-def cmd_measure(args):
-    params = _parse_params(args.param)
-    tail_tol = float(params.pop("tail_tol", 1e-9))
+def cmd_measure(args, params):
+    tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-9))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     mu = boundary_measure(dec, tail_tol)
@@ -335,18 +327,16 @@ def cmd_measure(args):
     _emit_json(args, {"measure": measure, "cone_angles": cones})
 
 
-def cmd_pointmass(args):
-    params = _parse_params(args.param)
+def cmd_pointmass(args, params):
     at = _parse_point("at", params.pop("at", math.inf))
-    series_tol = float(params.pop("series_tol", 1e-12))
+    series_tol = fam.real_param("series_tol", params.pop("series_tol", 1e-12))
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     mass, err = point_mass(dec, at, series_tol)
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
 
-def cmd_sample(args):
-    params = _parse_params(args.param)
+def cmd_sample(args, params):
     a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
     f = _load_map(args, params)
     emp = sample_max_entropy(
@@ -354,32 +344,28 @@ def cmd_sample(args):
         workers=args.workers, gcd_tol=args.tol,
     )
     if args.format == "csv":
-        rows = [
-            (z.real, z.imag, w.real, w.imag) for z, w in emp.samples
-        ]
+        rows = [(z.real, z.imag, w.real, w.imag) for z, w in emp.samples]
         _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], rows,
                   {"seed": _seed(args), "depth": args.depth, "count": args.count})
     else:
         _emit_json(args, emp.to_json())
 
 
-def cmd_converge(args):
-    params = _parse_params(args.param)
-    sweep = params.pop("sweep", "t")
+def cmd_converge(args, params):
+    sweep = _sweep_key(params)
     values = params.pop("values", None)
     if values is None:
         raise ValueError("converge needs --param values=v1,v2,...")
     center = _parse_point("center", params.pop("center", math.inf))
-    radius = float(params.pop("radius", 0.1))
+    radius = fam.real_param("radius", params.pop("radius", 0.1))
     a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
-    tail_tol = float(params.pop("tail_tol", 1e-6))
-    target = fam.FamilySpec(args.family, params).limit(tail_tol)
-    # the specs check their keys here, before any row runs
+    tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-6))
+    family = fam.FamilySpec(args.family, params)
+    family.check_limit()
+    # the specs check their keys, and the target its mass, before any row runs;
+    # a row is weak_distance(emp, target) with the target integrated once
     specs = [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
-    # weak_distance(emp, target), integrating the target once for the sweep;
-    # taken at the first row that gets this far, so a target of bad mass
-    # fails every row as weak_distance would
-    target_integrals = None
+    target_integrals = _design_integrals(family.limit(tail_tol))
     rows = []
     dists = []
     for v, spec in zip(values, specs):
@@ -388,8 +374,6 @@ def cmd_converge(args):
             emp = sample_max_entropy(f, a0, depth=args.depth, count=args.count,
                                      seed=_seed(args), workers=args.workers,
                                      gcd_tol=args.tol)
-            if target_integrals is None:
-                target_integrals = _design_integrals(target)
             dist = float(np.abs(_design_integrals(emp) - target_integrals).max())
             md = mass_in_disk(emp, center, radius)
             rows.append((v, dist, md, "ok"))
@@ -405,16 +389,15 @@ def cmd_converge(args):
                **{f"summary.{k}": v for k, v in summary.items()}})
 
 
-def cmd_properness(args):
-    params = _parse_params(args.param)
+def cmd_properness(args, params):
     n = fam.int_param("n", params.pop("n", 2))
-    sweep = params.pop("sweep", "t")
+    sweep = _sweep_key(params)
     values = params.pop("values", None)
     if values is None:
         maps = [("-", _load_map(args, params))]
     else:
-        maps = ((v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
-                for v in values)
+        maps = [(v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
+                for v in values]
     rows = []
     for v, f in maps:
         fn = iterate_formula(f, n, args.tol)
@@ -422,8 +405,7 @@ def cmd_properness(args):
     _emit_csv(args, [sweep, "abs_resultant"], rows, {"n": n})
 
 
-def cmd_escape(args):
-    params = _parse_params(args.param)
+def cmd_escape(args, params):
     re_lo, re_hi, n_re = _parse_range(params.pop("re", "-2:2:21"))
     im_lo, im_hi, n_im = _parse_range(params.pop("im", "-2:2:21"))
     n_max = fam.int_param("n_max", params.pop("n_max", 50))
@@ -431,6 +413,13 @@ def cmd_escape(args):
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
                        n_max=n_max, dec=decompose(f, args.tol))
     _emit_csv(args, ["re", "im", "G"], rows)
+
+
+def _sweep_key(params):
+    sweep = params.pop("sweep", "t")
+    if not isinstance(sweep, str) or not sweep:
+        raise ValueError(f"--param sweep must be a key name, got {sweep!r}")
+    return sweep
 
 
 def _parse_range(spec):
@@ -508,7 +497,7 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        COMMANDS[args.command](args)
+        COMMANDS[args.command](args, _parse_params(args.param))
     except MathDomainError as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
         return 3

@@ -120,6 +120,8 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
 
 def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
     """_escape_batch on the rule escape_rate picks for f; one decompose."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
     if dec is None:
         dec = decompose(f)
     if dec.indeterminate:

@@ -243,6 +243,13 @@ def int_param(key, value):
     raise ValueError(f"--param {key} must be an integer, got {value!r}")
 
 
+def real_param(key, value):
+    """A real --param value as a float: an int or a float."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    raise ValueError(f"--param {key} must be a real number, got {value!r}")
+
+
 @dataclass
 class FamilySpec:
     """A named family and its --param values: build() gives the map, limit() a converge target."""
@@ -254,9 +261,10 @@ class FamilySpec:
         keys = FAMILY_KEYS.get(self.name)
         if keys is None:
             raise ValueError(f"unknown family {self.name!r}; choose from {tuple(FAMILY_KEYS)}")
-        unknown = ", ".join(key for key in self.parameters if key not in keys)
+        unknown = [str(key) for key in self.parameters if key not in keys]
         if unknown:
-            raise ValueError(f"family {self.name} takes no --param {unknown}; its keys: {keys}")
+            raise ValueError(f"family {self.name} takes no --param {', '.join(unknown)}; "
+                             f"its keys: {keys}")
 
     def _get(self, key, *default):
         if key not in self.parameters and not default:
@@ -277,22 +285,26 @@ class FamilySpec:
         if self.name == "cubic_eps":
             return make_cubic_eps(get("eps"))
         if self.name == "polylimit":
-            return make_polylimit(get("roots"), float(get("k", 1.0)))
+            return make_polylimit(get("roots"), real_param("k", get("k", 1.0)))
         return make_inversion(get("k"))
+
+    def check_limit(self):
+        """A ValueError unless limit() is defined for this family."""
+        if self.name not in ("example1", "example2", "polylimit", "cubic_eps"):
+            raise ValueError(f"converge sweeps are not defined for family {self.name!r}")
 
     def limit(self, tail_tol: float) -> AtomicMeasure:
         """The measure a converge sweep tends to, read without the swept key: mu of the
         closed-form limit of the second iterates (example1, example2) or of (P : 0)
         (polylimit) at FAMILY_LIMIT_GCD_TOL and tail_tol; delta_infinity for cubic_eps."""
+        self.check_limit()
         get, P = self._get, _p_from_roots(self._get("P_roots", None))
         if self.name == "example1":
             f = example1_second_limit(self._int("d"), get("a", 1.0), P)
         elif self.name == "example2":
             f = example2_second_limit(self._int("d"), self._int("k"), get("a", 1.0), P)
-        elif self.name == "polylimit":
-            f = polylimit_limit(get("roots"))
         elif self.name == "cubic_eps":
             return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
         else:
-            raise ValueError(f"converge sweeps are not defined for family {self.name!r}")
+            f = polylimit_limit(get("roots"))
         return boundary_measure(decompose(f, FAMILY_LIMIT_GCD_TOL), tail_tol)

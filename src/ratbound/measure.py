@@ -278,10 +278,6 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     hole_pts = np.array([pt.as_array() for pt, _ in dec.holes])
     depths = np.array([m for _, m in dec.holes], dtype=float)
 
-    if e == 0:
-        pts, ms = merge_atoms(hole_pts, depths / d)
-        return AtomicMeasure(pts, ms, 0.0, note)
-
     n_levels = 1
     while (e / d) ** n_levels >= tol:
         n_levels += 1

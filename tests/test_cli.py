@@ -260,18 +260,28 @@ def test_converge_rows_equal_weak_distance_to_the_target(tmp_path):
         assert float(row[1]) == weak_distance(emp, target)
 
 
-def test_converge_target_of_bad_mass_fails_each_row(capsys):
-    # tail_tol 0.5 stops the target after two levels, at total mass 0.75;
-    # every row reports that, as when each row called weak_distance
-    code, out = run(capsys, "converge", "--family", "example1", "--param", "d=2",
-                    "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
-                    "--seed", "2", "--depth", "6", "--count", "50")
-    assert code == 0
-    # the flag holds a comma, so its field is quoted and the rows stay 4 wide
-    header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
-    assert all(len(r) == len(header) for r in rows)
-    flag = "error: total mass 0.75 outside [0.9, 1.1]"
-    assert [r[1:] for r in rows] == [["nan", "nan", flag]] * 2
+def test_converge_target_of_bad_mass_fails_each_row(tmp_path, capsys, monkeypatch):
+    # tail_tol 0.5 stops the target after two levels, at total mass 0.75; the
+    # target is checked before the first sample, so the run exits 2 and writes nothing
+    monkeypatch.setattr(cli, "sample_max_entropy", lambda *a, **k: pytest.fail("sampled"))
+    out = tmp_path / "sweep.csv"
+    code, err = _exit(["converge", "--family", "example1", "--param", "d=2",
+                       "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
+                       "--seed", "2", "--depth", "6", "--count", "50", "--out", str(out)],
+                      capsys)
+    assert code == 2
+    assert err == "ratbound: total mass 0.75 outside [0.9, 1.1]\n"
+    assert not out.exists()
+
+
+def test_csv_field_with_a_comma_or_quote_is_quoted(tmp_path):
+    # the rows stay as wide as the header when a flag holds a comma or a quote
+    args = argparse.Namespace(command="converge", tol=1e-6, out=str(tmp_path / "o.csv"))
+    flags = ['error: total mass 0.75 outside [0.9, 1.1]', 'say "hi"', "ok"]
+    cli._emit_csv(args, ["t", "flag"], [(0.1, f) for f in flags])
+    header, *rows = csv.reader(l for l in (tmp_path / "o.csv").read_text().splitlines()
+                               if not l.startswith("#"))
+    assert header == ["t", "flag"] and rows == [["0.10000000000000001", f] for f in flags]
 
 
 @pytest.mark.parametrize("family, params, sweep, values", [
@@ -763,3 +773,114 @@ def test_readme_names_resolve():
     assert {verb: row.split() for verb, row in rows} == flags
     rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", family_table, re.M)
     assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == fam.FAMILY_KEYS
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["decompose", *FT, "--param", "T=1", "--param", "T=2"], "--param T given twice"),
+    (["measure", *FT, "--param", "tail_tol=1j"], "--param tail_tol"),
+    (["pointmass", *FT, "--param", "series_tol=1j"], "--param series_tol"),
+    (["converge", *E1, "--param", "values=0.1", "--param", "radius=1j", *SAMPLER],
+     "--param radius"),
+    (["converge", *E1, "--param", "values=0.1", "--param", "tail_tol=1j", *SAMPLER],
+     "--param tail_tol"),
+    (["decompose", "--family", "polylimit", "--param", "roots=1,2", "--param", "k=1j"],
+     "--param k"),
+    (["converge", *E1, "--param", "values=0.1", "--param", "sweep=1", *SAMPLER],
+     "--param sweep"),
+    (["properness", *E1, "--param", "values=0.1", "--param", "sweep=1"], "--param sweep"),
+    (["properness", *E1, "--param", "values=0.1", "--param", "sweep="], "--param sweep"),
+    (["decompose", *FT, "--param", "=2"], "--param expects key=value, got '=2'"),
+    (["escape", *FT, "--param", "n_max=0"], "n_max must be positive, got 0"),
+    (["properness", *E1, "--param", "values=0.1,0"], "t must be nonzero"),
+    (["converge", *E1, "--param", "values=0.1", "--param", "sweep=tt", *SAMPLER],
+     "--param tt"),
+])
+def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypatch):
+    # one "ratbound:" line naming the key; no target is built, nothing sampled
+    # and no iterate expanded
+    limits = []
+    monkeypatch.setattr(fam.FamilySpec, "limit", lambda *a: limits.append(a))
+    monkeypatch.setattr(cli, "sample_max_entropy", lambda *a, **k: pytest.fail("sampled"))
+    monkeypatch.setattr(cli, "iterate_formula", lambda *a, **k: pytest.fail("iterated"))
+    out = tmp_path / "o"
+    code, err = _exit(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("ratbound: ") and key in err
+    assert not limits and not out.exists()
+
+
+def test_an_int_beyond_the_float_range_reads_as_infinity(capsys):
+    # as 1e400 does, so a point key gets infinity and a real or integer key
+    # its usual message, never an OverflowError
+    big = "1" + "0" * 400
+    assert cli._parse_params([f"n={big}", f"values=-{big},2"]) == {
+        "n": math.inf, "values": [-math.inf, 2]}
+    assert (run(capsys, "pointmass", *FT, "--param", f"at={big}")
+            == run(capsys, "pointmass", *FT, "--param", "at=inf"))
+
+
+def _readme_verb_keys():
+    """(verb, key) for each key of README's verb table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    verb_table = readme.split("## CLI", 1)[1].split("| family |", 1)[0]
+    return [(verb, key) for verb, keys in re.findall(r"^\| `(\w+)` \| `--[^|]*\| ([^|]*) \|",
+                                                    verb_table, re.M)
+            for key in re.findall(r"`(\w+)`", keys)]
+
+
+# a cheap valid run of each verb, and of each family; the key under test
+# replaces its entry.  No integral n: iterate expands degree d^n.
+_VERB_RUNS = {
+    "iterate": ("epstein_FT", {}),
+    "measure": ("epstein_FT", {"tail_tol": "1e-2"}),
+    "pointmass": ("epstein_FT", {}),
+    "sample": ("example1", {"d": "2", "t": "0.1"}),
+    "converge": ("example1", {"d": "2", "values": "0.1", "tail_tol": "1e-2"}),
+    "properness": ("example1", {"d": "2", "t": "0.1"}),
+    "escape": ("epstein_FT", {"re": "-2:2:5", "im": "-2:2:5"}),
+}
+_FAMILY_RUNS = {
+    "example1": ({"d": "2", "t": "0.1"}, "t"),
+    "example2": ({"d": "3", "k": "2", "t": "0.1"}, "t"),
+    "epstein_FT": ({}, None),
+    "cubic_eps": ({"eps": "0.1"}, "eps"),
+    "polylimit": ({"roots": "1,-1,2"}, "k"),
+    "inversion": ({"k": "2"}, None),
+}
+_BAD_VALUES = ("1j", "abc", "nan", "inf", "1e400", "", "-1", "0", "1+1j")
+
+
+def _run_cases():
+    for verb, key in _readme_verb_keys():
+        family, params = _VERB_RUNS[verb]
+        yield pytest.param(verb, family, params, key, id=f"{verb}-{key}")
+    for family, (params, sweep) in _FAMILY_RUNS.items():
+        for key in fam.FAMILY_KEYS[family]:
+            yield pytest.param("decompose", family, params, key, id=f"decompose-{family}-{key}")
+            if sweep is not None:
+                yield pytest.param("converge", family,
+                                   {**params, "sweep": sweep, "values": params.get(sweep, "10"),
+                                    "tail_tol": "1e-2"},
+                                   key, id=f"converge-{family}-{key}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan and inf maps; the CLI warns
+@pytest.mark.parametrize("verb, family, params, key", _run_cases())
+def test_every_key_value_exits_with_a_documented_code(verb, family, params, key, tmp_path,
+                                                       capsys):
+    # main returns 0, 2, 3 or 4 for each value, raising nothing, and a failed
+    # run writes nothing; the key given twice exits 2
+    out = tmp_path / "o"
+    sampler = SAMPLER if verb in ("sample", "converge") else []
+
+    def argv(value):
+        pairs = [a for k, v in {**params, key: value}.items() for a in ("--param", f"{k}={v}")]
+        return [verb, "--family", family, *sampler, *pairs, "--out", str(out)]
+
+    for value in _BAD_VALUES:
+        code, err = _exit(argv(value), capsys)
+        assert code in (0, 2, 3, 4) and (code == 0) == out.exists(), (value, code, err)
+        out.unlink(missing_ok=True)
+    code, err = _exit(argv("1") + ["--param", f"{key}=1"], capsys)
+    assert code == 2 and f"--param {key} given twice" in err
+    assert not out.exists()

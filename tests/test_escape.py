@@ -161,6 +161,16 @@ def test_escape_indeterminate_rejected():
         escape_grid(g, (-1, 1), (-1, 1), 3, 3)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_escape_needs_a_positive_step_count(n_max):
+    # no step taken is no value: F_T's hole z = 0 would read 0 instead of -inf
+    f = fam.make_epstein_FT(1.0)
+    with pytest.raises(ValueError, match=f"n_max must be positive, got {n_max}"):
+        escape_rate(f, (0.0, 1.0), n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be positive"):
+        escape_grid(f, (-2, 2), (0, 0), 3, 1, n_max=n_max)
+
+
 def test_constant_case_minus_infinity_loci_match_atoms():
     # e = 0: G_F = -inf exactly on the hole lines, whose multiplicities are
     # the depths, i.e. d times the boundary-measure masses

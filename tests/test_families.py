@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ratbound import (
@@ -203,6 +205,27 @@ def test_family_spec_builds():
         fam.FamilySpec("nope", {})
     with pytest.raises(ValueError, match="family epstein_FT takes no --param TT"):
         fam.FamilySpec("epstein_FT", {"TT": 2})
+
+
+def test_family_spec_rejects_an_empty_or_non_str_key():
+    # neither is a key of the family, so neither is dropped silently
+    for key in ("", 1):
+        with pytest.raises(ValueError, match="family example1 takes no --param"):
+            fam.FamilySpec("example1", {"d": 2, "t": 0.1, key: 0.5})
+
+
+@pytest.mark.parametrize("value, expected", [(2, 2.0), (0.25, 0.25), (-1, -1.0),
+                                             (math.inf, math.inf)])
+def test_real_param_reads_an_int_or_a_float_as_a_float(value, expected):
+    # the range of a real key is the concern of the function that uses it
+    got = fam.real_param("k", value)
+    assert type(got) is float and got == expected
+
+
+@pytest.mark.parametrize("value", [1j, 1 + 1j, "abc", "", [0.5]])
+def test_real_param_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match="--param k must be a real number"):
+        fam.real_param("k", value)
 
 
 # one value of every key each family takes, none of them its default

@@ -1,7 +1,9 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +155,106 @@ def test_boundary_measure_formal_on_indeterminacy():
     mu = boundary_measure(decompose(g, 1e-6), tol=1e-9)
     assert "discontinuous" in mu.note
     assert abs(mu.total_mass() - 1) < 1e-12
+
+
+@pytest.mark.parametrize("f", [fam.polylimit_limit([1, -1, 2]), fam.example1_limit(2)])
+def test_boundary_measure_constant_case_is_the_merged_hole_list(f):
+    # at e = 0 the level loop keeps level 0 alone: the holes at depth/d,
+    # merged, with tail 0.0, bit for bit
+    dec = decompose(f, 1e-6)
+    mu = boundary_measure(dec, 1e-9)
+    pts = np.array([pt.as_array() for pt, _ in dec.holes])
+    ref_pts, ref_ms = merge_atoms(pts, np.array([m for _, m in dec.holes], float) / dec.d)
+    assert dec.e == 0 and mu.tail_bound == 0.0
+    assert np.array_equal(mu.points.view(float), ref_pts.view(float))
+    assert np.array_equal(mu.masses, ref_ms)
+
+
+# A 50-digit reference for levels 0..3 of mu_f, from the closed-form phi and
+# holes of each map rather than from decompose.  Points are affine mpc values
+# z/w, None for infinity; masses are exact.
+
+
+def _mp_preimages(p, q, a):
+    """phi^-1(a) with multiplicities for phi = (p : q), ascending coefficient
+    lists in z/w: the roots of p - a q (of -q at infinity), plus infinity
+    with the degree that polynomial drops by."""
+    c = [-y for y in q] if a is None else [x - a * y for x, y in zip(p, q)]
+    drop = 0
+    while c[-1] == 0:
+        c.pop()
+        drop += 1
+    out = [] if drop == 0 else [(None, drop)]
+    if len(c) > 1:
+        for r in mpmath.polyroots(c[::-1], maxsteps=200, extraprec=100):
+            near = [i for i, (z, _) in enumerate(out) if z is not None and abs(z - r) < 1e-20]
+            if near:
+                out[near[0]] = (out[near[0]][0], out[near[0]][1] + 1)
+            else:
+                out.append((r, 1))
+    return out
+
+
+def _mp_chordal(a, row):
+    """Chordal distance of an affine point a (None: infinity) to a row (z, w)."""
+    z, w = mpmath.mpc(row[0]), mpmath.mpc(row[1])
+    az, aw = (1, 0) if a is None else (a, 1)
+    return abs(az * w - aw * z) / (mpmath.sqrt(abs(az) ** 2 + abs(aw) ** 2)
+                                   * mpmath.sqrt(abs(z) ** 2 + abs(w) ** 2))
+
+
+def _mp_levels(p, q, holes, d, levels):
+    """The atoms of levels 0..levels: the phi^n-preimages of each hole at
+    depth * multiplicity / d^(n+1), equal points summed."""
+    atoms = []
+    level = [(h, Fraction(depth, d)) for h, depth in holes]
+    for _ in range(levels + 1):
+        for z, m in level:
+            same = [i for i, (y, _) in enumerate(atoms)
+                    if (y is None) == (z is None) and (z is None or abs(y - z) < 1e-20)]
+            if same:
+                atoms[same[0]] = (z, atoms[same[0]][1] + m)
+            else:
+                atoms.append((z, m))
+        level = [(y, m * k / d) for z, m in level for y, k in _mp_preimages(p, q, z)]
+    return atoms
+
+
+@pytest.mark.parametrize("case", ["F_T", "example1_second_limit"])
+def test_boundary_measure_levels_match_a_50_digit_reference(case):
+    with mpmath.workdps(50):
+        if case == "F_T":
+            # F_T = zw (z^2 + T zw + w^2 : zw) at T = 1: holes 0 and infinity
+            f = fam.make_epstein_FT(1.0)
+            p, q, holes = [1, 1, 1], [0, 1, 0], [(mpmath.mpc(0), 1), (None, 1)]
+        else:
+            # example1_second_limit(2, 1/2) = wP (z^2 + a wP : wP) with P = z - w
+            f = fam.example1_second_limit(2, 0.5)
+            a = mpmath.mpf(0.5)
+            p, q, holes = [-a, a, 1], [-1, 1, 0], [(mpmath.mpc(1), 1), (None, 1)]
+        ref = _mp_levels([mpmath.mpc(x) for x in p], [mpmath.mpc(x) for x in q],
+                         holes, 4, 3)
+        dec = decompose(f, 1e-4)
+        # e/d = 1/2: tail_tol 0.1 keeps levels 0..3 and leaves (1/2)^4
+        mu = boundary_measure(dec, 0.1)
+        assert (dec.d, dec.e) == (4, 2) and mu.tail_bound == 1 / 16
+        assert sum(m for _, m in ref) == 1 - Fraction(1, 16)
+        assert len(mu.points) == len(ref) == 16
+        for z, m in ref:
+            (i,) = [i for i, row in enumerate(mu.points) if _mp_chordal(z, row) < 1e-12]
+            assert Fraction(mu.masses[i]) == m
+
+
+@pytest.mark.parametrize("f, expected", [
+    (fam.make_epstein_FT(1.0), Fraction(1, 3)),
+    (fam.example1_second_limit(2, 0.5), Fraction(1, 3)),  # 1/(d+1)
+    (fam.example1_second_limit(3, 0.4), Fraction(1, 4)),
+])
+def test_point_mass_at_infinity_is_exact(f, expected):
+    # the forward-orbit series at infinity is geometric; at series_tol 1e-30
+    # its partial sum rounds to the float of the exact mass
+    mass, err = point_mass(decompose(f, 1e-4), INFINITY, 1e-30)
+    assert err < 1e-30 and mass == float(expected)
 
 
 def test_boundary_measure_double_preimage_is_one_atom():
