@@ -19,7 +19,7 @@ import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,24 +127,20 @@ def _emit_json(args, result):
 # The JSON encoder.  Its text is byte for byte json.dumps(value, indent=2),
 # whose indented path runs json's pure-Python generators.  Values are
 # rendered a column at a time: the items of all lists in a column form one
-# column, each key of same-keyed dicts forms one, and same-keyed dicts and
-# lists of one length are filled into one %-template per shape.
-#
-# A list object can sit at several places of one envelope: the cone rows of
-# `measure` share the point lists of its atoms.  Each _json_text call makes a
-# memo, keyed by the id of a column's first item, of the columns of nested
-# lists it has rendered.  A later column that is the same objects in the same
-# order takes their texts, re-indented to its own nesting level by replacing
-# each newline's indent (encoded strings hold no raw newline).  The memo
-# keeps only columns whose items are lists, and drops a column's items'
-# column once the column is kept: a column inside a kept one is matched, if
-# at all, through it, and keeping the leaf [re, im] columns would only hold
-# memory.  An entry is dropped at its first lookup, match or not, and the
-# memo is emptied before the top level is assembled, so an encode's peak
-# memory is what it would be without the memo.
+# column, and each key of same-keyed dicts forms one.  `measure` and `sample`
+# pass numpy arrays: an (n, ...) array renders as the list of its rows and
+# _Rows(key=column, ...) as the list of dicts {key: column[i], ...}, each row
+# filled from one %-template for its whole nested shape.  An array renders
+# each distinct float64 bit pattern once (np.unique of the int64 view keeps
+# -0.0, 0.0 and NaN apart) and keeps its item texts, by id, from its first
+# use to its second: the `measure` points, in atom and cone rows, render once.
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+class _Rows(dict):
+    """Same-keyed rows given as columns: key -> array with one item per row."""
 
 
 def _float_texts(values, *_):
@@ -154,72 +150,77 @@ def _float_texts(values, *_):
     return texts
 
 
-@functools.cache
-def _template(open_, slots, close, level):
+def _item_texts(array):
+    """The text of each item of an array of numbers or bools, in C order."""
+    flat = np.ascontiguousarray(array).ravel()
+    if flat.dtype != np.float64:
+        return _json_texts(flat.tolist(), 0, {})  # bools or other numbers: no nesting
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    return list(map(_float_texts(bits.view(np.float64).tolist()).__getitem__, inverse.tolist()))
+
+
+def _bracket(open_, texts, close, level):
+    """open_, then one line per item of the list `texts` (reused), then close, at `level`."""
+    if not texts:
+        return open_ + close
     inner = "\n" + "  " * (level + 1)
-    return (open_ + inner + ("," + inner).join(slots) + "\n" + "  " * level + close).__mod__
+    texts[0] = open_ + inner + texts[0]
+    texts[-1] += "\n" + "  " * level + close
+    return ("," + inner).join(texts)
 
 
 @functools.cache
-def _dict_template(keys, level):
-    slots = tuple(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-    return _template("{", slots, "}", level)
+def _shape_template(shape, level):
+    """The template of a nested list of `shape` at `level`, a %s per item; () is one item."""
+    if not shape:
+        return "%s"
+    return _bracket("[", [_shape_template(shape[1:], level + 1)] * shape[0], "]", level)
 
 
-def _list_texts(values, level, memo):
-    seen = memo.pop(id(values[0]), None)
-    if seen and len(seen[0]) == len(values) and all(map(is_, seen[0], values)):
-        _, texts, at = seen
-        if at == level:
-            return texts
-        old, new = "\n" + "  " * at, "\n" + "  " * level
-        return [t.replace(old, new) for t in texts]
-    lengths = list(map(len, values))
-    first = next(chain.from_iterable(values), None)
-    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1, memo))
-    nested = isinstance(first, (list, tuple))
-    if not level:
-        memo.clear()
-    elif nested:
-        memo.pop(id(first), None)  # the items' column: matched through this one, if at all
-    if len(values) > 1 and len(set(lengths)) == 1 and lengths[0]:
-        # a table of rows: one template for all of them
-        n = lengths[0]
-        out = list(map(_template("[", ("%s",) * n, "]", level), zip(*[texts] * n)))
-    else:
-        sep = ",\n" + "  " * (level + 1)
-        out = [_template("[", ("%s",), "]", level)(sep.join(islice(texts, n))) if n else "[]"
-               for n in lengths]
-    if nested:
-        memo[id(values[0])] = (values, out, level)
-    return out
+@functools.cache
+def _dict_template(keys, shapes, level):
+    slots = [encode_basestring_ascii(k).replace("%", "%%") + ": "
+             + _shape_template(shape, level + 1) for k, shape in zip(keys, shapes)]
+    return _bracket("{", slots, "}", level)
 
 
-def _dict_texts(values, level, memo):
+def _list_texts(values, level, items):
+    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1, items))
+    return [_bracket("[", list(islice(texts, len(v))), "]", level) for v in values]
+
+
+def _dict_texts(values, level, items):
     """None when the dicts differ in keys; keys must be str."""
     shapes = set(map(tuple, values))
     if len(shapes) != 1:
         return None
     (keys,) = shapes
-    if not keys:
-        return ["{}"] * len(values)
-    if len(values) == 1:
-        rows = [tuple(_json_texts(list(values[0].values()), level + 1, memo))]
-    else:
-        rows = zip(*[_json_texts(list(map(itemgetter(k), values)), level + 1, memo)
-                     for k in keys])
-    if not level:
-        memo.clear()
-    return list(map(_dict_template(keys, level), rows))
+    rows = (zip(*[_json_texts(list(map(itemgetter(k), values)), level + 1, items) for k in keys])
+            if keys else [()] * len(values))
+    return list(map(_dict_template(keys, ((),) * len(keys), level).__mod__, rows))
 
 
-# column renderers in json's order of isinstance checks (bool before int)
+def _array_text(value, level, items):
+    """The list text of an array or a _Rows at `level`."""
+    columns = list(value.values()) if isinstance(value, _Rows) else [value]
+    shapes = tuple(column.shape[1:] for column in columns)
+    template = (_dict_template(tuple(value), shapes, level + 1) if isinstance(value, _Rows)
+                else _shape_template(shapes[0], level + 1))
+    slots = [it for column, shape in zip(columns, shapes) for it in [iter(
+        items.pop(id(column), None) or items.setdefault(id(column), _item_texts(column)))]
+        * math.prod(shape)]
+    rows = zip(*slots, strict=True) if slots else [()] * len(columns[0])
+    return _bracket("[", list(map(template.__mod__, rows)), "]", level)
+
+
+# column renderers in json's order of isinstance checks (bool before int, _Rows before dict)
 _RENDERERS = (
     (str, lambda values, *_: list(map(encode_basestring_ascii, values))),
     ((type(None), bool), lambda values, *_: list(map(_CONSTANTS.__getitem__, values))),
     (int, lambda values, *_: list(map(int.__repr__, values))),
     (float, _float_texts),
     ((list, tuple), _list_texts),
+    ((np.ndarray, _Rows), lambda values, *rest: [_array_text(v, *rest) for v in values]),
     (dict, _dict_texts),
 )
 
@@ -233,19 +234,19 @@ def _renderer(kind):
 
 
 def _json_text(value):
-    """json.dumps(value, indent=2), byte for byte."""
+    """json.dumps(value, indent=2), byte for byte; arrays and _Rows render as lists."""
     return _json_texts([value], 0, {})[0]
 
 
-def _json_texts(values, level, memo):
+def _json_texts(values, level, items):
     """The indented JSON text of each of `values`, all opening at nesting `level`;
-    `memo` holds the shared-column texts of one _json_text call."""
+    `items` holds the array item texts of one _json_text call."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
-        texts = _renderer(*kinds)(values, level, memo)
+        texts = _renderer(*kinds)(values, level, items)
         if texts is not None:
             return texts
-    return [_renderer(type(v))([v], level, memo)[0] for v in values]
+    return [_renderer(type(v))([v], level, items)[0] for v in values]
 
 
 def _emit_csv(args, header_fields, rows, extra_header=None):
@@ -316,14 +317,12 @@ def cmd_iterate(args, params):
 def cmd_measure(args, params):
     tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-9))
     f = _load_map(args, params)
-    dec = decompose(f, args.tol)
-    mu = boundary_measure(dec, tail_tol)
+    mu = boundary_measure(decompose(f, args.tol), tail_tol)
     angles, infinite = cone_angle_report(mu)
-    measure = mu.to_json()
-    cones = [
-        {"point": atom["point"], "angle": angle, "infinite_end": inf}
-        for atom, angle, inf in zip(measure["atoms"], angles.tolist(), infinite.tolist())
-    ]
+    points = mu.points.view(float).reshape(-1, 2, 2)  # rows [[z.re, z.im], [w.re, w.im]]
+    measure = {"atoms": _Rows(point=points, mass=mu.masses), "tail_bound": mu.tail_bound,
+               "note": mu.note}
+    cones = _Rows(point=points, angle=angles, infinite_end=infinite)
     _emit_json(args, {"measure": measure, "cone_angles": cones})
 
 
@@ -343,12 +342,13 @@ def cmd_sample(args, params):
         f, a0, depth=args.depth, count=args.count, seed=_seed(args),
         workers=args.workers, gcd_tol=args.tol,
     )
+    samples = emp.samples.view(float).reshape(-1, 2, 2)
     if args.format == "csv":
-        rows = [(z.real, z.imag, w.real, w.imag) for z, w in emp.samples]
-        _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], rows,
+        _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], samples.reshape(-1, 4).tolist(),
                   {"seed": _seed(args), "depth": args.depth, "count": args.count})
     else:
-        _emit_json(args, emp.to_json())
+        _emit_json(args, {"samples": samples, "seed": emp.seed, "depth": emp.depth,
+                          "count": emp.count, "source": emp.source})
 
 
 def cmd_converge(args, params):
@@ -358,6 +358,8 @@ def cmd_converge(args, params):
         raise ValueError("converge needs --param values=v1,v2,...")
     center = _parse_point("center", params.pop("center", math.inf))
     radius = fam.real_param("radius", params.pop("radius", 0.1))
+    if not radius > 0:
+        raise ValueError(f"--param radius must be positive, got {radius!r}")
     a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
     tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-6))
     family = fam.FamilySpec(args.family, params)

@@ -20,6 +20,8 @@ monic with no root at 0 or infinity, so every quoted mass is reproducible.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,8 +200,8 @@ def cubic_limit() -> BoundaryMap:
 
 def make_polylimit(root_list, k: float) -> BoundaryMap:
     """p_k = (P : w^d / k) for P = prod (z - r_i w); k -> oo gives (P : 0)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k!r}")
     d = len(root_list)
     if d < 2:
         raise ValueError("need at least two roots")
@@ -250,6 +252,13 @@ def real_param(key, value):
     raise ValueError(f"--param {key} must be a real number, got {value!r}")
 
 
+def _finite_param(key, value):
+    """A finite number --param value: an int, a float or a complex."""
+    if isinstance(value, numbers.Number) and cmath.isfinite(value):
+        return value
+    raise ValueError(f"--param {key} takes finite numbers, got {value!r}")
+
+
 @dataclass
 class FamilySpec:
     """A named family and its --param values: build() gives the map, limit() a converge target."""
@@ -274,19 +283,28 @@ class FamilySpec:
     def _int(self, key):
         return int_param(key, self._get(key))
 
+    def _finite(self, key, *default):
+        return _finite_param(key, self._get(key, *default))
+
+    def _roots(self, key, *default):
+        roots = self._get(key, *default)
+        return None if roots is None else [_finite_param(key, r) for r in roots]
+
     def build(self) -> BoundaryMap:
-        get, P = self._get, _p_from_roots(self._get("P_roots", None))
+        """The map; a value the family cannot take is a ValueError naming its key."""
+        num, P = self._finite, _p_from_roots(self._roots("P_roots", None))
         if self.name == "example1":
-            return make_example1(self._int("d"), get("a", 1.0), get("t"), P)
+            return make_example1(self._int("d"), num("a", 1.0), num("t"), P)
         if self.name == "example2":
-            return make_example2(self._int("d"), self._int("k"), get("a", 1.0), get("t"), P)
+            return make_example2(self._int("d"), self._int("k"), num("a", 1.0), num("t"), P)
         if self.name == "epstein_FT":
-            return make_epstein_FT(get("T", 1.0))
+            return make_epstein_FT(num("T", 1.0))
         if self.name == "cubic_eps":
-            return make_cubic_eps(get("eps"))
+            return make_cubic_eps(num("eps"))
         if self.name == "polylimit":
-            return make_polylimit(get("roots"), real_param("k", get("k", 1.0)))
-        return make_inversion(get("k"))
+            # k = inf is the limit (P : 0)
+            return make_polylimit(self._roots("roots"), real_param("k", self._get("k", 1.0)))
+        return make_inversion(num("k"))
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""
@@ -298,13 +316,13 @@ class FamilySpec:
         closed-form limit of the second iterates (example1, example2) or of (P : 0)
         (polylimit) at FAMILY_LIMIT_GCD_TOL and tail_tol; delta_infinity for cubic_eps."""
         self.check_limit()
-        get, P = self._get, _p_from_roots(self._get("P_roots", None))
+        num, P = self._finite, _p_from_roots(self._roots("P_roots", None))
         if self.name == "example1":
-            f = example1_second_limit(self._int("d"), get("a", 1.0), P)
+            f = example1_second_limit(self._int("d"), num("a", 1.0), P)
         elif self.name == "example2":
-            f = example2_second_limit(self._int("d"), self._int("k"), get("a", 1.0), P)
+            f = example2_second_limit(self._int("d"), self._int("k"), num("a", 1.0), P)
         elif self.name == "cubic_eps":
             return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
         else:
-            f = polylimit_limit(get("roots"))
+            f = polylimit_limit(self._roots("roots"))
         return boundary_measure(decompose(f, FAMILY_LIMIT_GCD_TOL), tail_tol)

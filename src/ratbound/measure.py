@@ -78,7 +78,7 @@ class AtomicMeasure:
     note: str = ""
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=complex).reshape(-1, 2)
+        self.points = np.ascontiguousarray(self.points, dtype=complex).reshape(-1, 2)
         self.masses = np.asarray(self.masses, dtype=float).reshape(-1)
         if len(self.points) != len(self.masses):
             raise ValueError("points and masses length mismatch")
@@ -126,7 +126,7 @@ class EmpiricalMeasure:
     source: str = ""
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex).reshape(-1, 2)
+        self.samples = np.ascontiguousarray(self.samples, dtype=complex).reshape(-1, 2)
         if len(self.samples) == 0:
             raise ValueError("empirical measure needs at least one sample")
 

@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ratbound
 from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
 from ratbound import cli
 from ratbound import families as fam
 from ratbound.cli import _json_text, main
+from ratbound.escape import cone_angle_report
+from ratbound.measure import boundary_measure
+from ratbound.ratmap import decompose
 
 
 def run(capsys, *argv):
@@ -668,13 +672,20 @@ def ft_measure_envelope(tmp_path_factory):
     return seen[0]
 
 
-def test_measure_cone_rows_share_the_atoms_point_lists(ft_measure_envelope):
-    # the encoder renders a shared point column once; fresh lists here would
-    # format every point twice without changing the text
+def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypatch):
+    # the cone rows reuse the atoms' point texts, and each array renders each
+    # distinct float64 bit pattern once: 40,740 renders for 98,304 floats
+    rendered, float_texts = [], cli._float_texts
+    monkeypatch.setattr(cli, "_float_texts",
+                        lambda values, *rest: rendered.extend(values) or float_texts(values, *rest))
+    _json_text(ft_measure_envelope)
     result = ft_measure_envelope["result"]
     atoms, cones = result["measure"]["atoms"], result["cone_angles"]
-    assert len(cones) == len(atoms) == 2 ** 14
-    assert all(cone["point"] is atom["point"] for atom, cone in zip(atoms, cones))
+    floats = np.concatenate([atoms["point"].ravel(), atoms["mass"], cones["angle"]])
+    assert len(floats) == 6 * 2 ** 14 and cones["point"] is atoms["point"]
+    bits = np.array(rendered).view(np.int64)
+    assert len(bits) == len(set(bits.tolist())) == 40_740
+    assert set(bits.tolist()) == set(floats.view(np.int64).tolist())
 
 
 def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
@@ -688,6 +699,65 @@ def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+# arrays, as `measure` and `sample` pass them: float columns of shapes (n,) and
+# (n, 2, 2) whose items repeat and include signed zeros, NaN, infinities and
+# subnormals, bool columns, and _Rows tables of them sharing column objects
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-308, 1 / 3])
+
+
+def _columns(n):
+    floats = st.sampled_from([(n,), (n, 2, 2)]).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=SPECIAL | st.floats()))
+    return st.lists(floats | hnp.arrays(bool, (n,)), min_size=1, max_size=4)
+
+
+def _array_trees(pool):
+    tables = st.lists(KEYS, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: st.sampled_from(pool) for k in keys}))
+    return st.recursive(LEAVES | st.sampled_from(pool) | tables.map(cli._Rows), _json_values,
+                        max_leaves=8)
+
+
+def _as_lists(value):
+    """`value` with arrays as nested lists and _Rows as lists of dicts."""
+    if isinstance(value, cli._Rows):
+        return [dict(zip(value, row)) for row in zip(*map(_as_lists, value.values()))]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 5]).flatmap(_columns).flatmap(_array_trees))
+def test_encoder_renders_arrays_as_their_lists(value):
+    assert _json_text(value) == json.dumps(_as_lists(value), indent=2)
+
+
+@pytest.mark.parametrize("source, f, tol, tail_tol", [
+    (None, fam.make_epstein_FT(1.0), DEFAULTS.gcd, 1e-4),
+    (None, fam.example1_second_limit(2, 0.4), 1e-4, 4e-4),
+    (["--family", "polylimit", "--param", "roots=1,2", "--param", "k=inf"],  # e = 0
+     fam.make_polylimit([1, 2], math.inf), DEFAULTS.gcd, 1e-9),
+])
+def test_measure_json_is_the_measure_and_its_cone_angles(source, f, tol, tail_tol, tmp_path,
+                                                         capsys, monkeypatch):
+    monkeypatch.delenv("RATBOUND_SEED", raising=False)
+    code, out = run(capsys, "measure", *(source or ["--input", write_map(tmp_path, f)]),
+                    "--tol", repr(tol), "--param", f"tail_tol={tail_tol!r}")
+    mu = boundary_measure(decompose(f, tol), tail_tol)
+    angles, infinite = cone_angle_report(mu)
+    measure = mu.to_json()
+    cones = [{"point": atom["point"], "angle": angle, "infinite_end": inf}
+             for atom, angle, inf in zip(measure["atoms"], angles.tolist(), infinite.tolist())]
+    envelope = {"command": "measure", "tolerances": {**DEFAULTS.as_dict(), "gcd": tol},
+                "seed": 0, "result": {"measure": measure, "cone_angles": cones}}
+    assert code == 0 and out == json.dumps(envelope, indent=2) + "\n"
 
 
 def _exit(argv, capsys):
@@ -794,6 +864,8 @@ def test_readme_names_resolve():
     (["properness", *E1, "--param", "values=0.1,0"], "t must be nonzero"),
     (["converge", *E1, "--param", "values=0.1", "--param", "sweep=tt", *SAMPLER],
      "--param tt"),
+    *[(["converge", *E1, "--param", "values=0.1", "--param", f"radius={r}", *SAMPLER],
+       "--param radius must be positive") for r in ("nan", "-1", "0")],
 ])
 def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypatch):
     # one "ratbound:" line naming the key; no target is built, nothing sampled
@@ -864,7 +936,36 @@ def _run_cases():
                                    key, id=f"converge-{family}-{key}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan and inf maps; the CLI warns
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "nan+1j"])
+@pytest.mark.parametrize("verb, family, key", [
+    ("decompose", "example1", "t"), ("decompose", "example1", "a"),
+    ("decompose", "example1", "P_roots"), ("decompose", "example2", "t"),
+    ("decompose", "example2", "a"), ("decompose", "example2", "P_roots"),
+    ("decompose", "epstein_FT", "T"), ("decompose", "cubic_eps", "eps"),
+    ("decompose", "inversion", "k"), ("decompose", "polylimit", "roots"),
+    ("converge", "example1", "a"), ("converge", "example2", "P_roots"),
+])
+def test_a_non_finite_family_value_exits_2_naming_its_key(verb, family, key, value, capsys):
+    # rejected before any coefficient arithmetic, so numpy warns of nothing
+    params, sweep = _FAMILY_RUNS[family]
+    params = {**params, key: f"1,{value}" if key == "roots" else value}
+    if verb == "converge":
+        params.update(sweep=sweep, values=params[sweep], tail_tol="1e-2")
+    pairs = [a for k, v in params.items() for a in ("--param", f"{k}={v}")]
+    code, err = _exit([verb, "--family", family, *pairs, *(SAMPLER if verb == "converge" else [])],
+                      capsys)
+    assert code == 2 and err.startswith(f"ratbound: --param {key} takes finite numbers, got ")
+
+
+def test_polylimit_k_inf_is_the_limit_and_k_nan_exits_2(capsys):
+    code, out = run(capsys, "decompose", "--family", "polylimit", "--param", "roots=1,2",
+                    "--param", "k=inf")
+    assert code == 0 and json.loads(out)["result"]["verdict"] == "degenerate"
+    code, err = _exit(["decompose", "--family", "polylimit", "--param", "roots=1,2",
+                       "--param", "k=nan"], capsys)
+    assert code == 2 and err == "ratbound: k must be positive, got nan\n"
+
+
 @pytest.mark.parametrize("verb, family, params, key", _run_cases())
 def test_every_key_value_exits_with_a_documented_code(verb, family, params, key, tmp_path,
                                                        capsys):
