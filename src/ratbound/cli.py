@@ -17,9 +17,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -111,29 +109,21 @@ def _tolerances(args):
     return {**DEFAULTS.as_dict(), "gcd": args.tol}
 
 
-def _envelope(args, result):
-    return {
-        "command": args.command,
-        "tolerances": _tolerances(args),
-        "seed": _seed(args),
-        "result": result,
-    }
-
-
 def _emit_json(args, result):
-    _write(args.out, _json_text(_envelope(args, result)) + "\n")
+    envelope = {"command": args.command, "tolerances": _tolerances(args), "seed": _seed(args),
+                "result": result}
+    _write(args.out, _json_text(envelope) + "\n")
 
 
 # The JSON encoder.  Its text is byte for byte json.dumps(value, indent=2),
-# whose indented path runs json's pure-Python generators.  Values are
-# rendered a column at a time: the items of all lists in a column form one
-# column, and each key of same-keyed dicts forms one.  `measure` and `sample`
-# pass numpy arrays: an (n, ...) array renders as the list of its rows and
-# _Rows(key=column, ...) as the list of dicts {key: column[i], ...}, each row
-# filled from one %-template for its whole nested shape.  An array renders
-# each distinct float64 bit pattern once (np.unique of the int64 view keeps
-# -0.0, 0.0 and NaN apart) and keeps its item texts, by id, from its first
-# use to its second: the `measure` points, in atom and cone rows, render once.
+# whose indented path runs json's pure-Python generators.  _json_text recurses
+# with json's type checks; numpy arrays, which `measure`, `sample` and `iterate`
+# pass, are its one fast path.  An (n, ...) array renders as the list of its
+# rows and _Rows(key=column, ...) as the list of dicts {key: column[i], ...},
+# each row filled from one cached %-template for its whole nested shape.  A
+# float64 array renders each distinct bit pattern once (np.unique of the int64
+# view keeps -0.0, 0.0 and NaN apart), and keeps its item texts, by id, from its
+# first use to its second: the `measure` points, in atom and cone rows, render once.
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -143,7 +133,7 @@ class _Rows(dict):
     """Same-keyed rows given as columns: key -> array with one item per row."""
 
 
-def _float_texts(values, *_):
+def _float_texts(values):
     texts = list(map(float.__repr__, values))
     if not _NONFINITE.keys().isdisjoint(texts):
         texts = [_NONFINITE.get(t, t) for t in texts]
@@ -151,12 +141,13 @@ def _float_texts(values, *_):
 
 
 def _item_texts(array):
-    """The text of each item of an array of numbers or bools, in C order."""
+    """The text of each item of an array, in C order; only a bool array maps through
+    _CONSTANTS, which would read the ints 0 and 1 as false and true."""
     flat = np.ascontiguousarray(array).ravel()
-    if flat.dtype != np.float64:
-        return _json_texts(flat.tolist(), 0, {})  # bools or other numbers: no nesting
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    return list(map(_float_texts(bits.view(np.float64).tolist()).__getitem__, inverse.tolist()))
+    if flat.dtype == np.float64:
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        return list(map(_float_texts(bits.view(np.float64).tolist()).__getitem__, inverse.tolist()))
+    return list(map(_CONSTANTS.__getitem__ if flat.dtype == bool else _json_text, flat.tolist()))
 
 
 def _bracket(open_, texts, close, level):
@@ -184,22 +175,6 @@ def _dict_template(keys, shapes, level):
     return _bracket("{", slots, "}", level)
 
 
-def _list_texts(values, level, items):
-    texts = iter(_json_texts(list(chain.from_iterable(values)), level + 1, items))
-    return [_bracket("[", list(islice(texts, len(v))), "]", level) for v in values]
-
-
-def _dict_texts(values, level, items):
-    """None when the dicts differ in keys; keys must be str."""
-    shapes = set(map(tuple, values))
-    if len(shapes) != 1:
-        return None
-    (keys,) = shapes
-    rows = (zip(*[_json_texts(list(map(itemgetter(k), values)), level + 1, items) for k in keys])
-            if keys else [()] * len(values))
-    return list(map(_dict_template(keys, ((),) * len(keys), level).__mod__, rows))
-
-
 def _array_text(value, level, items):
     """The list text of an array or a _Rows at `level`."""
     columns = list(value.values()) if isinstance(value, _Rows) else [value]
@@ -213,40 +188,27 @@ def _array_text(value, level, items):
     return _bracket("[", list(map(template.__mod__, rows)), "]", level)
 
 
-# column renderers in json's order of isinstance checks (bool before int, _Rows before dict)
-_RENDERERS = (
-    (str, lambda values, *_: list(map(encode_basestring_ascii, values))),
-    ((type(None), bool), lambda values, *_: list(map(_CONSTANTS.__getitem__, values))),
-    (int, lambda values, *_: list(map(int.__repr__, values))),
-    (float, _float_texts),
-    ((list, tuple), _list_texts),
-    ((np.ndarray, _Rows), lambda values, *rest: [_array_text(v, *rest) for v in values]),
-    (dict, _dict_texts),
-)
-
-
-@functools.cache
-def _renderer(kind):
-    for base, render in _RENDERERS:
-        if issubclass(kind, base):
-            return render
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _json_text(value):
-    """json.dumps(value, indent=2), byte for byte; arrays and _Rows render as lists."""
-    return _json_texts([value], 0, {})[0]
-
-
-def _json_texts(values, level, items):
-    """The indented JSON text of each of `values`, all opening at nesting `level`;
-    `items` holds the array item texts of one _json_text call."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        texts = _renderer(*kinds)(values, level, items)
-        if texts is not None:
-            return texts
-    return [_renderer(type(v))([v], level, items)[0] for v in values]
+def _json_text(value, level=0, items=None):
+    """json.dumps(value, indent=2), byte for byte, opening at nesting `level`, with str keys
+    only; arrays and _Rows render as lists; `items` holds one top-level call's item texts."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    items = {} if items is None else items
+    if isinstance(value, (list, tuple)):
+        return _bracket("[", [_json_text(v, level + 1, items) for v in value], "]", level)
+    if isinstance(value, (np.ndarray, _Rows)):
+        return _array_text(value, level, items)
+    if isinstance(value, dict):
+        return _bracket("{", [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1, items)
+                              for k, v in value.items()], "}", level)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_csv(args, header_fields, rows, extra_header=None):
@@ -311,7 +273,9 @@ def cmd_iterate(args, params):
             "depth": depth,
             "normalized_depths": [float(s) for s in seq],
         })
-    _emit_json(args, {"iterate": fn.to_json(), "hole_depth_table": table})
+    polys = {name: {"degree": h.degree, "coeffs": h.coeffs.view(float).reshape(-1, 2)}
+             for name, h in (("P", fn.P), ("Q", fn.Q))}  # fn.to_json(), coeffs as arrays
+    _emit_json(args, {"iterate": {"d": fn.d, **polys}, "hole_depth_table": table})
 
 
 def cmd_measure(args, params):
@@ -408,8 +372,8 @@ def cmd_properness(args, params):
 
 
 def cmd_escape(args, params):
-    re_lo, re_hi, n_re = _parse_range(params.pop("re", "-2:2:21"))
-    im_lo, im_hi, n_im = _parse_range(params.pop("im", "-2:2:21"))
+    re_lo, re_hi, n_re = _parse_range("re", params.pop("re", "-2:2:21"))
+    im_lo, im_hi, n_im = _parse_range("im", params.pop("im", "-2:2:21"))
     n_max = fam.int_param("n_max", params.pop("n_max", 50))
     f = _load_map(args, params)
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
@@ -424,11 +388,16 @@ def _sweep_key(params):
     return sweep
 
 
-def _parse_range(spec):
-    parts = str(spec).split(":")
+def _parse_range(key, spec):
+    """An escape grid axis lo:hi:count: finite real bounds and a positive integer count."""
+    parts = [_parse_value(part) for part in str(spec).split(":")]
     if len(parts) != 3:
-        raise ValueError(f"range must be lo:hi:count, got {spec!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+        raise ValueError(f"--param {key} must be lo:hi:count, got {spec!r}")
+    lo, hi = (fam.real_param(key, bound) for bound in parts[:2])
+    count = fam.int_param(key, parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi) and count > 0):
+        raise ValueError(f"--param {key} takes finite bounds and a positive count, got {spec!r}")
+    return lo, hi, count
 
 
 COMMANDS = {
@@ -444,12 +413,15 @@ COMMANDS = {
 }
 
 
-def _positive(cast):
-    """The argparse type of a flag whose value, read by `cast`, is positive and finite."""
+def _positive(cast, below=math.inf):
+    """The argparse type of a flag whose value, read by `cast`, is positive, finite and
+    below `below`."""
     def positive(text):
         value = cast(text)
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        if not value < below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {text!r}")
         return value
     return positive
 
@@ -472,7 +444,8 @@ def build_parser():
         source.add_argument("--family", help="named family (see families module)")
         p.add_argument("--param", action="append", metavar="K=V",
                        help="family/command parameter, repeatable")
-        p.add_argument("--tol", type=_positive(float), default=DEFAULTS.gcd,
+        # chordal distances lie in [0, 1], so a tol of 1 would match every root pair
+        p.add_argument("--tol", type=_positive(float, below=1), default=DEFAULTS.gcd,
                        help="gcd tolerance: root-matching radius and residual bound")
         if name in ("sample", "converge"):
             p.add_argument("--seed", type=int, default=None,

@@ -274,37 +274,40 @@ class FamilySpec:
         if unknown:
             raise ValueError(f"family {self.name} takes no --param {', '.join(unknown)}; "
                              f"its keys: {keys}")
+        # each value's kind is read here, so a spec that exists holds only values of
+        # the right kind; the ranges (t nonzero, 2 <= k <= d, ...) are the makers' checks
+        self.parameters = {key: self._read(key, value) for key, value in self.parameters.items()}
+
+    def _read(self, key, value):
+        if key in ("roots", "P_roots"):
+            if not isinstance(value, (list, tuple)):  # a swept value is one item
+                raise ValueError(f"--param {key} takes a list, got {value!r}")
+            return [_finite_param(key, r) for r in value]
+        if key == "d" or key == "k" and self.name == "example2":
+            return int_param(key, value)
+        if key == "k" and self.name == "polylimit":
+            return real_param(key, value)  # k = inf is the limit (P : 0)
+        return _finite_param(key, value)
 
     def _get(self, key, *default):
         if key not in self.parameters and not default:
             raise ValueError(f"family {self.name} needs --param {key}")
         return self.parameters.get(key, *default)
 
-    def _int(self, key):
-        return int_param(key, self._get(key))
-
-    def _finite(self, key, *default):
-        return _finite_param(key, self._get(key, *default))
-
-    def _roots(self, key, *default):
-        roots = self._get(key, *default)
-        return None if roots is None else [_finite_param(key, r) for r in roots]
-
     def build(self) -> BoundaryMap:
         """The map; a value the family cannot take is a ValueError naming its key."""
-        num, P = self._finite, _p_from_roots(self._roots("P_roots", None))
+        get, P = self._get, _p_from_roots(self._get("P_roots", None))
         if self.name == "example1":
-            return make_example1(self._int("d"), num("a", 1.0), num("t"), P)
+            return make_example1(get("d"), get("a", 1.0), get("t"), P)
         if self.name == "example2":
-            return make_example2(self._int("d"), self._int("k"), num("a", 1.0), num("t"), P)
+            return make_example2(get("d"), get("k"), get("a", 1.0), get("t"), P)
         if self.name == "epstein_FT":
-            return make_epstein_FT(num("T", 1.0))
+            return make_epstein_FT(get("T", 1.0))
         if self.name == "cubic_eps":
-            return make_cubic_eps(num("eps"))
+            return make_cubic_eps(get("eps"))
         if self.name == "polylimit":
-            # k = inf is the limit (P : 0)
-            return make_polylimit(self._roots("roots"), real_param("k", self._get("k", 1.0)))
-        return make_inversion(num("k"))
+            return make_polylimit(get("roots"), get("k", 1.0))
+        return make_inversion(get("k"))
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""
@@ -316,13 +319,13 @@ class FamilySpec:
         closed-form limit of the second iterates (example1, example2) or of (P : 0)
         (polylimit) at FAMILY_LIMIT_GCD_TOL and tail_tol; delta_infinity for cubic_eps."""
         self.check_limit()
-        num, P = self._finite, _p_from_roots(self._roots("P_roots", None))
+        get, P = self._get, _p_from_roots(self._get("P_roots", None))
         if self.name == "example1":
-            f = example1_second_limit(self._int("d"), num("a", 1.0), P)
+            f = example1_second_limit(get("d"), get("a", 1.0), P)
         elif self.name == "example2":
-            f = example2_second_limit(self._int("d"), self._int("k"), num("a", 1.0), P)
+            f = example2_second_limit(get("d"), get("k"), get("a", 1.0), P)
         elif self.name == "cubic_eps":
             return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
         else:
-            f = polylimit_limit(self._roots("roots"))
+            f = polylimit_limit(get("roots"))
         return boundary_measure(decompose(f, FAMILY_LIMIT_GCD_TOL), tail_tol)

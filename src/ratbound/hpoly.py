@@ -539,6 +539,8 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
     cluster splitting, so callers should loosen tol (numeric m-fold roots
     spread like eps^(1/m)).
     """
+    if not 0 < tol < 1:  # chordal distances lie in [0, 1]: a tol of 1 matches every pair
+        raise ValueError(f"gcd tol must lie in (0, 1), got {tol!r}")
     if P.is_zero and Q.is_zero:
         raise ValueError("gcd undefined for two zero polynomials")
     if P.is_zero or Q.is_zero or projective_residual(P.coeffs, Q.coeffs) < 1e-12:

@@ -20,7 +20,7 @@ from ratbound import families as fam
 from ratbound.cli import _json_text, main
 from ratbound.escape import cone_angle_report
 from ratbound.measure import boundary_measure
-from ratbound.ratmap import decompose
+from ratbound.ratmap import decompose, iterate_formula
 
 
 def run(capsys, *argv):
@@ -87,6 +87,8 @@ def test_iterate_hole_depth_table(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)["result"]
     assert rep["iterate"]["d"] == 64
+    # cmd_iterate hands the encoder coefficient arrays; the schema stays to_json()'s
+    assert rep["iterate"] == json.loads(json.dumps(iterate_formula(fa, 3, 1e-4).to_json()))
     tables = rep["hole_depth_table"]
     assert tables
     for row in tables:
@@ -494,6 +496,15 @@ def test_tol_must_be_positive_and_finite(tol, capsys):
     assert "argument --tol: must be positive and finite" in err
 
 
+@pytest.mark.parametrize("tol", ["1", "10"])
+def test_tol_must_lie_below_1(tol, capsys):
+    # chordal distances lie in [0, 1], so such a tol would match every root pair
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--family", "epstein_FT", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"argument --tol: must be below 1, got '{tol}'" in capsys.readouterr().err
+
+
 def test_indeterminate_verdict_is_decompose_verdict_at_the_same_tol(tmp_path, capsys):
     # --tol is the gcd tolerance for indeterminate too: its flag is the
     # decompose verdict, never a second |H(c)| threshold
@@ -689,16 +700,16 @@ def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypat
 
 
 def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
-    # peak/len(text) was 2.25 before shared columns were rendered once
-    # (21.3 MB for 9.4 MB of text); keeping rendered columns past their use
-    # shows here
+    # peak/len(text) reads 2.04 (19.3 MB for 9.45 MB of text): the last joins
+    # of the result and top-level dicts each hold a part and its copy; keeping
+    # rendered columns past their use shows here
     tracemalloc.start()
     try:
         text = _json_text(ft_measure_envelope)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    assert peak <= 2.1 * len(text)
 
 
 # arrays, as `measure` and `sample` pass them: float columns of shapes (n,) and
@@ -737,6 +748,29 @@ def _as_lists(value):
 @given(st.sampled_from([0, 1, 5]).flatmap(_columns).flatmap(_array_trees))
 def test_encoder_renders_arrays_as_their_lists(value):
     assert _json_text(value) == json.dumps(_as_lists(value), indent=2)
+
+
+# bool arrays map through the constants; an array neither float64 nor bool
+# renders as its tolist() does, never as float bits and never as true/false
+@pytest.mark.parametrize("value", [
+    np.array([True, False, True]), np.array([[True], [False]]), np.zeros((2, 0), bool),
+    cli._Rows(infinite_end=np.array([False, True]), angle=np.array([0.5, -0.0])),
+    [cli._Rows(flag=np.array([True])), {"x": np.array([[False, True]])}],
+    np.array([0, 1, 2 ** 40]), np.array([[1, 0], [0, 1]], np.int8),
+    cli._Rows(n=np.array([0, 1]), b=np.array([1, 0], bool)),
+    np.array([0.1, np.nan], np.float32), np.array([2.5, -np.inf], ">f8"), np.array(["a", "%s"]),
+])
+def test_encoder_array_explicit_cases(value):
+    assert _json_text(value) == json.dumps(_as_lists(value), indent=2)
+
+
+@pytest.mark.parametrize("value", [np.array([1j]), cli._Rows(z=np.array([0.5 + 1j]))])
+def test_encoder_rejects_array_items_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _json_text(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(_as_lists(value), indent=2)
+    assert str(ours.value) == str(theirs.value)
 
 
 @pytest.mark.parametrize("source, f, tol, tail_tol", [
@@ -866,6 +900,18 @@ def test_readme_names_resolve():
      "--param tt"),
     *[(["converge", *E1, "--param", "values=0.1", "--param", f"radius={r}", *SAMPLER],
        "--param radius must be positive") for r in ("nan", "-1", "0")],
+    # a row value of the wrong kind exits before the target and the first row
+    *[(["converge", *E1, "--param", f"values=0.1,{v}", *SAMPLER],
+       "--param t takes finite numbers") for v in ("nan", "inf", "1e400")],
+    (["converge", "--family", "example1", "--param", "d=3", "--param", "t=0.1",
+      "--param", "values=1", "--param", "sweep=P_roots", *SAMPLER], "--param P_roots takes a list"),
+    (["properness", "--family", "polylimit", "--param", "values=1,2", "--param", "sweep=roots"],
+     "--param roots takes a list"),
+    # escape's re and im: finite real bounds and a positive integer count
+    *[(["escape", *FT, "--param", f"{key}={spec}"], f"--param {key}")
+      for key in ("re", "im")
+      for spec in ("nan:2:3", "1e400:2:2", "-2:inf:2", "1j:2:3", "-2:2:0", "-2:2:-3", "-2:2:2.5",
+                   "-2:2:inf", "-2:2", "a:2:3")],
 ])
 def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypatch):
     # one "ratbound:" line naming the key; no target is built, nothing sampled

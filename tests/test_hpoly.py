@@ -413,6 +413,13 @@ def test_gcd_zero_polynomial_side():
         numeric_gcd(HPoly.zero(2), HPoly.zero(2))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 10.0, float("nan"), float("inf")])
+def test_gcd_tol_must_lie_in_0_1(tol):
+    # a chordal distance is at most 1, so a tol of 1 or more matches every root pair
+    with pytest.raises(ValueError, match="gcd tol must lie in"):
+        numeric_gcd(hp(0, 1, 1), hp(1, 1, 0), tol)
+
+
 def test_gcd_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(10):
