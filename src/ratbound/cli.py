@@ -146,7 +146,7 @@ def _item_texts(array):
     flat = np.ascontiguousarray(array).ravel()
     if flat.dtype == np.float64:
         bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        return list(map(_float_texts(bits.view(np.float64).tolist()).__getitem__, inverse.tolist()))
+        return np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
     return list(map(_CONSTANTS.__getitem__ if flat.dtype == bool else _json_text, flat.tolist()))
 
 

@@ -18,13 +18,15 @@ computations live: near polynomial pairs with common factors.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import NumericalFailure
-from .projline import INFINITY, ZERO, ProjPoint, _merge_close, canonicalize, chordal_distance
+from .projline import (INFINITY, ZERO, ProjPoint, _merge_close, canonicalize,
+                       canonicalize_rows, chordal_cross, chordal_distance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +187,15 @@ class HPoly:
 
     @staticmethod
     def from_json(data) -> "HPoly":
-        c = [complex(re, im) for re, im in data["coeffs"]]
-        if len(c) != data["degree"] + 1:
-            raise ValueError("coefficient count does not match degree")
-        return HPoly.from_coeffs(c)
+        """The HPoly of a to_json object; a ValueError names the first malformed field."""
+        degree, c = _json_count(data, "degree"), data.get("coeffs")
+        if not isinstance(c, list) or len(c) != degree + 1:
+            raise ValueError(f"coeffs must be a list of degree + 1 = {degree + 1} pairs")
+        for i, pair in enumerate(c):  # a bool is not a number, nor an int past the float range
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair)):
+                raise ValueError(f"coeffs[{i}] must be [re, im], two finite numbers, got {pair!r}")
+        return HPoly.from_coeffs([complex(re, im) for re, im in c])
 
     def __repr__(self):
         terms = []
@@ -201,6 +208,14 @@ class HPoly:
             )
             terms.append(f"({c:.4g}){mono or '1'}")
         return "HPoly(" + (" + ".join(terms) or "0") + f", deg={d})"
+
+
+def _json_count(data, key):
+    """data[key] of a JSON object data, which must be a non-negative integer (a bool is not)."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer in a JSON object, got {value!r}")
+    return value
 
 
 @dataclass
@@ -386,8 +401,10 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
     Leading coefficients below tol * (max modulus) contribute multiplicity at
     (1:0); exactly-zero trailing coefficients contribute at (0:1); the
     remaining dehomogenized core is solved by _companion_roots plus three
-    Newton steps, and the numeric roots are clustered (connected components
-    of the chordal relation) at radius max(tol, 1e-7).
+    Newton steps.  Each point is canonicalized once, when it is made (a
+    second pass is not a no-op): the numeric roots by one canonicalize_rows
+    call, the merged clusters by the one _merge_close (connected components
+    of the chordal relation at radius max(tol, 1e-7)) that makes them.
     """
     if P.is_zero:
         raise ValueError("roots undefined for the zero polynomial")
@@ -403,11 +420,7 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
         m_zero += 1
     core = c[m_zero : d - m_inf + 1]
 
-    raw = []
-    if m_zero:
-        raw.append((ZERO, m_zero))
-    if m_inf:
-        raw.append((INFINITY, m_inf))
+    rows, mults = _rows([(pt, m) for pt, m in ((ZERO, m_zero), (INFINITY, m_inf)) if m])
     if len(core) > 1:
         monic = core / core[-1]
         dp = monic[1:] * np.arange(1, len(core))
@@ -423,11 +436,12 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
                 pv1 = _horner_vec(monic, x1)
                 keep = np.abs(pv1) < np.abs(pv)
                 x, pv = np.where(keep, x1, x), np.where(keep, pv1, pv)
-        raw.extend((canonicalize(r, 1.0), 1) for r in x)
+        rows = np.concatenate([rows, canonicalize_rows(np.stack([x, np.ones_like(x)], 1))])
+        mults = np.concatenate([mults, np.ones(len(x))])
 
     radius = max(tol, DEFAULTS.cluster_floor)
     refined = []
-    for center, mult in _clusters(raw, radius):
+    for center, mult in _points(*_merge_close(rows, mults, radius)):
         if mult > 1 and len(core) > mult and not center.is_infinity and abs(center.w) > 0.1:
             z0 = center.ratio()
             z1 = _polish_multiple_root(core, z0, mult)
@@ -437,14 +451,15 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
     return _sorted_roots(refined)
 
 
-def _clusters(entries, radius):
-    """Merge (ProjPoint, multiplicity) entries within chordal radius: a
-    connected component becomes one entry at the multiplicity-weighted,
-    phase-aligned mean of its members, with the summed multiplicity."""
-    rows, mults = _merge_close(
-        np.array([pt.as_array() for pt, _ in entries]).reshape(-1, 2),
-        np.array([m for _, m in entries], dtype=float), radius)
-    return [(canonicalize(z, w), int(round(m))) for (z, w), m in zip(rows, mults)]
+def _rows(entries):
+    """The canonical rows (n, 2) and multiplicities of (ProjPoint, mult) entries."""
+    return (np.array([pt.as_array() for pt, _ in entries]).reshape(-1, 2),
+            np.array([m for _, m in entries], dtype=float))
+
+
+def _points(rows, mults):
+    """(ProjPoint, int multiplicity) entries of canonical rows, taken as they are."""
+    return [(ProjPoint(z, w), int(round(m))) for (z, w), m in zip(rows.tolist(), mults)]
 
 
 def _sorted_roots(entries) -> RootList:
@@ -528,16 +543,18 @@ def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2) -> in
 def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
     """Approximate gcd by root-cluster matching: returns (H, p, q, holes).
 
-    H is the monic-leading product over matched root clusters (match =
-    chordal distance < tol, shared multiplicity = min of the two); p and q
-    are cofactors rebuilt from the unmatched roots with scales fitted so
-    that H*p ~ P and H*q ~ Q coefficientwise.  holes is the RootList of H:
-    the matched clusters merged at roots' clustering radius, so H, built
-    from known roots, is not solved again; only an H taken whole from P or
-    Q (a zero or proportional pair) goes through roots.  Raises
-    NumericalFailure if a reconstruction residual exceeds tol: that signals
-    cluster splitting, so callers should loosen tol (numeric m-fold roots
-    spread like eps^(1/m)).
+    The shared factor is decided on one chordal_cross table of P's root
+    clusters against Q's: each P cluster in turn shares the smaller
+    multiplicity with the nearest Q cluster that has some left (the lower
+    index on a tie) while their distance is below tol.  The matched clusters
+    of both sides merge in one _merge_close at roots' radius max(tol,
+    cluster_floor); its components, canonical and not canonicalized again (a
+    second pass is not a no-op), are the holes, and H is the monic-leading
+    product over exactly those holes.  Only an H taken whole from P or Q (a
+    zero or proportional pair) goes through roots.  p and q are cofactors
+    with H*p ~ P and H*q ~ Q coefficientwise.  Raises NumericalFailure if a
+    reconstruction residual exceeds tol: that signals cluster splitting, so
+    callers should loosen tol (numeric m-fold roots spread like eps^(1/m)).
     """
     if not 0 < tol < 1:  # chordal distances lie in [0, 1]: a tol of 1 matches every pair
         raise ValueError(f"gcd tol must lie in (0, 1), got {tol!r}")
@@ -551,30 +568,16 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
         return (H, HPoly.constant(_fit_scale(H.coeffs, P.coeffs)),
                 HPoly.constant(_fit_scale(H.coeffs, Q.coeffs)), roots(H, tol))
 
-    rp = roots(P, tol)
-    rq = roots(Q, tol)
-    q_state = [[pt, mult] for pt, mult in rq]
-    shared = []
-    for pp, pm in rp:
-        need = pm
-        while need > 0:
-            best, best_d = None, tol
-            for entry in q_state:
-                if entry[1] <= 0:
-                    continue
-                dist = chordal_distance(pp, entry[0])
-                if dist < best_d:
-                    best, best_d = entry, dist
-            if best is None:
-                break
-            take = min(need, best[1])
-            pair = np.array([pp.as_array(), best[0].as_array()])
-            center = canonicalize(*_merge_close(pair, np.ones(2), tol)[0][0])
-            shared.append((center, take))
-            best[1] -= take
-            need -= take
+    (p_rows, p_mults), (q_rows, q_mults) = _rows(roots(P, tol)), _rows(roots(Q, tol))
+    take = _match_clusters(chordal_cross(p_rows, q_rows), p_mults, q_mults, tol)
+    # a matched pair puts half its shared multiplicity on each side
+    shared = np.concatenate([take.sum(axis=1), take.sum(axis=0)]) / 2
+    matched = shared > 0
+    holes = _sorted_roots(_points(*_merge_close(
+        np.concatenate([p_rows, q_rows])[matched], shared[matched],
+        max(tol, DEFAULTS.cluster_floor))))
 
-    H = HPoly.from_roots(shared).monic_leading()
+    H = HPoly.from_roots(holes).monic_leading()
     # cofactors by least-squares deconvolution: keeps coefficients that sit
     # below the root-detection tolerance but still matter under composition
     p = _deconvolve(H, P)
@@ -590,7 +593,22 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
                 f"gcd reconstruction residual {resid:.3e} exceeds tol {tol:.1e} on {name}; "
                 "root clusters may have split -- loosen tol"
             )
-    return H, p, q, _sorted_roots(_clusters(shared, max(tol, DEFAULTS.cluster_floor)))
+    return H, p, q, holes
+
+
+def _match_clusters(dist, p_mults, q_mults, tol):
+    """numeric_gcd's greedy matching on the chordal table dist (P rows, Q
+    columns): take[i, j] is the multiplicity P cluster i shares with Q's j."""
+    take, left = np.zeros(dist.shape), np.array(q_mults, dtype=float)
+    for i, need in enumerate(p_mults):
+        while need > 0 and left.any():
+            j = np.argmin(np.where(left > 0, dist[i], np.inf))
+            if not dist[i, j] < tol:
+                break
+            take[i, j] = min(need, left[j])
+            left[j] -= take[i, j]
+            need -= take[i, j]
+    return take
 
 
 def _fit_scale(basis, target):

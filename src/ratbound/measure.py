@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
-from .hpoly import RootList, _companion_roots, roots
+from .hpoly import RootList, _companion_roots, _rows, roots
 from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross
 from .ratmap import (
     BoundaryMap,
@@ -275,8 +275,7 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     if e == d:
         raise ValueError("map is nondegenerate: mu_f is not atomic, use sampling")
     note = "formal: measure map discontinuous here" if dec.indeterminate else ""
-    hole_pts = np.array([pt.as_array() for pt, _ in dec.holes])
-    depths = np.array([m for _, m in dec.holes], dtype=float)
+    hole_pts, depths = _rows(dec.holes)
 
     n_levels = 1
     while (e / d) ** n_levels >= tol:
@@ -334,8 +333,7 @@ def pullback(dec: Decomposition, mu: AtomicMeasure, normalize: bool = False) -> 
     if dec.indeterminate:
         raise IndeterminateMapError("pullback undefined on indeterminacy locus")
     d, e = dec.d, dec.e
-    hole_pts = np.array([pt.as_array() for pt, _ in dec.holes]).reshape(-1, 2)
-    depths = np.array([float(m) for _, m in dec.holes])
+    hole_pts, depths = _rows(dec.holes)
     if e == 0:
         pts, ms = hole_pts, depths
     else:

@@ -28,6 +28,7 @@ from .errors import IndeterminateMapError, NumericalFailure
 from .hpoly import (
     HPoly,
     RootList,
+    _json_count,
     compose_pair,
     numeric_gcd,
     projective_residual,
@@ -66,7 +67,15 @@ class BoundaryMap:
 
     @staticmethod
     def from_json(data) -> "BoundaryMap":
-        return BoundaryMap(data["d"], HPoly.from_json(data["P"]), HPoly.from_json(data["Q"]))
+        """The map of a to_json object; a ValueError names the first malformed field."""
+        d = _json_count(data, "d")
+        polys = []
+        for key in ("P", "Q"):
+            try:
+                polys.append(HPoly.from_json(data.get(key)))
+            except ValueError as exc:
+                raise ValueError(f"{key}.{exc}") from None
+        return BoundaryMap(d, *polys)
 
     def __repr__(self):
         return f"BoundaryMap(d={self.d}, P={self.P!r}, Q={self.Q!r})"
@@ -228,14 +237,15 @@ def local_degree(phi, x: ProjPoint) -> int:
     Detected as the vanishing order at x of the fiber polynomial
     beta*p - alpha*q through (alpha:beta) = phi(x), capped at deg(phi).
     """
-    p, q = phi
-    e = p.degree
-    if e == 0:
+    if phi[0].degree == 0:
         raise ValueError("local degree undefined for constant phi")
-    img = apply_pair(phi, x)
-    fiber = img.w * p - img.z * q
-    order = vanishing_order(fiber, x)
-    return min(max(order, 1), e)
+    return _local_degree(phi, x, apply_pair(phi, x))
+
+
+def _local_degree(phi, x: ProjPoint, img: ProjPoint) -> int:
+    """local_degree of phi at x, given its image img = phi(x)."""
+    p, q = phi
+    return min(max(vanishing_order(img.w * p - img.z * q, x), 1), p.degree)
 
 
 def _match_hole(x: ProjPoint, holes):
@@ -254,14 +264,15 @@ def _orbit_steps(dec: Decomposition, z: ProjPoint):
 
     Orbit points within chordal hole_match of a hole are snapped to the
     hole center before the local degree is read and the orbit continues.
-    The walk is lazy and endless: x_(k+1) is computed only when step k+1 is
-    asked for.
+    The walk is lazy and endless; phi(x_k), computed once, gives both the
+    local degree at x_k and the next point.
     """
     x = z
     while True:
         depth, x = _match_hole(x, dec.holes)
-        yield depth, local_degree(dec.phi, x)
-        x = apply_pair(dec.phi, x)
+        img = apply_pair(dec.phi, x)
+        yield depth, _local_degree(dec.phi, x, img)
+        x = img
 
 
 def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int):

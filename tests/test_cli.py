@@ -927,6 +927,47 @@ def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypa
     assert not limits and not out.exists()
 
 
+def _map_json(**changes):
+    """The JSON text of a degree-1 map, with changes keyed by path ("P.coeffs.0")."""
+    data = {"d": 1, "P": {"degree": 1, "coeffs": [[0.0, 0.0], [1.0, 0.0]]},
+            "Q": {"degree": 1, "coeffs": [[1.0, 0.0], [0.0, 0.0]]}}
+    for path, value in changes.items():
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        target = data
+        for k in parents:
+            target = target[k]
+        target[last] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, field", [
+    (_map_json(**{"P.coeffs.1": ["1", 0]}), "P.coeffs[1]"),
+    (json.dumps([json.loads(_map_json())]), "d must be"),
+    (_map_json(**{"Q.coeffs.0": 1.0}), "Q.coeffs[0]"),
+    (_map_json(**{"P.coeffs.0": [math.nan, 0.0]}), "P.coeffs[0]"),
+    (_map_json(**{"Q.coeffs.1": [0.0, math.inf]}), "Q.coeffs[1]"),
+    (_map_json(**{"P.coeffs.1": [1.0]}), "P.coeffs[1]"),
+    (_map_json(**{"P.coeffs.1": [True, 0.0]}), "P.coeffs[1]"),
+    (_map_json(d=True), "d must be"),
+    (_map_json(d=1.0), "d must be"),
+    (_map_json(d=-1), "d must be"),
+    (_map_json(**{"Q.degree": False}), "Q.degree"),
+    (_map_json(**{"P.coeffs": [[1.0, 0.0]]}), "P.coeffs"),
+    (_map_json(**{"P": [1.0, 0.0]}), "P.degree"),
+    (_map_json(**{"Q": None}), "Q.degree"),
+], ids=["str-coeff", "top-level-list", "bare-number", "nan", "inf", "short-pair",
+        "bool-coeff", "d-true", "d-float", "d-negative", "degree-false", "count", "P-list",
+        "Q-null"])
+def test_malformed_input_file_exits_2_naming_the_field(text, field, tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    code, err = _exit(["decompose", "--input", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("ratbound: ") and field in err
+    assert not out.exists()
+
+
 def test_an_int_beyond_the_float_range_reads_as_infinity(capsys):
     # as 1e400 does, so a point key gets infinity and a real or integer key
     # its usual message, never an OverflowError

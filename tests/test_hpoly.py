@@ -5,6 +5,8 @@ import signal
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratbound import (
     INFINITY,
@@ -23,6 +25,7 @@ from ratbound import (
 )
 from ratbound import hpoly
 from ratbound.hpoly import _companion_roots, count_zeros_in_disk, substitute
+from ratbound.projline import chordal_cross
 
 
 def hp(*coeffs):
@@ -446,6 +449,67 @@ def test_gcd_tight_tolerance_sees_split_clusters_as_coprime():
     # while a tolerance above the cluster spread recovers the shared factor
     H2, p2, q2, _ = numeric_gcd(P, Q, 1e-2)
     assert H2.degree == 6
+
+
+def _double_loop_matching(rp, rq, tol):
+    """numeric_gcd's matching as the scalar double loop it replaced, kept as the
+    reference: each P cluster in turn takes the nearest Q cluster with
+    multiplicity left (the first of equals) while their distance is below tol."""
+    left = [m for _, m in rq]
+    take = np.zeros((len(rp), len(rq)))
+    for i, (pp, pm) in enumerate(rp):
+        need = pm
+        while need > 0:
+            best, best_d = None, tol
+            for j, (qq, _) in enumerate(rq):
+                if left[j] > 0 and chordal_distance(pp, qq) < best_d:
+                    best, best_d = j, chordal_distance(pp, qq)
+            if best is None:
+                break
+            t = min(need, left[best])
+            take[i, best] = t
+            left[best] -= t
+            need -= t
+    return take
+
+
+_GCD_TOL = 1e-4
+# root sites and chordal offsets (in units of _GCD_TOL) of nearby Q roots: two
+# roots 0.6 tol either side of a site are both within tol of a P root there,
+# and offsets of one size about 0, turned by i or repeated, tie exactly
+_MATCH_SITES = [ZERO, INFINITY, canonicalize(0.5, 1), canonicalize(0.5j, 1),
+                canonicalize(-2, 1), canonicalize(1 + 1j, 1)]
+_OFFSETS = [0.0, 0.6, -0.6, 0.999, 1.001, 3.0]
+
+
+def _near(site, offset, turn):
+    delta = offset * _GCD_TOL * 1j ** turn
+    if site.is_infinity:
+        return canonicalize(1, delta)
+    a = site.ratio()
+    return canonicalize(a + delta * (1 + abs(a) ** 2), 1)
+
+
+@st.composite
+def _root_sets(draw):
+    sites = st.integers(0, len(_MATCH_SITES) - 1)
+    rp = [(_MATCH_SITES[i], draw(st.integers(1, 3)))
+          for i in draw(st.lists(sites, min_size=1, max_size=4, unique=True))]
+    rq = [(_near(_MATCH_SITES[i], draw(st.sampled_from(_OFFSETS)), draw(st.integers(0, 3))),
+           draw(st.integers(1, 3))) for i in draw(st.lists(sites, min_size=1, max_size=6))]
+    return rp, rq
+
+
+@settings(max_examples=200, deadline=None)
+@given(_root_sets())
+@example(([(ZERO, 2)], [(_near(ZERO, 0.6, k), 1) for k in range(4)]))  # four exact ties
+@example(([(_MATCH_SITES[2], 2)], [(_near(_MATCH_SITES[2], o, 0), 1) for o in (0.6, -0.6)]))
+def test_gcd_table_matching_is_the_double_loop(sets):
+    rp, rq = sets
+    rows = [np.array([pt.as_array() for pt, _ in r]) for r in (rp, rq)]
+    take = hpoly._match_clusters(chordal_cross(*rows), [m for _, m in rp],
+                                 [m for _, m in rq], _GCD_TOL)
+    assert np.array_equal(take, _double_loop_matching(rp, rq, _GCD_TOL))
 
 
 # -- misc --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from ratbound import (
     iterate_formula,
     local_degree,
     map_residual,
+    point_mass,
     resultant,
 )
 from ratbound import families as fam
+from ratbound import ratmap
 from ratbound.hpoly import count_zeros_in_disk, numeric_gcd
 from ratbound.ratmap import iterate_hole_factor, orbit_depth_terms
 
@@ -136,6 +139,29 @@ def test_decompose_round_trips_planted_holes(order, hole_mults, e, scales):
     assert len(dec.holes) == len(holes)
     for pt, mult in holes:
         assert dec.holes.multiplicity_at(pt, 1e-6) == mult
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.permutations(range(len(_SITES))),
+    hole_mults=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    e=st.integers(1, 3),
+    scales=st.tuples(*[st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0)] * 3),
+)
+# an H built from per-pair centers, with its holes merged and canonicalized
+# again afterwards, differed here from the product over those holes
+@example(order=[0, 2, 1, 3, 4, 5, 6, 7, 8, 9], hole_mults=[1, 1], e=1,
+         scales=(1 + 0j, 0.5 + 1j, 2 + 0j))
+def test_matched_gcd_factor_is_built_from_its_holes(order, hole_mults, e, scales):
+    # on the matched branch H is the product over exactly the holes returned,
+    # bit for bit: no hole is merged or canonicalized again after H is built
+    sites = [_SITES[i] for i in order]
+    H = HPoly.from_roots(list(zip(sites, hole_mults)), scales[0])
+    rest = sites[len(hole_mults):]
+    p = HPoly.from_roots([(pt, 1) for pt in rest[:e]], scales[1])
+    q = HPoly.from_roots([(pt, 1) for pt in rest[e:2 * e]], scales[2])
+    dec = decompose(BoundaryMap(H.degree + e, H * p, H * q), 1e-4)
+    assert np.array_equal(HPoly.from_roots(dec.holes).monic_leading().coeffs, dec.H.coeffs)
 
 
 @pytest.mark.parametrize("f, tol", [
@@ -367,6 +393,24 @@ def test_local_degree_detection():
     assert local_degree(phi, ZERO) == d
     assert local_degree(phi, INFINITY) == 1
     assert local_degree(phi, canonicalize(0.4 + 0.2j, 1)) == 1
+
+
+def test_orbit_walk_evaluates_phi_once_per_step(monkeypatch):
+    # phi(x_k) gives both the local degree at x_k and the next orbit point
+    dec = decompose(fam.make_epstein_FT(1.0), 1e-6)
+    z = canonicalize(0.37 + 2.1j, 1)
+    walk, x = [], z
+    for _ in range(8):  # the walk that reads the local degree on its own
+        depth, x = ratmap._match_hole(x, dec.holes)
+        walk.append((depth, local_degree(dec.phi, x)))
+        x = ratmap.apply_pair(dec.phi, x)
+    assert list(islice(ratmap._orbit_steps(dec, z), 8)) == walk
+    calls, steps = [], []
+    apply_pair, match_hole = ratmap.apply_pair, ratmap._match_hole
+    monkeypatch.setattr(ratmap, "apply_pair", lambda *a: calls.append(a) or apply_pair(*a))
+    monkeypatch.setattr(ratmap, "_match_hole", lambda *a: steps.append(a) or match_hole(*a))
+    point_mass(dec, z)
+    assert len(steps) > 10 and len(calls) == len(steps)
 
 
 def test_orbit_terms_match_lemma_series():
