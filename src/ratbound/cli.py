@@ -4,8 +4,8 @@ main parses the --param pairs once and hands the dict to the verb, which reads e
 input it takes before any work; a flag or key the verb does not read exits 2.
 Structured results are JSON whose text is exactly `json.dumps(envelope, indent=2)`
 plus a newline; sweeps are CSV with floats at 17 significant digits; every output
-embeds the tolerance block for provenance.  Exit codes: 0 ok, 2 validation, 3
-mathematical domain, 4 numerical failure.
+embeds the tolerance block and streams to --out or stdout.  Exit codes: 0 ok, 2
+validation, 3 mathematical domain, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
@@ -112,21 +113,23 @@ def _tolerances(args):
 def _emit_json(args, result):
     envelope = {"command": args.command, "tolerances": _tolerances(args), "seed": _seed(args),
                 "result": result}
-    _write(args.out, _json_text(envelope) + "\n")
+    _write(args.out, itertools.chain(_json_pieces(envelope), "\n"))
 
 
-# The JSON encoder.  Its text is byte for byte json.dumps(value, indent=2),
-# whose indented path runs json's pure-Python generators.  _json_text recurses
-# with json's type checks; numpy arrays, which `measure`, `sample` and `iterate`
-# pass, are its one fast path.  An (n, ...) array renders as the list of its
-# rows and _Rows(key=column, ...) as the list of dicts {key: column[i], ...},
-# each row filled from one cached %-template for its whole nested shape.  A
-# float64 array renders each distinct bit pattern once (np.unique of the int64
-# view keeps -0.0, 0.0 and NaN apart), and keeps its item texts, by id, from its
-# first use to its second: the `measure` points, in atom and cone rows, render once.
+# The JSON encoder yields json.dumps(value, indent=2) in pieces, byte for byte,
+# for _write to stream; a verb's result is complete first, so only a crash in
+# the encoder or a signal can truncate --out.  Numpy arrays are its one fast
+# path: an (n, ...) array renders as the list of its rows, _Rows(key=column,
+# ...) as the list of dicts {key: column[i], ...}, through _table_rows (shared
+# with CSV), which joins _BLOCK rows at a time.  A float64 array renders each
+# distinct bit pattern once (np.unique of the int64 view keeps -0.0, 0.0 and
+# NaN apart) and keeps its item texts, by id, to their second use: the
+# `measure` points of atom and cone rows render once.
 
+_BLOCK = 4096  # rows per piece of an array or a CSV table
+_ITEM = object()  # an item in a row rendered for its fragments: "\0", which json escapes in a str
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+_CONSTANTS = {None: "null", True: "true", False: "false", _ITEM: "\0"}
 
 
 class _Rows(dict):
@@ -140,87 +143,99 @@ def _float_texts(values):
     return texts
 
 
-def _item_texts(array):
-    """The text of each item of an array, in C order; only a bool array maps through
-    _CONSTANTS, which would read the ints 0 and 1 as false and true."""
+def _item_texts(array, render):
+    """An object array of an array's item texts in C order: float64 ones from `render` (floats
+    to texts) once per bit pattern; only bools use _CONSTANTS, which reads 1 as true."""
     flat = np.ascontiguousarray(array).ravel()
     if flat.dtype == np.float64:
         bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        return np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
-    return list(map(_CONSTANTS.__getitem__ if flat.dtype == bool else _json_text, flat.tolist()))
+        texts = render(bits.view(np.float64).tolist())
+        return np.array(texts, dtype=object)[inverse]
+    render = _CONSTANTS.__getitem__ if flat.dtype == bool else lambda v: "".join(_json_pieces(v))
+    return np.array(list(map(render, flat.tolist())), dtype=object)
 
 
-def _bracket(open_, texts, close, level):
-    """open_, then one line per item of the list `texts` (reused), then close, at `level`."""
-    if not texts:
-        return open_ + close
-    inner = "\n" + "  " * (level + 1)
-    texts[0] = open_ + inner + texts[0]
-    texts[-1] += "\n" + "  " * level + close
-    return ("," + inner).join(texts)
+def _table_rows(first, fragments, columns):
+    """Row i is fragments[0], then row i of each column of texts ((n,) or (n, m)) with
+    fragments[1:] after its items; the first row opens with `first`.  _BLOCK rows a piece."""
+    n = len(columns[0])
+    table = np.empty((min(n, _BLOCK), 2 * len(fragments) - 1), dtype=object)
+    table[:, ::2] = fragments
+    for start in range(0, n, _BLOCK):
+        rows = table[:min(n - start, _BLOCK)]
+        rows[:, 1::2] = np.column_stack([texts[start:start + _BLOCK] for texts in columns])
+        rows[0, 0] = fragments[0] if start else first
+        yield "".join(rows.ravel().tolist())
 
 
-@functools.cache
-def _shape_template(shape, level):
-    """The template of a nested list of `shape` at `level`, a %s per item; () is one item."""
-    if not shape:
-        return "%s"
-    return _bracket("[", [_shape_template(shape[1:], level + 1)] * shape[0], "]", level)
-
-
-@functools.cache
-def _dict_template(keys, shapes, level):
-    slots = [encode_basestring_ascii(k).replace("%", "%%") + ": "
-             + _shape_template(shape, level + 1) for k, shape in zip(keys, shapes)]
-    return _bracket("{", slots, "}", level)
-
-
-def _array_text(value, level, items):
-    """The list text of an array or a _Rows at `level`."""
+def _array_pieces(value, level, items):
+    """The list of an array or a _Rows at `level`, in pieces."""
     columns = list(value.values()) if isinstance(value, _Rows) else [value]
-    shapes = tuple(column.shape[1:] for column in columns)
-    template = (_dict_template(tuple(value), shapes, level + 1) if isinstance(value, _Rows)
-                else _shape_template(shapes[0], level + 1))
-    slots = [it for column, shape in zip(columns, shapes) for it in [iter(
-        items.pop(id(column), None) or items.setdefault(id(column), _item_texts(column)))]
-        * math.prod(shape)]
-    rows = zip(*slots, strict=True) if slots else [()] * len(columns[0])
-    return _bracket("[", list(map(template.__mod__, rows)), "]", level)
+    if not (n := len(columns[0])):
+        yield "[]"
+        return
+    texts = [items.pop(id(column)) if id(column) in items
+             else items.setdefault(id(column), _item_texts(column, _float_texts).reshape(n, -1))
+             for column in columns]
+    row = [np.full(column.shape[1:], _ITEM, dtype=object).tolist() for column in columns]
+    row = dict(zip(value, row)) if isinstance(value, _Rows) else row[0]
+    head, *rest = "".join(_json_pieces(row, level + 1)).split("\0")
+    inner = "\n" + "  " * (level + 1)
+    yield from _table_rows("[" + inner + head, ["," + inner + head, *rest], texts)
+    yield "\n" + "  " * level + "]"
 
 
-def _json_text(value, level=0, items=None):
-    """json.dumps(value, indent=2), byte for byte, opening at nesting `level`, with str keys
-    only; arrays and _Rows render as lists; `items` holds one top-level call's item texts."""
+def _scalar_text(value):
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
+    if value is None or value is True or value is False or value is _ITEM:
         return _CONSTANTS[value]
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    items = {} if items is None else items
-    if isinstance(value, (list, tuple)):
-        return _bracket("[", [_json_text(v, level + 1, items) for v in value], "]", level)
-    if isinstance(value, (np.ndarray, _Rows)):
-        return _array_text(value, level, items)
-    if isinstance(value, dict):
-        return _bracket("{", [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1, items)
-                              for k, v in value.items()], "}", level)
+        return _NONFINITE.get(text := float.__repr__(value), text)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_pieces(value, level=0, items=None):
+    """json.dumps(value, indent=2) in pieces, byte for byte, opening at nesting `level`, with
+    str keys only; arrays and _Rows render as lists; `items` holds one top-level call's item
+    texts.  A container's scalars join into the piece before its next container child."""
+    items = {} if items is None else items
+    if isinstance(value, (np.ndarray, _Rows)):
+        yield from _array_pieces(value, level, items)
+        return
+    if isinstance(value, dict):
+        children = [(encode_basestring_ascii(k) + ": ", v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        children = [("", v) for v in value]
+    else:
+        yield _scalar_text(value)
+        return
+    open_, close = "{}" if isinstance(value, dict) else "[]"
+    inner, run = "\n" + "  " * (level + 1), [open_]
+    for i, (key, child) in enumerate(children):
+        run += ["," if i else "", inner, key]
+        if isinstance(child, (dict, list, tuple, np.ndarray)):
+            yield "".join(run)
+            run = []
+            yield from _json_pieces(child, level + 1, items)
+        else:
+            run.append(_scalar_text(child))
+    yield "".join(run) + ("\n" + "  " * level + close if children else close)
+
+
 def _emit_csv(args, header_fields, rows, extra_header=None):
-    lines = [f"# command={args.command}"]
-    for key, val in _tolerances(args).items():
-        lines.append(f"# tol.{key}={val:.17g}")
-    for key, val in (extra_header or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append(",".join(map(_fmt, header_fields)))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(args.out, "\n".join(lines) + "\n")
+    lines = [f"# command={args.command}",
+             *(f"# tol.{key}={val:.17g}" for key, val in _tolerances(args).items()),
+             *(f"# {key}={val}" for key, val in (extra_header or {}).items()),
+             ",".join(map(_fmt, header_fields)) + "\n"]
+    # a column of floats only is formatted as _fmt does, once per distinct float
+    columns = [_item_texts(np.array(column), lambda values: [f"{v:.17g}" for v in values])
+               if all(isinstance(v, float) for v in column)
+               else np.array(list(map(_fmt, column)), dtype=object) for column in zip(*rows)]
+    body = _table_rows("", ["", *[","] * (len(columns) - 1), "\n"], columns)
+    _write(args.out, itertools.chain(["\n".join(lines)], body))
 
 
 def _fmt(value):
@@ -234,12 +249,12 @@ def _fmt(value):
     return text
 
 
-def _write(path, text):
+def _write(path, pieces):
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------

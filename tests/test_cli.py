@@ -17,7 +17,7 @@ import ratbound
 from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
 from ratbound import cli
 from ratbound import families as fam
-from ratbound.cli import _json_text, main
+from ratbound.cli import main
 from ratbound.escape import cone_angle_report
 from ratbound.measure import boundary_measure
 from ratbound.ratmap import decompose, iterate_formula
@@ -27,6 +27,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _encode(value):
+    """The encoder's whole text for `value`."""
+    return "".join(cli._json_pieces(value))
 
 
 def write_map(tmp_path, f, name="map.json"):
@@ -575,7 +580,7 @@ def _json_values(children):
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(LEAVES, _json_values, max_leaves=40))
 def test_encoder_matches_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _encode(value) == json.dumps(value, indent=2)
 
 
 # shared by several explicit cases: nested lists (the point shape), an
@@ -601,7 +606,7 @@ POINTS = st.lists(st.lists(LEAVES, max_size=2), max_size=3)
 @given(st.lists(POINTS | POINTS.map(tuple) | st.just([]), min_size=1, max_size=4)
        .flatmap(_aliased))
 def test_encoder_matches_json_dumps_with_shared_lists(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _encode(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [
@@ -631,13 +636,13 @@ def test_encoder_matches_json_dumps_with_shared_lists(value):
     {"a": [_T, _T], "b": [[_T]], "c": _T, "d": [{"t": _T}]},
 ])
 def test_encoder_explicit_cases(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _encode(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [[np.int64(1)], {"a": np.bool_(True)}, {1j}, [1, {"a": 1j}]])
 def test_encoder_rejects_what_json_rejects(value):
     with pytest.raises(TypeError) as ours:
-        _json_text(value)
+        _encode(value)
     with pytest.raises(TypeError) as theirs:
         json.dumps(value, indent=2)
     assert str(ours.value) == str(theirs.value)
@@ -646,7 +651,7 @@ def test_encoder_rejects_what_json_rejects(value):
 @pytest.mark.parametrize("value", [{1: "x"}, [{"a": 1}, {"a": 2, 3: 4}], {None: 1}])
 def test_encoder_rejects_non_str_keys(value):
     with pytest.raises(TypeError):
-        _json_text(value)
+        _encode(value)
 
 
 def test_cli_json_is_json_dumps_indent_2(tmp_path):
@@ -672,15 +677,16 @@ def test_cli_json_is_json_dumps_indent_2(tmp_path):
 
 @pytest.fixture(scope="module")
 def ft_measure_envelope(tmp_path_factory):
-    """The envelope cmd_measure hands the encoder for F_T (T=1) at tail_tol 1e-4."""
+    """The envelope of cmd_measure for F_T (T=1) at tail_tol 1e-4: the result it hands
+    _emit_json, which this captures, in the envelope _emit_json wraps it in."""
     tmp = tmp_path_factory.mktemp("ft")
     path = write_map(tmp, fam.make_epstein_FT(1.0))
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_json_text", lambda value: seen.append(value) or "")
+        mp.setattr(cli, "_emit_json", lambda args, result: seen.append(result))
         argv = ["measure", "--input", path, "--param", "tail_tol=1e-4", "--out", str(tmp / "o")]
         assert main(argv) == 0
-    return seen[0]
+    return {"command": "measure", "tolerances": DEFAULTS.as_dict(), "seed": 0, "result": seen[0]}
 
 
 def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypatch):
@@ -689,7 +695,7 @@ def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypat
     rendered, float_texts = [], cli._float_texts
     monkeypatch.setattr(cli, "_float_texts",
                         lambda values, *rest: rendered.extend(values) or float_texts(values, *rest))
-    _json_text(ft_measure_envelope)
+    _encode(ft_measure_envelope)
     result = ft_measure_envelope["result"]
     atoms, cones = result["measure"]["atoms"], result["cone_angles"]
     floats = np.concatenate([atoms["point"].ravel(), atoms["mass"], cones["angle"]])
@@ -700,16 +706,16 @@ def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypat
 
 
 def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
-    # peak/len(text) reads 2.04 (19.3 MB for 9.45 MB of text): the last joins
-    # of the result and top-level dicts each hold a part and its copy; keeping
-    # rendered columns past their use shows here
+    # streamed into a sink that only counts bytes, the encoder holds the item
+    # texts and one block of rows, never the text: peak/size reads 0.61; keeping
+    # rendered columns past their use, or joining more than a block, shows here
     tracemalloc.start()
     try:
-        text = _json_text(ft_measure_envelope)
+        size = sum(map(len, cli._json_pieces(ft_measure_envelope)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * len(text)
+    assert peak <= 1.0 * size
 
 
 # arrays, as `measure` and `sample` pass them: float columns of shapes (n,) and
@@ -747,7 +753,7 @@ def _as_lists(value):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0, 1, 5]).flatmap(_columns).flatmap(_array_trees))
 def test_encoder_renders_arrays_as_their_lists(value):
-    assert _json_text(value) == json.dumps(_as_lists(value), indent=2)
+    assert _encode(value) == json.dumps(_as_lists(value), indent=2)
 
 
 # bool arrays map through the constants; an array neither float64 nor bool
@@ -761,13 +767,51 @@ def test_encoder_renders_arrays_as_their_lists(value):
     np.array([0.1, np.nan], np.float32), np.array([2.5, -np.inf], ">f8"), np.array(["a", "%s"]),
 ])
 def test_encoder_array_explicit_cases(value):
-    assert _json_text(value) == json.dumps(_as_lists(value), indent=2)
+    assert _encode(value) == json.dumps(_as_lists(value), indent=2)
+
+
+@pytest.mark.parametrize("n", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1])
+def test_encoder_rows_across_block_edges(n):
+    # an array is joined _BLOCK rows to a piece; around each block edge the
+    # rows, and a point column shared by two _Rows as in `measure`, read as
+    # json.dumps reads their lists
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((n, 2, 2))
+    points[::5, 1] = [-0.0, math.nan]
+    masses = rng.random(n)
+    value = {"points": points, "masses": masses,
+             "atoms": cli._Rows(point=points, mass=masses),
+             "cones": cli._Rows(point=points, angle=2 * masses, infinite_end=masses < 0.5)}
+    assert _encode(value) == json.dumps(_as_lists(value), indent=2)
+    # one piece per block, then the closing bracket
+    assert len(list(cli._json_pieces(masses))) == -(-n // cli._BLOCK) + 1
+
+
+def test_multi_block_measure_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    argv = ["measure", "--family", "epstein_FT", "--param", "tail_tol=1e-4"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+    assert (tmp_path / "o.json").read_bytes() == out.encode()
+    assert len(json.loads(out)["result"]["cone_angles"]) > 2 * cli._BLOCK
+
+
+def test_csv_rows_are_their_fields(tmp_path):
+    # a float column is formatted once per bit pattern (-0.0 apart from 0.0,
+    # each NaN), any other column field by field; rows cross block edges
+    args = argparse.Namespace(command="escape", tol=1e-6, out=str(tmp_path / "o.csv"))
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3]
+    rows = [(special[i % 9], i if i % 2 else i / 7, 'a, "b"' if i % 5 else "ok", i * 0.5)
+            for i in range(cli._BLOCK + 3)]
+    cli._emit_csv(args, ["x", "y", "flag", "z"], rows, {"seed": 1})
+    head, body = (tmp_path / "o.csv").read_text().split("\nx,y,flag,z\n")
+    assert head.startswith("# command=escape\n# tol.pt=") and head.endswith("# seed=1")
+    assert body == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("value", [np.array([1j]), cli._Rows(z=np.array([0.5 + 1j]))])
 def test_encoder_rejects_array_items_json_rejects(value):
     with pytest.raises(TypeError) as ours:
-        _json_text(value)
+        _encode(value)
     with pytest.raises(TypeError) as theirs:
         json.dumps(_as_lists(value), indent=2)
     assert str(ours.value) == str(theirs.value)
