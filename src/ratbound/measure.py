@@ -35,15 +35,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
 from .hpoly import RootList, _companion_roots, _rows, roots
-from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross
-from .ratmap import (
-    BoundaryMap,
-    Decomposition,
-    apply_pair,
-    decompose,
-    _depth_series,
-    _match_hole,
-)
+from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
+from .ratmap import BoundaryMap, Decomposition, decompose, _depth_series, _orbit_steps
 
 DESIGN_VERSION = 1
 _DESIGN_CACHE = None
@@ -383,7 +376,7 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
         raise ValueError("sampling requires a nondegenerate map")
     if f.d < 2:
         raise MathDomainError("inverse-iteration sampling needs degree d >= 2")
-    if _is_exceptional(f.pair(), a):
+    if _is_exceptional(dec, a):
         raise ExceptionalPointError("exceptional point")
 
     d = f.d
@@ -439,26 +432,32 @@ def mass_in_disk(mu, center: ProjPoint, radius: float) -> float:
 # support report
 
 
-def _is_exceptional(phi, a: ProjPoint) -> bool:
-    """True iff phi^-k(a), k = 0..3, hold fewer than 3 points distinct at
-    chordal hole_match.  For deg phi >= 2 a non-exceptional a has 3 already
-    among phi^-k(a), k <= 2, since at most two values are totally ramified."""
-    pts, ms = a.as_array()[None, :], np.ones(1)
-    seen = [pts]
-    for _ in range(3):
-        pts, ms = _pull_back(phi, pts, ms)
-        seen.append(pts)
-    cloud = np.concatenate(seen)
-    distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
-    return len(distinct) < 3
+def _is_exceptional(dec: Decomposition, a: ProjPoint) -> bool:
+    """True iff phi maps a back to itself within chordal hole_match after one
+    step or after two, and phi has local degree e at every point of that cycle.
+
+    For e >= 2 a point with a finite grand orbit is exactly such a fixed
+    point or 2-cycle point (Beardon, Iteration of Rational Functions, section
+    4.1).  For e = 1 every point has local degree e, and the rule reads
+    "period at most 2".
+    """
+    cycle = []
+    for x, _, deg in islice(_orbit_steps(dec, a), 3):
+        if cycle and chordal_distance(x, cycle[0]) <= DEFAULTS.hole_match:
+            return True
+        if deg != dec.e:
+            return False
+        cycle.append(x)
+    return False
 
 
 def support_report(dec: Decomposition):
     """Classify supp(mu_f) for degenerate f: J(f) vs the exceptional set.
 
-    Reports which structural case applies; the detection is a finite
-    backward/forward probe, and no claim is computed beyond the detected
-    case.
+    Reports which structural case applies: the exceptional-point test is
+    the exact forward rule of _is_exceptional, and forward_orbit_probe
+    counts the hole hits among the first 21 orbit points of each hole.  No
+    claim is computed beyond the detected case.
     """
     if dec.e == dec.d:
         raise ValueError("support report applies to degenerate maps")
@@ -470,13 +469,11 @@ def support_report(dec: Decomposition):
         rep["case"] = "constant"
         rep["claim"] = "J(phi) is empty; supp mu_f is the hole set itself"
         return rep
-    witness = next((pt for pt, _ in dec.holes if not _is_exceptional(dec.phi, pt)), None)
+    witness = next((pt for pt, _ in dec.holes if not _is_exceptional(dec, pt)), None)
     orbits = {}
     for pt, _ in dec.holes:
-        orbit = [pt]
-        for _ in range(20):
-            orbit.append(apply_pair(dec.phi, orbit[-1]))
-        hits = sum(1 for y in orbit if _match_hole(y, dec.holes)[0])
+        orbit = list(islice(_orbit_steps(dec, pt), 21))
+        hits = sum(1 for _, depth, _ in orbit if depth)
         orbits[repr(pt)] = {"length": len(orbit), "hole_hits": hits}
     rep["forward_orbit_probe"] = orbits
     if witness is not None:

@@ -53,7 +53,10 @@ class ProjPoint:
 
 
 def canonicalize(z: complex, w: complex) -> ProjPoint:
-    """Canonical representative of (z:w).  Scale-invariant and idempotent."""
+    """Canonical representative of (z:w).  Scale-invariant up to round-off.
+
+    A second pass is not a no-op: it moves the last bits of most points, so
+    a point is canonicalized once, when it is made."""
     z, w = complex(z), complex(w)
     m = max(abs(z), abs(w))
     if m == 0.0:

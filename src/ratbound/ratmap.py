@@ -213,8 +213,11 @@ def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
 def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
     """Plain n-fold composition, renormalized each step.
 
-    Intended as a cross-check oracle for nondegenerate maps; a degenerate
-    map may collapse to the zero pair, which raises "composition vanished".
+    A cross-check oracle for nondegenerate maps only where d^n is at most
+    about 100: beyond that its round-off grows past the product formula's,
+    and where the two disagree it is the wrong one more often than not.  A
+    degenerate map may collapse to the zero pair, which raises "composition
+    vanished".
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -260,36 +263,23 @@ def _match_hole(x: ProjPoint, holes):
 
 
 def _orbit_steps(dec: Decomposition, z: ProjPoint):
-    """Yield (depth_k, local degree at x_k) along the forward phi-orbit x_k of z.
+    """Yield (x_k, depth_k, deg_k) along the forward phi-orbit x_k of z: the
+    orbit point, its depth as a hole of f (0 off the hole set) and the local
+    degree of phi there.
 
-    Orbit points within chordal hole_match of a hole are snapped to the
-    hole center before the local degree is read and the orbit continues.
-    The walk is lazy and endless; phi(x_k), computed once, gives both the
-    local degree at x_k and the next point.
+    The one forward-orbit walker: the depth series, the exceptional-point
+    test and the support report's orbit probe all read it.  Orbit points
+    within chordal hole_match of a hole are snapped to the hole center
+    before the local degree is read and the orbit continues.  The walk is
+    lazy and endless; phi(x_k), computed once, gives both the local degree
+    at x_k and the next point.
     """
     x = z
     while True:
         depth, x = _match_hole(x, dec.holes)
         img = apply_pair(dec.phi, x)
-        yield depth, _local_degree(dec.phi, x, img)
+        yield x, depth, _local_degree(dec.phi, x, img)
         x = img
-
-
-def orbit_depth_terms(dec: Decomposition, z: ProjPoint, n_terms: int):
-    """[(m_k, depth_k)] for k < n_terms along the forward phi-orbit of z.
-
-    m_k is the multiplicity of z as a solution of phi^k = phi^k(z) (the
-    product of local degrees along the orbit) and depth_k the depth of
-    phi^k(z) as a hole of f (0 off the hole set).
-    """
-    if dec.e == 0:
-        raise ValueError("orbit terms require deg(phi) >= 1")
-    terms = []
-    m = 1
-    for depth, deg in islice(_orbit_steps(dec, z), n_terms):
-        terms.append((m, depth))
-        m *= deg
-    return terms
 
 
 def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
@@ -324,7 +314,7 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     else:
         partial = Fraction(0)
         m = 1
-        for k, (depth, deg) in enumerate(_orbit_steps(dec, z)):
+        for k, (_, depth, deg) in enumerate(_orbit_steps(dec, z)):
             if depth:
                 partial += Fraction(m * depth, d ** (k + 1))
             m *= deg

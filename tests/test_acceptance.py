@@ -6,6 +6,7 @@ lines; criteria with runtime budgets include the elapsed time in the check.
 
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from ratbound import (
     weak_distance,
 )
 from ratbound import families as fam
-from ratbound.ratmap import orbit_depth_terms
+from ratbound.ratmap import _depth_series
 
 
 def hp(*coeffs):
@@ -167,10 +168,9 @@ def test_criterion_4_hole_depth_monotonicity():
         seq = hole_depth_sequence(fa, INFINITY, 6, 1e-4)
         mono = all(b >= a for a, b in zip(seq, seq[1:]))
         mass, _ = point_mass(dec, INFINITY, 1e-14)
-        terms = orbit_depth_terms(dec, INFINITY, 7)
-        tail6 = Fraction(terms[6][0], (d * d) ** 6)
+        tail = list(islice(_depth_series(dec, INFINITY), 6))[5][1]  # T_5 = m_6/(d^2)^6
         sandwich = (float(seq[-1]) <= mass + 1e-10
-                    and mass <= float(seq[-1] + tail6) + 1e-10)
+                    and mass <= float(seq[-1] + tail) + 1e-10)
         ok = ok and mono and sandwich
         details.append(f"d={d} last={float(seq[-1]):.6f}")
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -26,20 +27,23 @@ from ratbound import (
     compose_pair,
     decompose,
     hole_depth_sequence,
+    local_degree,
     mass_in_disk,
     point_mass,
     preimages,
     pullback,
+    roots,
     sample_max_entropy,
     support_report,
     design_points,
     weak_distance,
+    wronskian,
 )
 from ratbound import families as fam
 from ratbound import hpoly
-from ratbound.measure import batched_preimage_slots, merge_atoms
+from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atoms
 from ratbound.projline import canonicalize_rows, chordal_cross
-from ratbound.ratmap import apply_pair
+from ratbound.ratmap import _depth_series, apply_pair
 
 
 def hp(*coeffs):
@@ -323,15 +327,11 @@ def test_point_mass_sandwich_with_depth_sequence():
     dec = decompose(fa, 1e-4)
     seq = hole_depth_sequence(fa, INFINITY, 6, 1e-4)
     mass, err = point_mass(dec, INFINITY, 1e-14)
-    from ratbound.ratmap import orbit_depth_terms
-
-    terms = orbit_depth_terms(dec, INFINITY, 7)
-    m6 = 1
-    for m, _ in [terms[6]]:
-        m6 = m
-    tail6 = terms[6][0] / 9**6
+    # T_5 = m_6/9^6 bounds every term past the sixth
+    partial, tail = list(islice(_depth_series(dec, INFINITY), 6))[5]
+    assert partial == seq[-1]
     assert float(seq[-1]) <= mass + 1e-12
-    assert mass <= float(seq[-1]) + tail6 + 1e-12
+    assert mass <= float(seq[-1]) + float(tail) + 1e-12
 
 
 # -- pullback -------------------------------------------------------------------
@@ -500,10 +500,11 @@ def test_sampler_stream_head_pinned(d, workers):
 
 
 def test_sampler_rejects_exceptional_start():
-    with pytest.raises(ExceptionalPointError):
-        sample_max_entropy(SQUARING, ZERO, depth=5, count=10, seed=1)
-    with pytest.raises(ExceptionalPointError):
-        sample_max_entropy(SQUARING, INFINITY, depth=5, count=10, seed=1)
+    # z^2 fixes 0 and inf, z -> 1/z^2 swaps them; each is totally ramified
+    for f in (SQUARING, BoundaryMap(2, hp(1, 0, 0), hp(0, 0, 1))):
+        for x in (ZERO, INFINITY):
+            with pytest.raises(ExceptionalPointError):
+                sample_max_entropy(f, x, depth=5, count=10, seed=1)
 
 
 def test_sampler_starts_below_depth_3_from_a_nonexceptional_critical_value():
@@ -538,6 +539,13 @@ def test_sampler_rejects_conjugate_critical_fixed_points():
     for x in (ZERO, INFINITY):
         with pytest.raises(ExceptionalPointError):
             sample_max_entropy(CONJUGATE, apply_pair(MOBIUS, x), depth=5, count=10, seed=1)
+
+
+def test_sampler_starts_from_a_two_cycle_with_a_simple_point():
+    # z -> z^2 - 1 swaps 0 and -1, but -1 is not critical: phi^-1(0) = {1, -1}
+    f = BoundaryMap(2, hp(-1, 0, 1), hp(1, 0, 0))
+    emp = sample_max_entropy(f, ZERO, depth=3, count=20, seed=1)
+    assert emp.count == 20
 
 
 def _backward_tree_per_node(f, a, depth, tol=1e-10):
@@ -695,7 +703,15 @@ def test_support_report_branches():
      1e-8, "all holes exceptional", None),
     (BoundaryMap(3, hp(-1, 1) * hp(0, 0, 1), hp(-1, 1) * hp(1, 0, 0)), 1e-8,
      "non-exceptional hole", canonicalize(1, 1)),
-], ids=["example1-d3", "example2-32", "FT", "cubic", "squaring-0-inf", "squaring-1"])
+    # e = 1: phi = 2z fixes its hole 0; phi = 2z moves its hole 1 off to
+    # infinity; phi = -1/z swaps its hole 1 with -1
+    (BoundaryMap(2, hp(0, 0, 2), hp(0, 1, 0)), 1e-8, "all holes exceptional", None),
+    (BoundaryMap(2, hp(-1, 1) * hp(0, 2), hp(-1, 1) * hp(1, 0)), 1e-8,
+     "non-exceptional hole", canonicalize(1, 1)),
+    (BoundaryMap(2, hp(-1, 1) * hp(1, 0), hp(-1, 1) * hp(0, -1)), 1e-8,
+     "all holes exceptional", None),
+], ids=["example1-d3", "example2-32", "FT", "cubic", "squaring-0-inf", "squaring-1",
+        "e1-fixed", "e1-not-periodic", "e1-two-cycle"])
 def test_support_report_verdicts(f, tol, case, witness):
     rep = support_report(decompose(f, tol))
     assert rep["case"] == case
@@ -703,6 +719,82 @@ def test_support_report_verdicts(f, tol, case, witness):
         assert "witness_hole" not in rep
     else:
         assert chordal_distance(ProjPoint.from_json(rep["witness_hole"]), witness) < 1e-6
+
+
+def _exceptional_by_backward_orbit(phi, a):
+    """Reference rule: a is exceptional for phi iff phi^-k(a), k <= 3, hold
+    fewer than 3 points distinct at chordal hole_match.  Each level is solved
+    per node by preimages and merged at pt, as _backward_tree_per_node does."""
+    level = np.array([a.as_array()])
+    cloud = [level]
+    for _ in range(3):
+        children = [child.as_array() for row in level
+                    for child, _ in preimages(phi, canonicalize(row[0], row[1]))]
+        level, _ = merge_atoms(np.array(children), np.ones(len(children)))
+        cloud.append(level)
+    cloud = np.concatenate(cloud)
+    distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
+    return len(distinct) < 3
+
+
+def _cycle_points(phi, n):
+    """The points whose period under phi divides n; none when phi^n is the identity."""
+    p, q = phi
+    for _ in range(n - 1):
+        p, q = compose_pair(phi, (p, q))
+    fixed = HPoly.z() * q - HPoly.w() * p
+    return [] if fixed.is_zero else [pt for pt, _ in roots(fixed)]
+
+
+def _zpow(d, sign):
+    zd, wd = hp(*[0] * d, 1), hp(1, *[0] * d)
+    return BoundaryMap(d, zd, wd) if sign > 0 else BoundaryMap(d, wd, zd)
+
+
+_ORACLE_MAPS = {
+    "squaring": (SQUARING, 1e-6),
+    "conjugate": (CONJUGATE, 1e-6),
+    **{f"z^{s * d}": (_zpow(d, s), 1e-6) for d in (2, 3) for s in (1, -1)},
+    # Moebius: dilation, involution, translation, order-3 rotation, generic
+    "2z": (BoundaryMap(1, hp(0, 2), hp(1, 0)), 1e-8),
+    "1/z": (BoundaryMap(1, hp(1, 0), hp(0, 1)), 1e-8),
+    "z+1": (BoundaryMap(1, hp(1, 1), hp(1, 0)), 1e-8),
+    "rotation": (BoundaryMap(1, hp(0, np.exp(2j * np.pi / 3)), hp(1, 0)), 1e-8),
+    "moebius": (BoundaryMap(1, hp(2j, 1), hp(0.5, -1)), 1e-8),
+    **{f"example1-d{d}": (fam.make_example1(d, 0.4, 1e-3), 1e-6) for d in (2, 3, 5)},
+    "FT": (fam.make_epstein_FT(1.0), 1e-6),
+    "ex1s2": (fam.example1_second_limit(2, a=0.5), 1e-4),
+    "ex2s2": (fam.example2_second_limit(3, 2, a=0.4), 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MAPS))
+def test_exceptional_points_match_the_backward_orbit_rule(name):
+    # the forward rule against the backward one on fixed points, 2-cycle
+    # points, critical points and seeded random points.  Maps with e > 3 keep
+    # 8 of their cycle points: each backward orbit costs up to 1 + e + e^2
+    # root solves
+    f, tol = _ORACLE_MAPS[name]
+    dec = decompose(f, tol)
+    rng = np.random.default_rng(sorted(_ORACLE_MAPS).index(name))
+    cycles = _cycle_points(dec.phi, 1) + _cycle_points(dec.phi, 2)
+    if dec.e > 3:
+        cycles = [cycles[i] for i in sorted(rng.choice(len(cycles), 8, replace=False))]
+    critical = [pt for pt, _ in roots(wronskian(dec.phi))] if dec.e > 1 else []
+    generic = [canonicalize(complex(*rng.standard_normal(2)), 1) for _ in range(2)]
+    for a in cycles + critical + generic:
+        assert _is_exceptional(dec, a) == _exceptional_by_backward_orbit(dec.phi, a), a
+
+
+def test_exceptional_fixed_point_follows_the_local_degree():
+    # z^2 + lam*z fixes 0 with multiplier lam.  Below the ramification
+    # threshold local_degree, and with it point_mass, reads 0 as critical;
+    # the exceptional verdict reads the same decision
+    for lam in (1e-5, 3e-6, 7e-7, 1e-9):
+        dec = decompose(BoundaryMap(2, hp(0, lam, 1), hp(1, 0, 0)))
+        critical = local_degree(dec.phi, ZERO) == 2
+        assert critical == (lam < DEFAULTS.ramification)
+        assert _is_exceptional(dec, ZERO) == critical
 
 
 def test_measure_json_roundtrip():

@@ -29,7 +29,7 @@ from ratbound import (
 from ratbound import families as fam
 from ratbound import ratmap
 from ratbound.hpoly import count_zeros_in_disk, numeric_gcd
-from ratbound.ratmap import iterate_hole_factor, orbit_depth_terms
+from ratbound.ratmap import iterate_hole_factor
 
 
 def hp(*coeffs):
@@ -402,7 +402,7 @@ def test_orbit_walk_evaluates_phi_once_per_step(monkeypatch):
     walk, x = [], z
     for _ in range(8):  # the walk that reads the local degree on its own
         depth, x = ratmap._match_hole(x, dec.holes)
-        walk.append((depth, local_degree(dec.phi, x)))
+        walk.append((x, depth, local_degree(dec.phi, x)))
         x = ratmap.apply_pair(dec.phi, x)
     assert list(islice(ratmap._orbit_steps(dec, z), 8)) == walk
     calls, steps = [], []
@@ -414,15 +414,13 @@ def test_orbit_walk_evaluates_phi_once_per_step(monkeypatch):
 
 
 def test_orbit_terms_match_lemma_series():
-    # orbit of 0 for a = alpha: depths (0, d-1, d-1, ...) with m = (1, d, d, ...)
+    # orbit of 0 for a = alpha: depths (0, d-1, d-1, ...) with local degrees
+    # (d, 1, 1, ...), so the running multiplicity m is (1, d, d, ...)
     d = 3
     fa = fam.example1_second_limit(d, a=1.0)
     dec = decompose(fa, 1e-4)
-    terms = orbit_depth_terms(dec, ZERO, 5)
-    assert terms[0] == (1, 0)
-    assert terms[1] == (d, d - 1)
-    assert terms[2] == (d, d - 1)
-    assert terms[3] == (d, d - 1)
+    steps = [(depth, deg) for _, depth, deg in islice(ratmap._orbit_steps(dec, ZERO), 4)]
+    assert steps == [(0, d), (d - 1, 1), (d - 1, 1), (d - 1, 1)]
 
 
 def test_map_json_roundtrip():
