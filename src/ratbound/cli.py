@@ -26,7 +26,7 @@ from . import families as fam
 from .config import DEFAULTS
 from .errors import MathDomainError, NumericalFailure
 from .escape import cone_angle_report, escape_grid
-from .hpoly import resultant
+from .hpoly import _shared_map, resultant
 from .measure import (
     _design_integrals,
     boundary_measure,
@@ -122,9 +122,10 @@ def _emit_json(args, result):
 # path: an (n, ...) array renders as the list of its rows, _Rows(key=column,
 # ...) as the list of dicts {key: column[i], ...}, through _table_rows (shared
 # with CSV), which joins _BLOCK rows at a time.  A float64 array renders each
-# distinct bit pattern once (np.unique of the int64 view keeps -0.0, 0.0 and
-# NaN apart) and keeps its item texts, by id, to their second use: the
-# `measure` points of atom and cone rows render once.
+# distinct magnitude once (np.unique of the int64 view with the sign bit
+# cleared), a negative value as "-" and its magnitude's text, and keeps its
+# item texts, by id, to their second use: the `measure` points of atom and
+# cone rows render once.
 
 _BLOCK = 4096  # rows per piece of an array or a CSV table
 _ITEM = object()  # an item in a row rendered for its fragments: "\0", which json escapes in a str
@@ -136,21 +137,32 @@ class _Rows(dict):
     """Same-keyed rows given as columns: key -> array with one item per row."""
 
 
-def _float_texts(values):
-    texts = list(map(float.__repr__, values))
-    if not _NONFINITE.keys().isdisjoint(texts):
+def _float_texts(magnitudes):
+    """JSON texts of ascending non-negative floats, whose largest is the one that can be
+    inf or NaN."""
+    texts = list(map(float.__repr__, magnitudes))
+    if magnitudes and not math.isfinite(magnitudes[-1]):
         texts = [_NONFINITE.get(t, t) for t in texts]
     return texts
 
 
 def _item_texts(array, render):
-    """An object array of an array's item texts in C order: float64 ones from `render` (floats
-    to texts) once per bit pattern; only bools use _CONSTANTS, which reads 1 as true."""
+    """An object array of an array's item texts in C order: float64 ones from `render`
+    (ascending magnitudes to texts) once per magnitude, with "-" before a negative value's,
+    none before NaN's, as json.dumps and %.17g write them; only bools use _CONSTANTS, which
+    reads 1 as true."""
     flat = np.ascontiguousarray(array).ravel()
     if flat.dtype == np.float64:
-        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        texts = render(bits.view(np.float64).tolist())
-        return np.array(texts, dtype=object)[inverse]
+        bits = flat.view(np.int64)
+        mags, inverse = np.unique(bits & np.int64(2**63 - 1), return_inverse=True)
+        texts = np.array(render(mags.view(np.float64).tolist()), dtype=object)
+        items = texts[inverse]
+        negative = (bits < 0) & (flat == flat)
+        signed = np.zeros(len(texts), dtype=bool)  # the magnitudes some negative value has
+        signed[inverse[negative]] = True
+        texts[signed] = "-" + texts[signed]
+        items[negative] = texts[inverse[negative]]
+        return items
     render = _CONSTANTS.__getitem__ if flat.dtype == bool else lambda v: "".join(_json_pieces(v))
     return np.array(list(map(render, flat.tolist())), dtype=object)
 
@@ -343,24 +355,32 @@ def cmd_converge(args, params):
     tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-6))
     family = fam.FamilySpec(args.family, params)
     family.check_limit()
-    # the specs check their keys, and the target its mass, before any row runs;
-    # a row is weak_distance(emp, target) with the target integrated once
+    # the specs check their keys before any work; the target (its integrals,
+    # or the mass check that exits 2) and the rows (each one's integrals and
+    # disk mass, or its error flag) are tasks shared with the pool, in order
     specs = [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
-    target_integrals = _design_integrals(family.limit(tail_tol))
+
+    def run(spec):
+        if spec is None:
+            return _design_integrals(family.limit(tail_tol))
+        try:
+            emp = sample_max_entropy(spec.build(), a0, depth=args.depth, count=args.count,
+                                     seed=_seed(args), workers=args.workers, gcd_tol=args.tol)
+            return _design_integrals(emp), mass_in_disk(emp, center, radius)
+        except (ValueError, NumericalFailure, MathDomainError) as exc:
+            return f"error: {exc}"
+
+    target_integrals, *outcomes = _shared_map(run, [None, *specs])
     rows = []
     dists = []
-    for v, spec in zip(values, specs):
-        try:
-            f = spec.build()
-            emp = sample_max_entropy(f, a0, depth=args.depth, count=args.count,
-                                     seed=_seed(args), workers=args.workers,
-                                     gcd_tol=args.tol)
-            dist = float(np.abs(_design_integrals(emp) - target_integrals).max())
-            md = mass_in_disk(emp, center, radius)
-            rows.append((v, dist, md, "ok"))
-            dists.append(dist)
-        except (ValueError, NumericalFailure, MathDomainError) as exc:
-            rows.append((v, math.nan, math.nan, f"error: {exc}"))
+    for v, outcome in zip(values, outcomes):
+        if isinstance(outcome, str):
+            rows.append((v, math.nan, math.nan, outcome))
+            continue
+        integrals, md = outcome
+        dist = float(np.abs(integrals - target_integrals).max())
+        rows.append((v, dist, md, "ok"))
+        dists.append(dist)
     summary = {
         "distances_decreasing": all(b <= a for a, b in zip(dists, dists[1:])),
         "final_distance": dists[-1] if dists else math.nan,
@@ -468,10 +488,10 @@ def build_parser():
             p.add_argument("--depth", type=_positive(int), default=20)
             p.add_argument("--count", type=_positive(int), default=10_000)
             p.add_argument("--workers", type=_positive(int), default=1,
-                           help="sampler RNG stream partition; chunks run one after another. "
-                                "The stream depends on (seed, workers) only, never on threads: "
-                                "the root kernel may split large batches over a fixed pool of "
-                                "at most two, separate from BLAS's")
+                           help="sampler RNG stream partition. The stream depends on "
+                                "(seed, workers) only, never on threads: chunks, converge rows "
+                                "and large root batches share a fixed pool of at most two, "
+                                "separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
         formats = _FORMATS.get(name, ("json",))
         p.add_argument("--format", choices=formats, default=formats[0])

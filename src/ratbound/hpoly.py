@@ -6,9 +6,13 @@ evaluation, products, pair composition, the Sylvester resultant, all-roots
 finding on P^1 (companion-matrix eigenvalues with Newton polish and
 chordal clustering for multiplicities), and an approximate gcd computed by
 matching root clusters of the two inputs.  One batched companion kernel,
-_companion_roots, serves both roots and the preimage slots of measure; it
-may split a large batch over a fixed pool of at most two threads (separate
-from the BLAS threads), and its results never depend on the thread count.
+_companion_roots, serves both roots and the preimage slots of measure.
+
+Independent work shares one fixed pool through _shared_map: the caller's
+thread and at most one worker (separate from the BLAS threads).  It runs the
+halves of a large companion batch, the halves of a large measure level, the
+sampler's worker chunks and the target and rows of a `converge` sweep; every
+result is the serial loop's, bit for bit, whatever the thread count.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
 gcd because floating-point remainder sequences degrade exactly where these
@@ -326,7 +330,7 @@ def projective_residual(a, b) -> float:
 # root finding
 
 
-# Threads sharing a large eigvals batch (the caller's plus a worker), capped
+# Threads sharing independent work (the caller's plus one pool worker), capped
 # at the usable cores.  eigvals drops the GIL and solves each matrix alone.
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -334,10 +338,56 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # matrix, serial -> split, 2-core Xeon VM, BLAS on 1 thread: n=4 11.8 -> 8.0,
 # n=5 18.3 -> 11.4, n=9 57.6 -> 34.6 at k=256; n=5 at k=192 and n=3 at k=256
 # lost (18.8 -> 20.2, 6.5 -> 7.4); with the other core busy a split costs 2-9%.
-_SPLIT_N, _SPLIT_K = 4, 256
+# _SPLIT_LEVEL is the smallest level measure._pull_back solves in two halves.
+# Median ms per F_T level (e = 2), serial -> split, same machine, worse of two
+# runs: 512 rows 0.9 -> 1.7 and 1,024 rows 3.0 -> 3.3 lost; 2,048 rows
+# 5.0 -> 4.3 and 8,192 rows 13.8 -> 11.6 won.
+_SPLIT_N, _SPLIT_K, _SPLIT_LEVEL = 4, 256, 2048
 _pool = None
 if hasattr(os, "register_at_fork"):  # a forked child inherits no worker thread
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _shared_map(fn, items):
+    """[fn(item) for item in items], the items shared between the caller's
+    thread and the pool; the results, or the exception, of the serial loop.
+
+    Every item but the first is queued on the pool.  The caller walks the
+    items in order and runs each one the pool has not started (cancelling it
+    there), so a task that calls _shared_map itself never waits on a queued
+    task.  Once a task has failed nothing more starts; it returns or raises
+    after every task the pool started has finished, and raises the exception
+    of the earliest item that failed.
+    """
+    global _pool
+    items = list(items)
+    if _THREADS < 2 or len(items) < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import Future, wait
+
+    if _pool is None:  # created on first use: the import costs ~5 ms at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_THREADS - 1)
+    tasks = [None] + [_pool.submit(fn, item) for item in items[1:]]
+    try:
+        for i, item in enumerate(items):
+            if tasks[i] is not None and not tasks[i].cancel():
+                continue  # started on the pool
+            if any(task.done() and task.exception() is not None for task in tasks[:i]):
+                break
+            tasks[i] = Future()
+            try:
+                tasks[i].set_result(fn(item))
+            except Exception as exc:
+                tasks[i].set_exception(exc)
+                break
+    finally:
+        for task in tasks:
+            if task is not None:
+                task.cancel()
+        wait([task for task in tasks if task is not None and not task.cancelled()])
+    return [task.result() for task in tasks]
 
 
 def _companion_roots(C):
@@ -346,10 +396,9 @@ def _companion_roots(C):
 
     The eigenvalues of each row's monic companion matrix (the method of
     numpy.roots, backward stable by Edelman-Murakami, Math. Comp. 1995),
-    in one batched eigvals call, or in two halves on two threads when the
+    in one batched eigvals call, or in two halves by _shared_map when the
     batch is large.
     """
-    global _pool
     k, width = C.shape
     n = width - 1
     monic = C / C[:, -1:]
@@ -360,13 +409,7 @@ def _companion_roots(C):
     A[:, :, -1] = -monic[:, :-1]
     if _THREADS < 2 or n < _SPLIT_N or k < _SPLIT_K:
         return np.linalg.eigvals(A)
-    if _pool is None:  # created on first use: the import costs ~5 ms at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_THREADS - 1)
-    top = _pool.submit(np.linalg.eigvals, A[: k // 2])
-    low = np.linalg.eigvals(A[k // 2 :])
-    return np.concatenate([top.result(), low])
+    return np.concatenate(_shared_map(np.linalg.eigvals, [A[: k // 2], A[k // 2 :]]))
 
 
 def _horner_vec(coeffs_asc, x):

@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
-from .hpoly import RootList, _companion_roots, _rows, roots
+from .hpoly import _SPLIT_LEVEL, RootList, _companion_roots, _rows, _shared_map, roots
 from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
 from .ratmap import BoundaryMap, Decomposition, decompose, _depth_series, _orbit_steps
 
@@ -56,8 +57,9 @@ def design_points() -> np.ndarray:
             x1, x2 = r * math.cos(theta), r * math.sin(theta)
             zeta = complex(x1, x2) / (1.0 - y)
             pts.append([zeta, 1.0])
-        _DESIGN_CACHE = canonicalize_rows(np.array(pts, dtype=complex))
-        _DESIGN_CACHE.flags.writeable = False
+        design = canonicalize_rows(np.array(pts, dtype=complex))
+        design.flags.writeable = False
+        _DESIGN_CACHE = design  # set once read-only: _shared_map tasks may race to build it
     return _DESIGN_CACHE
 
 
@@ -95,15 +97,23 @@ class AtomicMeasure:
 
     @staticmethod
     def from_json(data) -> "AtomicMeasure":
-        pts = [
+        """The measure of to_json's data, bit for bit: a row written canonical (unit norm
+        and a positive real anchor, each within a few ulps) is kept as written, since a
+        second canonicalization moves its last bits; any other row is canonicalized."""
+        pts = np.array([
             [complex(a["point"][0][0], a["point"][0][1]),
              complex(a["point"][1][0], a["point"][1][1])]
             for a in data["atoms"]
-        ]
-        masses = [a["mass"] for a in data["atoms"]]
+        ], dtype=complex).reshape(-1, 2)
+        z, w = pts[:, 0], pts[:, 1]
+        anchor = np.where(np.abs(z) >= np.abs(w), z, w)
+        eps = np.finfo(float).eps
+        written = ((np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1) <= 8 * eps)
+                   & (anchor.real > 0) & (np.abs(anchor.imag) <= 4 * eps))
+        pts[~written] = canonicalize_rows(pts[~written])
         return AtomicMeasure(
-            canonicalize_rows(np.array(pts, dtype=complex)) if pts else np.zeros((0, 2), complex),
-            np.array(masses, dtype=float),
+            pts,
+            np.array([a["mass"] for a in data["atoms"]], dtype=float),
             data.get("tail_bound", 0.0),
             data.get("note", ""),
         )
@@ -215,9 +225,19 @@ def _pull_back(phi, pts, masses):
     pt, so a row with two slots within the root-clustering radius (the
     radius roots uses for multiplicities) is solved again by _exact_slots.
     Only siblings are tested: preimages of distinct nearby rows can lie
-    closer than that radius and are distinct points.  The children are then
-    merged at pt, which makes each multiple preimage one atom.
+    closer than that radius and are distinct points.  The slots are found
+    row by row, so a level of at least hpoly._SPLIT_LEVEL rows finds them in
+    two halves by _shared_map, with the bits of one pass.  The children are
+    then merged at pt, which makes each multiple preimage one atom.
     """
+    halves = np.array_split(pts, 2 if len(pts) >= _SPLIT_LEVEL else 1)
+    slots = np.concatenate(_shared_map(partial(_sibling_slots, phi), halves))
+    return merge_atoms(slots.reshape(-1, 2), np.repeat(masses, phi[0].degree))
+
+
+def _sibling_slots(phi, pts):
+    """The canonical preimage slots (n, e, 2) of the rows of pts, a row with
+    two slots within cluster_floor solved again by _exact_slots."""
     raw = batched_preimage_slots(phi, pts)
     n, e = raw.shape[:2]
     slots = canonicalize_rows(raw.reshape(-1, 2)).reshape(n, e, 2)
@@ -227,7 +247,7 @@ def _pull_back(phi, pts, masses):
         split |= np.abs(z[:, j] * w[:, k] - z[:, k] * w[:, j]) <= DEFAULTS.cluster_floor
     for i in np.nonzero(split)[0]:
         slots[i] = _exact_slots(phi, pts[i])
-    return merge_atoms(slots.reshape(-1, 2), np.repeat(masses, e))
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +383,10 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     one of the d preimages uniformly with multiplicity weights.  The stream
     depends on (seed, workers) only, never on the thread count: worker i
     draws from default_rng([seed, i]) and chunks are concatenated in worker
-    order.  The chunks run one after another in this process, so `workers`
-    selects a partition of the random stream, not parallelism; the root
-    kernel may split a large batch over a fixed pool of at most two threads,
-    separate from BLAS's.  Degree d < 2 is a MathDomainError, an exceptional
+    order.  `workers` selects a partition of the random stream; the chunks
+    share hpoly's fixed pool of at most two threads (separate from BLAS's)
+    by _shared_map, as do the halves of a large root batch, and no thread
+    is started per chunk.  Degree d < 2 is a MathDomainError, an exceptional
     start a an ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
@@ -379,19 +399,20 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     if _is_exceptional(dec, a):
         raise ExceptionalPointError("exceptional point")
 
-    d = f.d
-    chunks = []
-    # workers past the count would draw nothing, so they are never visited
-    for widx in range(min(workers, count)):
+    d, phi = f.d, f.pair()
+
+    def chunk(widx):
         size = count // workers + (widx < count % workers)
         rng = np.random.default_rng([seed, widx])
         X = np.tile(a.as_array(), (size, 1))
         for _ in range(depth):
-            slots = batched_preimage_slots(f.pair(), X)
+            slots = batched_preimage_slots(phi, X)
             pick = rng.integers(0, d, size)
             X = canonicalize_rows(slots[np.arange(size), pick])
-        chunks.append(X)
-    samples = np.concatenate(chunks)
+        return X
+
+    # workers past the count would draw nothing, so they are never visited
+    samples = np.concatenate(_shared_map(chunk, range(min(workers, count))))
     return EmpiricalMeasure(
         samples, seed=seed, depth=depth,
         source=f"inverse-iteration d={f.d} count={count} workers={workers}",

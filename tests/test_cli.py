@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+import signal
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import ratbound
 from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
 from ratbound import cli
 from ratbound import families as fam
+from ratbound import hpoly
 from ratbound.cli import main
 from ratbound.escape import cone_angle_report
 from ratbound.measure import boundary_measure
@@ -272,17 +275,65 @@ def test_converge_rows_equal_weak_distance_to_the_target(tmp_path):
 
 
 def test_converge_target_of_bad_mass_fails_each_row(tmp_path, capsys, monkeypatch):
-    # tail_tol 0.5 stops the target after two levels, at total mass 0.75; the
-    # target is checked before the first sample, so the run exits 2 and writes nothing
-    monkeypatch.setattr(cli, "sample_max_entropy", lambda *a, **k: pytest.fail("sampled"))
+    # tail_tol 0.5 stops the target after two levels, at total mass 0.75, so
+    # the run exits 2 and writes nothing.  On one thread the target is checked
+    # before the first sample; on two a row may start beside the target, and it
+    # has finished when the run exits
+    started, finished = [], []
+
+    def sample(*args, **kwargs):
+        started.append(time.monotonic())
+        time.sleep(0.05)
+        finished.append(time.monotonic())
+        raise ValueError("row")
+
+    monkeypatch.setattr(cli, "sample_max_entropy", sample)
     out = tmp_path / "sweep.csv"
-    code, err = _exit(["converge", "--family", "example1", "--param", "d=2",
-                       "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
-                       "--seed", "2", "--depth", "6", "--count", "50", "--out", str(out)],
-                      capsys)
-    assert code == 2
-    assert err == "ratbound: total mass 0.75 outside [0.9, 1.1]\n"
-    assert not out.exists()
+    for threads in (1, 2):
+        monkeypatch.setattr(hpoly, "_THREADS", threads)
+        code, err = _exit(["converge", "--family", "example1", "--param", "d=2",
+                           "--param", "tail_tol=0.5", "--param", "values=0.1,0.01",
+                           "--seed", "2", "--depth", "6", "--count", "50", "--out", str(out)],
+                          capsys)
+        exited = time.monotonic()
+        assert code == 2
+        assert err == "ratbound: total mass 0.75 outside [0.9, 1.1]\n"
+        assert not out.exists()
+        assert len(finished) == len(started) and all(t <= exited for t in finished)
+        assert threads == 2 or not started
+
+
+def test_converge_csv_bit_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    # the target and the rows run as tasks shared with the pool, each chunk of
+    # a row too; the CSV keeps its bytes
+    argv = ["converge", "--family", "example1", "--param", "d=2", "--param", "a=0.5",
+            "--param", "values=1e-1,1e-2,1e-3", "--param", "tail_tol=1e-4", "--seed", "7",
+            "--depth", "8", "--count", "700", "--workers", "2"]
+    texts = []
+    for threads in (1, 2):
+        monkeypatch.setattr(hpoly, "_THREADS", threads)
+        assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        texts.append((tmp_path / "sweep.csv").read_bytes())
+    assert texts[0] == texts[1] and texts[0].count(b",ok\n") == 3
+
+
+def test_converge_rows_nesting_split_chunks_finish(tmp_path, monkeypatch):
+    # a row is a task, its two chunks are tasks, and each chunk's d = 5
+    # batches of _SPLIT_K rows split into tasks: no level waits on a task the
+    # pool has not started, so the sweep finishes, with the one-thread bytes
+    argv = ["converge", "--family", "polylimit", "--param", "roots=1,-1,2,0.5,3j",
+            "--param", "sweep=k", "--param", "values=10,1e4", "--seed", "3", "--depth", "3",
+            "--count", str(2 * hpoly._SPLIT_K), "--workers", "2"]
+    texts = []
+    for threads in (2, 1):
+        monkeypatch.setattr(hpoly, "_THREADS", threads)
+        signal.alarm(60)
+        try:
+            assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        finally:
+            signal.alarm(0)
+        texts.append((tmp_path / "sweep.csv").read_bytes())
+    assert texts[0] == texts[1] and texts[0].count(b",ok\n") == 2
 
 
 def test_csv_field_with_a_comma_or_quote_is_quoted(tmp_path):
@@ -691,7 +742,7 @@ def ft_measure_envelope(tmp_path_factory):
 
 def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypatch):
     # the cone rows reuse the atoms' point texts, and each array renders each
-    # distinct float64 bit pattern once: 40,740 renders for 98,304 floats
+    # distinct float64 magnitude once: 28,560 renders for 98,304 floats
     rendered, float_texts = [], cli._float_texts
     monkeypatch.setattr(cli, "_float_texts",
                         lambda values, *rest: rendered.extend(values) or float_texts(values, *rest))
@@ -701,8 +752,8 @@ def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypat
     floats = np.concatenate([atoms["point"].ravel(), atoms["mass"], cones["angle"]])
     assert len(floats) == 6 * 2 ** 14 and cones["point"] is atoms["point"]
     bits = np.array(rendered).view(np.int64)
-    assert len(bits) == len(set(bits.tolist())) == 40_740
-    assert set(bits.tolist()) == set(floats.view(np.int64).tolist())
+    assert len(bits) == len(set(bits.tolist())) == 28_560
+    assert set(bits.tolist()) == set(np.abs(floats).view(np.int64).tolist())
 
 
 def test_encoder_peak_memory_is_bounded_by_the_text(ft_measure_envelope):
@@ -806,6 +857,22 @@ def test_csv_rows_are_their_fields(tmp_path):
     head, body = (tmp_path / "o.csv").read_text().split("\nx,y,flag,z\n")
     assert head.startswith("# command=escape\n# tol.pt=") and head.endswith("# seed=1")
     assert body == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+def test_signed_floats_render_as_their_magnitude_after_a_sign():
+    # each magnitude is rendered once; a negative value's text is "-" and its
+    # magnitude's, NaN's has no sign whatever its sign bit, as json.dumps and
+    # %.17g write them
+    mags = [0.0, math.inf, math.nan, 5e-324, 1e16, 1e-5]
+    values = np.array([v for m in mags for v in (m, -m)])
+    rendered, float_texts = [], cli._float_texts
+    json_texts = list(cli._item_texts(values, lambda v: rendered.extend(v) or float_texts(v)))
+    assert list(map(repr, rendered)) == ["0.0", "5e-324", "1e-05", "1e+16", "inf", "nan"]
+    assert json_texts == [json.dumps(v) for v in values.tolist()]
+    assert json_texts[:6] == ["0.0", "-0.0", "Infinity", "-Infinity", "NaN", "NaN"]
+    csv_texts = cli._item_texts(values, lambda v: [f"{x:.17g}" for x in v])
+    assert list(csv_texts) == ["%.17g" % v for v in values.tolist()]
+    assert list(csv_texts) == list(map(cli._fmt, values.tolist()))
 
 
 @pytest.mark.parametrize("value", [np.array([1j]), cli._Rows(z=np.array([0.5 + 1j]))])

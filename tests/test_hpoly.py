@@ -1,6 +1,8 @@
 import json
 import os
 import signal
+import sys
+import time
 
 import mpmath
 import numpy as np
@@ -333,6 +335,50 @@ def test_companion_roots_split_in_a_forked_child(monkeypatch):
         signal.alarm(20)
         os._exit(0 if np.array_equal(_companion_roots(C).view(float), whole.view(float)) else 1)
     assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_shared_map_keeps_item_order_and_nests(monkeypatch):
+    # tasks that call _shared_map themselves finish (the caller runs every
+    # task the pool has not started), results come back in item order, and
+    # the pool keeps its one worker; threads switch every microsecond
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    inner = lambda i: hpoly._shared_map(lambda j: hpoly._shared_map(lambda k: (i, j, k), range(3)),
+                                        range(3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    signal.alarm(20)
+    try:
+        out = [hpoly._shared_map(inner, range(8)) for _ in range(20)]
+    finally:
+        signal.alarm(0)
+        sys.setswitchinterval(interval)
+    assert out == [[[[(i, j, k) for k in range(3)] for j in range(3)] for i in range(8)]] * 20
+    assert len(hpoly._pool._threads) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_map_raises_the_earliest_failure_and_leaves_nothing_queued(monkeypatch,
+                                                                          threads):
+    # items 3 and 5 fail; as in the serial loop the error is item 3's, every
+    # task that started has finished when it is raised, and no task starts later
+    monkeypatch.setattr(hpoly, "_THREADS", threads)
+    started, finished = [], []
+
+    def task(i):
+        started.append(i)
+        time.sleep(0.005)
+        finished.append(i)
+        if i in (3, 5):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 3"):
+        hpoly._shared_map(task, range(40))
+    seen = sorted(started)
+    assert sorted(finished) == seen and seen[:4] == [0, 1, 2, 3]
+    assert len(seen) < 40
+    time.sleep(0.05)
+    assert sorted(started) == seen
 
 
 def test_root_kernel_pool_is_capped_at_two_usable_cores():

@@ -7,6 +7,8 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratbound import (
     DEFAULTS,
@@ -434,6 +436,43 @@ def _stream_canonicalizing_every_slot(f, a, depth, count, seed, workers):
     return np.concatenate(chunks)
 
 
+def _at_threads(monkeypatch, threads, fn):
+    monkeypatch.setattr(hpoly, "_THREADS", threads)
+    return fn()
+
+
+def _same_measure(a, b):
+    return (np.array_equal(a.points.view(float), b.points.view(float))
+            and np.array_equal(a.masses, b.masses) and a.tail_bound == b.tail_bound)
+
+
+@pytest.mark.parametrize("f, gcd_tol, tol", [
+    (fam.make_epstein_FT(1.0), DEFAULTS.gcd, 1e-4),
+    (fam.example1_second_limit(2, a=0.5), 1e-4, 4e-4),
+])
+def test_boundary_measure_and_pullback_bit_identical_at_one_and_two_threads(monkeypatch, f,
+                                                                             gcd_tol, tol):
+    # the levels of at least _SPLIT_LEVEL rows, and the pullback of the whole
+    # measure, find their slots in two halves on two threads
+    dec = decompose(f, gcd_tol)
+    one, two = (_at_threads(monkeypatch, t, lambda: boundary_measure(dec, tol)) for t in (1, 2))
+    assert len(one.points) >= 2 * hpoly._SPLIT_LEVEL and _same_measure(one, two)
+    pulled = [_at_threads(monkeypatch, t, lambda: pullback(dec, one, normalize=True))
+              for t in (1, 2)]
+    assert _same_measure(*pulled)
+
+
+@pytest.mark.parametrize("d, count", [(2, 1201), (5, 301)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sampler_stream_bit_identical_at_one_and_two_threads(monkeypatch, d, count, workers):
+    # the chunks share the pool; the stream depends on (seed, workers) only
+    f = fam.make_example1(d, a=0.4, t=1e-3)
+    a = canonicalize(0.3 + 0.2j, 1)
+    one, two = (_at_threads(monkeypatch, t, lambda: sample_max_entropy(
+        f, a, depth=6, count=count, seed=11, workers=workers).samples) for t in (1, 2))
+    assert np.array_equal(one.view(float), two.view(float))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_stream_bit_identical_at_split_batches(monkeypatch, workers, threads):
@@ -832,12 +871,12 @@ def test_measure_json_plain_floats_exact():
     assert type(data["tail_bound"]) is float
     assert json.dumps(data, indent=2) == json.dumps(
         {**data, "atoms": _reference_atoms_json(mu)}, indent=2)
-    # the text is lossless: reading it back gives the stored values bit for bit
+    # the text is lossless, and from_json keeps the canonical rows as written:
+    # reading it back gives the measure bit for bit
     mu2 = AtomicMeasure.from_json(json.loads(json.dumps(data)))
+    assert np.array_equal(mu2.points.view(float), mu.points.view(float))
     assert np.array_equal(mu2.masses, mu.masses)
-    assert mu2.tail_bound == mu.tail_bound
-    # from_json canonicalizes the rows it reads, as it would a hand-written file
-    assert np.array_equal(mu2.points, canonicalize_rows(mu.points))
+    assert (mu2.tail_bound, mu2.note) == (mu.tail_bound, mu.note)
 
     emp = sample_max_entropy(fam.make_polylimit([1.0, -1.0], 5.0), canonicalize(0.3, 1),
                              depth=4, count=20, seed=3)
@@ -845,6 +884,32 @@ def test_measure_json_plain_floats_exact():
     assert all(type(x) is float for x in _leaves(samples))
     back = np.array([[complex(*z), complex(*w)] for z, w in json.loads(json.dumps(samples))])
     assert np.array_equal(back, emp.samples)
+
+
+def test_measure_from_json_canonicalizes_hand_written_rows():
+    # a row off the unit sphere, or whose larger coordinate is not a positive
+    # real, is canonicalized; a canonical row between them is kept as written
+    kept = canonicalize_rows(np.array([[0.3 - 0.4j, 1.0]]))[0]
+    written = [[[0.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [-1.0, 0.0]],
+               [[kept[0].real, kept[0].imag], [kept[1].real, kept[1].imag]],
+               [[0.6, 0.0], [0.0, 0.8]]]
+    mu = AtomicMeasure.from_json({"atoms": [{"point": p, "mass": 0.25} for p in written]})
+    rows = np.array([[complex(*z), complex(*w)] for z, w in written])
+    expected = canonicalize_rows(rows)
+    expected[2] = kept
+    assert np.array_equal(mu.points.view(float), expected.view(float))
+    assert not np.array_equal(mu.points[[0, 1, 3]], rows[[0, 1, 3]])
+    assert mu.total_mass() == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 4), min_size=1, max_size=8)
+       .filter(lambda rows: all(any(x != 0 for x in row) for row in rows)))
+def test_measure_from_json_keeps_canonical_rows_as_written(rows):
+    pts = canonicalize_rows(np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows]))
+    mu = AtomicMeasure(pts, np.ones(len(pts)) / len(pts))
+    back = AtomicMeasure.from_json(json.loads(json.dumps(mu.to_json())))
+    assert np.array_equal(back.points.view(float), pts.view(float))
 
 
 @pytest.mark.xfail(strict=True, reason=(
