@@ -9,10 +9,10 @@ matching root clusters of the two inputs.  One batched companion kernel,
 _companion_roots, serves both roots and the preimage slots of measure.
 
 Independent work shares one fixed pool through _shared_map: the caller's
-thread and at most one worker (separate from the BLAS threads).  It runs the
-halves of a large companion batch, the halves of a large measure level, the
-sampler's worker chunks and the target and rows of a `converge` sweep; every
-result is the serial loop's, bit for bit, whatever the thread count.
+thread and at most one worker (separate from BLAS's).  It runs the halves of
+a large companion batch or measure level, the sampler's chunks (each step of
+which solves each distinct walk state once, the stream unchanged) and a
+`converge` sweep's target and rows, each the serial loop's bit for bit.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
 gcd because floating-point remainder sequences degrade exactly where these

@@ -37,7 +37,8 @@ from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
 from .hpoly import _SPLIT_LEVEL, RootList, _companion_roots, _rows, _shared_map, roots
 from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
-from .ratmap import BoundaryMap, Decomposition, decompose, _depth_series, _orbit_steps
+from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
+                     _orbit_steps)
 
 DESIGN_VERSION = 1
 _DESIGN_CACHE = None
@@ -380,14 +381,16 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     """Inverse-iteration sample cloud of the maximal-entropy measure.
 
     Runs `count` independent backward orbits from a, at each step choosing
-    one of the d preimages uniformly with multiplicity weights.  The stream
-    depends on (seed, workers) only, never on the thread count: worker i
-    draws from default_rng([seed, i]) and chunks are concatenated in worker
-    order.  `workers` selects a partition of the random stream; the chunks
-    share hpoly's fixed pool of at most two threads (separate from BLAS's)
-    by _shared_map, as do the halves of a large root batch, and no thread
-    is started per chunk.  Degree d < 2 is a MathDomainError, an exceptional
-    start a an ExceptionalPointError.
+    one of the d preimages uniformly with multiplicity weights.  Orbits that
+    made the same choices share a state, and a step solves each distinct
+    state once (at most d^k at step k); the stream is unchanged, bit for bit
+    that of one solve per orbit.  It depends on (seed, workers) only, never
+    on the thread count: worker i draws from default_rng([seed, i]) and
+    chunks are concatenated in worker order.  `workers` selects a partition
+    of the random stream; the chunks share hpoly's fixed pool of at most two
+    threads (separate from BLAS's) by _shared_map, as do the halves of a
+    large root batch, and no thread is started per chunk.  Degree d < 2 is a
+    MathDomainError, an exceptional start a an ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")
@@ -404,12 +407,13 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     def chunk(widx):
         size = count // workers + (widx < count % workers)
         rng = np.random.default_rng([seed, widx])
-        X = np.tile(a.as_array(), (size, 1))
+        U, cls = a.as_array()[None, :], np.zeros(size, dtype=np.intp)
         for _ in range(depth):
-            slots = batched_preimage_slots(phi, X)
+            slots = batched_preimage_slots(phi, U)
             pick = rng.integers(0, d, size)
-            X = canonicalize_rows(slots[np.arange(size), pick])
-        return X
+            keys, cls = np.unique(cls * d + pick, return_inverse=True)
+            U = canonicalize_rows(slots[keys // d, keys % d])
+        return U[cls]
 
     # workers past the count would draw nothing, so they are never visited
     samples = np.concatenate(_shared_map(chunk, range(min(workers, count))))
@@ -463,10 +467,10 @@ def _is_exceptional(dec: Decomposition, a: ProjPoint) -> bool:
     "period at most 2".
     """
     cycle = []
-    for x, _, deg in islice(_orbit_steps(dec, a), 3):
+    for x, _, img in islice(_orbit_steps(dec, a), 3):
         if cycle and chordal_distance(x, cycle[0]) <= DEFAULTS.hole_match:
             return True
-        if deg != dec.e:
+        if _local_degree(dec.phi, x, img) != dec.e:
             return False
         cycle.append(x)
     return False

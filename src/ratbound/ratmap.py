@@ -263,22 +263,22 @@ def _match_hole(x: ProjPoint, holes):
 
 
 def _orbit_steps(dec: Decomposition, z: ProjPoint):
-    """Yield (x_k, depth_k, deg_k) along the forward phi-orbit x_k of z: the
-    orbit point, its depth as a hole of f (0 off the hole set) and the local
-    degree of phi there.
+    """Yield (x_k, depth_k, phi(x_k)) along the forward phi-orbit x_k of z:
+    the orbit point, its depth as a hole of f (0 off the hole set) and its
+    image.
 
     The one forward-orbit walker: the depth series, the exceptional-point
     test and the support report's orbit probe all read it.  Orbit points
     within chordal hole_match of a hole are snapped to the hole center
-    before the local degree is read and the orbit continues.  The walk is
-    lazy and endless; phi(x_k), computed once, gives both the local degree
-    at x_k and the next point.
+    before the orbit continues.  The walk is lazy and endless; phi(x_k),
+    computed once, is the next point, and a reader that needs the local
+    degree at x_k passes it to _local_degree, which the probe never pays for.
     """
     x = z
     while True:
         depth, x = _match_hole(x, dec.holes)
         img = apply_pair(dec.phi, x)
-        yield x, depth, _local_degree(dec.phi, x, img)
+        yield x, depth, img
         x = img
 
 
@@ -314,10 +314,10 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     else:
         partial = Fraction(0)
         m = 1
-        for k, (_, depth, deg) in enumerate(_orbit_steps(dec, z)):
+        for k, (x, depth, img) in enumerate(_orbit_steps(dec, z)):
             if depth:
                 partial += Fraction(m * depth, d ** (k + 1))
-            m *= deg
+            m *= _local_degree(dec.phi, x, img)
             yield partial, Fraction(m, d ** (k + 1))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -42,7 +43,7 @@ from ratbound import (
     wronskian,
 )
 from ratbound import families as fam
-from ratbound import hpoly
+from ratbound import hpoly, measure, ratmap
 from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atoms
 from ratbound.projline import canonicalize_rows, chordal_cross
 from ratbound.ratmap import _depth_series, apply_pair
@@ -476,16 +477,54 @@ def test_sampler_stream_bit_identical_at_one_and_two_threads(monkeypatch, d, cou
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_stream_bit_identical_at_split_batches(monkeypatch, workers, threads):
-    # 2 * _SPLIT_K rows per chunk reach the split root kernel; the picked
-    # rows canonicalized alone must be the bits of canonicalizing every slot,
-    # whatever the thread count
+    # 2 * _SPLIT_K rows per chunk, so the distinct states of the later steps
+    # reach the split root kernel; the picked rows canonicalized alone must
+    # be the bits of canonicalizing every slot, whatever the thread count
     monkeypatch.setattr(hpoly, "_THREADS", threads)
+    shapes, kernel = [], measure._companion_roots
+    monkeypatch.setattr(measure, "_companion_roots", lambda C: shapes.append(C.shape) or kernel(C))
     f = fam.make_example1(5, a=0.5, t=1e-3)
     a = canonicalize(0.3 + 0.2j, 1)
     count = 2 * hpoly._SPLIT_K * workers
     emp = sample_max_entropy(f, a, depth=8, count=count, seed=5, workers=workers)
+    assert any(k >= hpoly._SPLIT_K and n - 1 >= hpoly._SPLIT_N for k, n in shapes)
     ref = _stream_canonicalizing_every_slot(f, a, 8, count, 5, workers)
     assert np.array_equal(emp.samples.view(float), ref.view(float))
+
+
+# z^2 - 1 sends -1 to the critical point 0, so both slots of its first step
+# coincide; -1 is not exceptional, since phi is simple there
+_Z2_MINUS_1 = (BoundaryMap(2, hp(-1, 0, 1), hp(1, 0, 0)), canonicalize(-1, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, "z2-1"]), st.integers(1, 600), st.integers(1, 12),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_sampler_stream_is_the_every_slot_stream(d, count, depth, workers, seed, threads):
+    # each distinct walk state is solved once per step; rows of one lineage
+    # get the bits they would get solved each on its own
+    if d == "z2-1":
+        f, a = _Z2_MINUS_1
+    else:
+        f, a = fam.make_example1(d, a=0.5, t=1e-3), canonicalize(0.3 + 0.2j, 1)
+    saved, hpoly._THREADS = hpoly._THREADS, threads
+    try:
+        emp = sample_max_entropy(f, a, depth=depth, count=count, seed=seed, workers=workers)
+    finally:
+        hpoly._THREADS = saved
+    ref = _stream_canonicalizing_every_slot(f, a, depth, count, seed, workers)
+    assert np.array_equal(emp.samples.view(float), ref.view(float))
+
+
+def test_sampler_solves_each_distinct_walk_state_once(monkeypatch):
+    # every walk of a chunk starts at a, so step k holds at most d^k states
+    sizes, slots = [], measure.batched_preimage_slots
+    monkeypatch.setattr(measure, "batched_preimage_slots",
+                        lambda phi, pts: sizes.append(len(pts)) or slots(phi, pts))
+    f = fam.make_example1(2, a=0.5, t=1e-3)
+    sample_max_entropy(f, canonicalize(0.3 + 0.2j, 1), depth=12, count=1000, seed=7)
+    assert len(sizes) == 12 and sizes[:6] == [1, 2, 4, 8, 16, 32]
+    assert max(sizes) <= 1000 and sum(sizes) < 1000 * 12
 
 
 def test_boundary_measure_bit_identical_to_canonicalizing_every_slot():
@@ -536,6 +575,26 @@ def test_sampler_stream_head_pinned(d, workers):
     emp = sample_max_entropy(f, canonicalize(0.3 + 0.2j, 1), depth=20, count=6,
                              seed=3, workers=workers)
     assert np.abs(emp.samples[:4] - np.array(_STREAM_HEADS[d, workers])).max() < 1e-10
+
+
+# sha256 of whole depth-20 streams (the samples' bytes) from the same start
+# and seed, recorded while the sampler still solved one eigenproblem per row.
+# The bits rest on the LAPACK build numpy links: another build may round a
+# last bit of eigvals differently, which the heads above would tolerate
+_STREAM_SHA256 = {
+    (2, 4096, 1): "9e982948a3679be1bc71f76de2d2b5e91cd726403ee537f28ad32830685a94da",
+    (2, 4096, 3): "0b298c46f0c4a63cbcf0a9bfdfc68a0bf3223fde2a4dc4f197a9b8c84bd88ab9",
+    (5, 1000, 1): "99d94b3e41e20595cf3ae52f2487eb7bb60a327e9cf4b4f5de9df6a40bb9a465",
+    (5, 1000, 3): "0d40cc92a3e4c60849f6cc75f14d45fc82c9e233f65b2cf07245c7c00e7c37b1",
+}
+
+
+@pytest.mark.parametrize("d, count, workers", sorted(_STREAM_SHA256))
+def test_sampler_stream_sha256_pinned(d, count, workers):
+    f = fam.make_example1(d, a=0.5, t=1e-3)
+    emp = sample_max_entropy(f, canonicalize(0.3 + 0.2j, 1), depth=20, count=count,
+                             seed=3, workers=workers)
+    assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == _STREAM_SHA256[d, count, workers]
 
 
 def test_sampler_rejects_exceptional_start():
@@ -712,6 +771,23 @@ def test_point_mass_of_an_ambiguous_constant_case_hole_raises():
     with pytest.raises(NumericalFailure, match="ambiguous"):
         point_mass(dec, canonicalize(7.5e-7, 1))
     assert point_mass(dec, ZERO) == (0.25, 0.0)
+
+
+def test_support_report_reads_local_degrees_only_for_the_exceptional_test(monkeypatch):
+    # the orbit probe counts hole hits on 21 orbit points per hole and reads
+    # no local degree; _is_exceptional reads at most three per hole
+    calls, degree = [], ratmap._local_degree
+
+    def counted(*args):
+        calls.append(args)
+        return degree(*args)
+
+    monkeypatch.setattr(ratmap, "_local_degree", counted)
+    monkeypatch.setattr(measure, "_local_degree", counted)
+    dec = decompose(fam.make_epstein_FT(1.0), 1e-6)
+    rep = support_report(dec)
+    assert all(o["length"] == 21 for o in rep["forward_orbit_probe"].values())
+    assert 0 < len(calls) <= 3 * len(dec.holes)
 
 
 def test_support_report_branches():

@@ -396,7 +396,7 @@ def test_local_degree_detection():
 
 
 def test_orbit_walk_evaluates_phi_once_per_step(monkeypatch):
-    # phi(x_k) gives both the local degree at x_k and the next orbit point
+    # phi(x_k) is the next orbit point and gives the local degree at x_k
     dec = decompose(fam.make_epstein_FT(1.0), 1e-6)
     z = canonicalize(0.37 + 2.1j, 1)
     walk, x = [], z
@@ -404,7 +404,8 @@ def test_orbit_walk_evaluates_phi_once_per_step(monkeypatch):
         depth, x = ratmap._match_hole(x, dec.holes)
         walk.append((x, depth, local_degree(dec.phi, x)))
         x = ratmap.apply_pair(dec.phi, x)
-    assert list(islice(ratmap._orbit_steps(dec, z), 8)) == walk
+    steps = islice(ratmap._orbit_steps(dec, z), 8)
+    assert [(x, depth, ratmap._local_degree(dec.phi, x, img)) for x, depth, img in steps] == walk
     calls, steps = [], []
     apply_pair, match_hole = ratmap.apply_pair, ratmap._match_hole
     monkeypatch.setattr(ratmap, "apply_pair", lambda *a: calls.append(a) or apply_pair(*a))
@@ -419,7 +420,8 @@ def test_orbit_terms_match_lemma_series():
     d = 3
     fa = fam.example1_second_limit(d, a=1.0)
     dec = decompose(fa, 1e-4)
-    steps = [(depth, deg) for _, depth, deg in islice(ratmap._orbit_steps(dec, ZERO), 4)]
+    steps = [(depth, ratmap._local_degree(dec.phi, x, img))
+             for x, depth, img in islice(ratmap._orbit_steps(dec, ZERO), 4)]
     assert steps == [(0, d), (d - 1, 1), (d - 1, 1), (d - 1, 1)]
 
 
