@@ -107,10 +107,17 @@ class AtomicMeasure:
             for a in data["atoms"]
         ], dtype=complex).reshape(-1, 2)
         z, w = pts[:, 0], pts[:, 1]
-        anchor = np.where(np.abs(z) >= np.abs(w), z, w)
         eps = np.finfo(float).eps
+
+        # canonicalize_rows anchors a tie |z| = |w| at z, and the phase
+        # scaling can leave |w| an ulp above |z|: either coordinate is the
+        # anchor whose modulus is the larger one within a few ulps
+        def anchors(u, v):
+            return ((u.real > 0) & (np.abs(u.imag) <= 4 * eps)
+                    & (np.abs(u) >= np.abs(v) - 4 * eps))
+
         written = ((np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1) <= 8 * eps)
-                   & (anchor.real > 0) & (np.abs(anchor.imag) <= 4 * eps))
+                   & (anchors(z, w) | anchors(w, z)))
         pts[~written] = canonicalize_rows(pts[~written])
         return AtomicMeasure(
             pts,

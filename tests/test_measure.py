@@ -8,7 +8,7 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratbound import (
@@ -981,6 +981,8 @@ def test_measure_from_json_canonicalizes_hand_written_rows():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 4), min_size=1, max_size=8)
        .filter(lambda rows: all(any(x != 0 for x in row) for row in rows)))
+# |z| = |w|: canonicalization anchors z and leaves |w| an ulp above it
+@example(rows=[(26.0, 13.0, 13.0, 26.0)])
 def test_measure_from_json_keeps_canonical_rows_as_written(rows):
     pts = canonicalize_rows(np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows]))
     mu = AtomicMeasure(pts, np.ones(len(pts)) / len(pts))
