@@ -23,11 +23,9 @@ from .projline import (
 )
 from .hpoly import (
     HPoly,
-    RootList,
     compose_pair,
     numeric_gcd,
     projective_residual,
-    pullback_poly,
     resultant,
     roots,
     vanishing_order,

@@ -145,18 +145,6 @@ def escape_rate(f: BoundaryMap, x, n_max: int = 60, tol: float = 1e-13,
                        bool(hit_hole[0]))
 
 
-def escape_partial(f: BoundaryMap, x, n: int) -> float:
-    """G_n(x) = d^-n log||F^n(x)|| at exactly n renormalized steps."""
-    value = _escape_batch(f.d, f.pair(), None, [complex(x[0])], [complex(x[1])], n, 0.0)[0]
-    return float(value[0])
-
-
-def escape_series_hterm(dec: Decomposition, x, n: int) -> float:
-    """The H-term partial sum g_n(x) of the telescoped series (no tail term)."""
-    hterm = _escape_batch(dec.d, dec.phi, dec.H, [complex(x[0])], [complex(x[1])], n, 0.0)[1]
-    return float(hterm[0])
-
-
 def escape_rate_constant_case(dec: Decomposition, x) -> float:
     """Closed form for e = 0: (1/d) log|H(x)| + log|H(a,b)| / (d(d-1)).
 
@@ -185,7 +173,7 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
     """|G(F(x)) - d G(x)|, which the defining limit forces to vanish; each
     rate stops at residual 1e-13."""
     z, w = complex(x[0]), complex(x[1])
-    fz, fw = f.evaluate_pair((z, w))
+    fz, fw = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
     value, _, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)
     if hit_hole.any():
         raise MathDomainError("orbit hit a hole line; functional equation undefined")

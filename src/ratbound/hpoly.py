@@ -30,7 +30,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import NumericalFailure
 from .projline import (INFINITY, ZERO, ProjPoint, _merge_close, canonicalize,
-                       canonicalize_rows, chordal_cross, chordal_distance)
+                       canonicalize_rows, chordal_cross)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,25 +222,6 @@ def _json_count(data, key):
     return value
 
 
-@dataclass
-class RootList:
-    """Roots on P^1 with multiplicities; multiplicities sum to the degree."""
-
-    entries: list
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def multiplicity_at(self, pt: ProjPoint, tol: float = DEFAULTS.hole_match) -> int:
-        return sum(m for p, m in self.entries if chordal_distance(p, pt) <= tol)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -275,12 +256,6 @@ def compose_pair(F, G):
     if P.degree != Q.degree:
         raise ValueError("F components must have equal degree")
     return substitute(P, p, q), substitute(Q, p, q)
-
-
-def pullback_poly(phi, H: HPoly) -> HPoly:
-    """H(p(z,w), q(z,w)) for phi = (p, q); degree e * deg H."""
-    p, q = phi
-    return substitute(H, p, q)
 
 
 def wronskian(pair) -> HPoly:
@@ -425,8 +400,6 @@ def _polish_multiple_root(core, z0, mult):
     c = np.asarray(core, dtype=complex)
     for _ in range(mult - 1):
         c = c[1:] * np.arange(1, len(c))
-    if len(c) < 2:
-        return z0
     dc = c[1:] * np.arange(1, len(c))
     z = z0
     for _ in range(6):
@@ -438,8 +411,8 @@ def _polish_multiple_root(core, z0, mult):
     return z
 
 
-def roots(P: HPoly, tol: float = 1e-8) -> RootList:
-    """All d roots of P on P^1, with multiplicities assigned by clustering.
+def roots(P: HPoly, tol: float = 1e-8) -> list:
+    """All d roots of P on P^1, as (ProjPoint, multiplicity) pairs by clustering.
 
     Leading coefficients below tol * (max modulus) contribute multiplicity at
     (1:0); exactly-zero trailing coefficients contribute at (0:1); the
@@ -453,7 +426,7 @@ def roots(P: HPoly, tol: float = 1e-8) -> RootList:
         raise ValueError("roots undefined for the zero polynomial")
     d = P.degree
     if d == 0:
-        return RootList([])
+        return []
     c = P.normalize().coeffs
     m_inf = 0
     while m_inf < d and abs(c[d - m_inf]) < tol:
@@ -505,10 +478,10 @@ def _points(rows, mults):
     return [(ProjPoint(z, w), int(round(m))) for (z, w), m in zip(rows.tolist(), mults)]
 
 
-def _sorted_roots(entries) -> RootList:
-    return RootList(sorted(
+def _sorted_roots(entries) -> list:
+    return sorted(
         entries,
-        key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9))))
+        key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9)))
 
 
 def vanishing_order(P: HPoly, pt: ProjPoint) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
-from .hpoly import _SPLIT_LEVEL, RootList, _companion_roots, _rows, _shared_map, roots
+from .hpoly import _SPLIT_LEVEL, _companion_roots, _rows, _shared_map, roots
 from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
 from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
                      _orbit_steps)
@@ -81,9 +81,6 @@ class AtomicMeasure:
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def mass_near(self, pt: ProjPoint, radius: float = DEFAULTS.hole_match) -> float:
-        return mass_in_disk(self, pt, radius)
 
     def to_json(self):
         re, im = self.points.real.tolist(), self.points.imag.tolist()
@@ -172,7 +169,7 @@ def _points_weights(mu):
 # preimages
 
 
-def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> RootList:
+def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> list:
     """Roots of beta*p - alpha*q for a = (alpha:beta); multiplicities sum to e."""
     p, q = phi
     fiber = a.w * p - a.z * q

@@ -40,11 +40,6 @@ class ProjPoint:
     def to_json(self):
         return [[self.z.real, self.z.imag], [self.w.real, self.w.imag]]
 
-    @staticmethod
-    def from_json(data) -> "ProjPoint":
-        (zr, zi), (wr, wi) = data
-        return canonicalize(complex(zr, zi), complex(wr, wi))
-
     def __repr__(self):
         if self.is_infinity:
             return "ProjPoint(inf)"
@@ -89,6 +84,12 @@ def canonicalize_rows(pairs) -> np.ndarray:
     m = mods.max(axis=1)
     if np.any(m == 0.0):
         raise ValueError("not a projective point: (0, 0)")
+    # numpy divides a complex by a real m through 1/m, which overflows for a
+    # subnormal m; scaling such rows by an exact power of two makes m normal.
+    tiny = m < np.finfo(float).tiny
+    if np.any(tiny):
+        a[tiny] *= 2.0**64
+        m[tiny] = np.abs(a[tiny]).max(axis=1)
     a /= m[:, None]
     a /= np.linalg.norm(a, axis=1)[:, None]
     anchor = np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1])

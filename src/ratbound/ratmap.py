@@ -27,13 +27,12 @@ from .config import DEFAULTS
 from .errors import IndeterminateMapError, NumericalFailure
 from .hpoly import (
     HPoly,
-    RootList,
     _json_count,
     compose_pair,
     numeric_gcd,
     projective_residual,
-    pullback_poly,
     resultant,
+    substitute,
     vanishing_order,
 )
 from .projline import ProjPoint, canonicalize, chordal_distance
@@ -58,9 +57,6 @@ class BoundaryMap:
 
     def pair(self):
         return self.P, self.Q
-
-    def evaluate_pair(self, x):
-        return self.P.evaluate(x), self.Q.evaluate(x)
 
     def to_json(self):
         return {"d": self.d, "P": self.P.to_json(), "Q": self.Q.to_json()}
@@ -105,7 +101,7 @@ class Decomposition:
     d: int
     H: HPoly
     phi: tuple
-    holes: RootList
+    holes: list  # [(ProjPoint, depth)], as roots sorts them
     e: int
     constant_value: ProjPoint | None
     indeterminate: bool
@@ -115,9 +111,6 @@ class Decomposition:
     @property
     def degenerate(self) -> bool:
         return self.e < self.d
-
-    def total_hole_depth(self) -> int:
-        return self.holes.total_multiplicity()
 
     def report(self):
         rep = {
@@ -177,14 +170,15 @@ def _phi_pair_normalize(pair):
 
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, with
-    each factor renormalized at every step."""
+    each factor renormalized at every step.  H_n has degree d^n - e^n, and its
+    vanishing orders are the hole depths of f^n."""
     d = f.d
     H = dec.H
     p, q = dec.phi
     prod = HPoly.constant(1.0)
     Phi = (HPoly.z(), HPoly.w())
     for k in range(n):
-        prod = (prod * (pullback_poly(Phi, H) ** (d ** (n - k - 1)))).normalize()
+        prod = (prod * (substitute(H, *Phi) ** (d ** (n - k - 1)))).normalize()
         Phi = _phi_pair_normalize(compose_pair((p, q), Phi))
     return prod, Phi
 
@@ -319,17 +313,3 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
                 partial += Fraction(m * depth, d ** (k + 1))
             m *= _local_degree(dec.phi, x, img)
             yield partial, Fraction(m, d ** (k + 1))
-
-
-def iterate_hole_factor(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> HPoly:
-    """The gcd factor H_n = prod_k (phi^k* H)^(d^(n-k-1)) of f^n, expanded.
-
-    Degree d^n - e^n; its vanishing orders are the hole depths of f^n, so
-    count_zeros_in_disk(iterate_hole_factor(f, n), z) cross-checks the
-    combinatorial hole_depth_sequence when d^n is small.
-    """
-    dec = decompose(f, tol)
-    if dec.indeterminate:
-        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
-    prod, _ = _iterate_parts(f, n, dec)
-    return prod

@@ -22,7 +22,6 @@ from ratbound import (
     IndeterminateMapError,
     MathDomainError,
     NumericalFailure,
-    ProjPoint,
     backward_tree,
     boundary_measure,
     canonicalize,
@@ -48,6 +47,8 @@ from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atom
 from ratbound.projline import canonicalize_rows, chordal_cross
 from ratbound.ratmap import _depth_series, apply_pair
 
+from helpers import multiplicity_at
+
 
 def hp(*coeffs):
     return HPoly.from_coeffs(coeffs)
@@ -69,20 +70,20 @@ def delta(pt):
 
 def test_preimages_squaring_at_zero():
     rl = preimages((hp(0, 0, 1), hp(1, 0, 0)), ZERO)
-    assert rl.multiplicity_at(ZERO) == 2
+    assert multiplicity_at(rl, ZERO) == 2
 
 
 def test_preimages_identity():
     a = canonicalize(0.3 - 0.8j, 1)
     rl = preimages((HPoly.z(), HPoly.w()), a)
-    assert len(rl) == 1 and chordal_distance(rl.entries[0][0], a) < 1e-12
+    assert len(rl) == 1 and chordal_distance(rl[0][0], a) < 1e-12
 
 
 def test_preimages_forward_check():
     phi = (hp(-1, 0, 1), hp(0, 1, 0))  # (z^2 - w^2 : zw)
     a = canonicalize(1.3 + 0.4j, 1)
     rl = preimages(phi, a)
-    assert rl.total_multiplicity() == 2
+    assert sum(m for _, m in rl) == 2
     for pt, _ in rl:
         img = canonicalize(phi[0].evaluate(pt), phi[1].evaluate(pt))
         assert chordal_distance(img, a) < 1e-9
@@ -118,7 +119,7 @@ def test_boundary_measure_polynomial_type_is_delta_infinity():
     f = BoundaryMap(3, hp(0, 0, 1, 0), hp(1, 0, 0, 0))
     dec = decompose(f, 1e-8)
     mu = boundary_measure(dec, tol=1e-10)
-    assert mu.mass_near(INFINITY, 1e-9) > 1 - mu.tail_bound - 1e-12
+    assert mass_in_disk(mu, INFINITY, 1e-9) > 1 - mu.tail_bound - 1e-12
     assert abs(mu.total_mass() + mu.tail_bound - 1) < 1e-12
 
 
@@ -130,13 +131,13 @@ def test_boundary_measure_constant_case():
     assert mu.tail_bound == 0.0
     assert abs(mu.total_mass() - 1) < 1e-12
     for r in roots:
-        assert abs(mu.mass_near(r, 1e-9) - 1 / 3) < 1e-12
+        assert abs(mass_in_disk(mu, r, 1e-9) - 1 / 3) < 1e-12
 
 
 def test_boundary_measure_example1_d3_mass_quarter():
     fa = fam.example1_second_limit(3, a=0.4)
     mu = boundary_measure(decompose(fa, 1e-4), tol=1e-7)
-    assert abs(mu.mass_near(INFINITY, 1e-6) - 0.25) <= mu.tail_bound + 1e-12
+    assert abs(mass_in_disk(mu, INFINITY, 1e-6) - 0.25) <= mu.tail_bound + 1e-12
     assert abs(mu.total_mass() + mu.tail_bound - 1) < 1e-10
 
 
@@ -277,7 +278,7 @@ def test_boundary_measure_double_preimage_is_one_atom():
     assert abs(mu.total_mass() + mu.tail_bound - 1) < 1e-12
     mass, _ = point_mass(dec, ZERO)
     assert mass == pytest.approx(2 / 9, abs=1e-12)
-    assert mu.mass_near(ZERO, 1e-9) == pytest.approx(mass, abs=1e-12)
+    assert mass_in_disk(mu, ZERO, 1e-9) == pytest.approx(mass, abs=1e-12)
 
 
 def test_atom_merge_adds_masses():
@@ -346,7 +347,7 @@ def test_pullback_mass_bookkeeping():
     dec = decompose(fa, 1e-4)
     mu = delta(canonicalize(0.3, 1))
     pb = pullback(dec, mu)
-    assert abs(pb.total_mass() - (dec.e * 1.0 + dec.total_hole_depth())) < 1e-9
+    assert abs(pb.total_mass() - (dec.e * 1.0 + sum(m for _, m in dec.holes))) < 1e-9
 
 
 def test_pullback_constant_case_mass_d():
@@ -833,7 +834,8 @@ def test_support_report_verdicts(f, tol, case, witness):
     if witness is None:
         assert "witness_hole" not in rep
     else:
-        assert chordal_distance(ProjPoint.from_json(rep["witness_hole"]), witness) < 1e-6
+        (zr, zi), (wr, wi) = rep["witness_hole"]
+        assert chordal_distance(canonicalize(complex(zr, zi), complex(wr, wi)), witness) < 1e-6
 
 
 def _exceptional_by_backward_orbit(phi, a):
@@ -983,6 +985,8 @@ def test_measure_from_json_canonicalizes_hand_written_rows():
        .filter(lambda rows: all(any(x != 0 for x in row) for row in rows)))
 # |z| = |w|: canonicalization anchors z and leaves |w| an ulp above it
 @example(rows=[(26.0, 13.0, 13.0, 26.0)])
+# a subnormal largest modulus: 1/m overflows
+@example(rows=[(0.0, 0.0, 0.0, 5e-324)])
 def test_measure_from_json_keeps_canonical_rows_as_written(rows):
     pts = canonicalize_rows(np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows]))
     mu = AtomicMeasure(pts, np.ones(len(pts)) / len(pts))
@@ -991,10 +995,12 @@ def test_measure_from_json_keeps_canonical_rows_as_written(rows):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND (split multiple preimages): preimages of the double holes of "
-    "example2_second_limit(4, 2, a=0.5) split by up to about 1e-6, beyond pt and "
-    "cluster_floor, so boundary_measure keeps them as separate atoms and the atom count "
-    "rests on round-off; re-merged at cluster_floor, 648 atoms fall to 640"))
+    "CHANGES.md FOUND (split multiple preimages): 0 is a triple preimage of the hole at "
+    "infinity of example2_second_limit(4, 2, a=0.5), where phi has local degree 3, and its "
+    "three slots lie at chordal 5.88e-6 from 0, beyond pt and cluster_floor; so at tail "
+    "3e-2 boundary_measure keeps three atoms of 0.02499 there, while point_mass(dec, 0) is "
+    "0.075, and the atom count rests on round-off: re-merged at cluster_floor, 648 atoms "
+    "fall to 640"))
 def test_measure_keeps_no_split_multiple_preimages():
     mu = boundary_measure(decompose(fam.example2_second_limit(4, 2, a=0.5), 1e-4), 3e-2)
     points, masses = merge_atoms(mu.points, mu.masses, DEFAULTS.cluster_floor)

@@ -75,12 +75,6 @@ def test_chordal_triangle_inequality():
         )
 
 
-def test_point_json_roundtrip():
-    p = canonicalize(1.5 - 2.5j, 0.3j)
-    q = type(p).from_json(p.to_json())
-    assert chordal_distance(p, q) < 1e-15
-
-
 def test_canonicalize_rows_matches_scalar():
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
