@@ -99,10 +99,11 @@ def _load_map(args, params):
     raise ValueError("provide a map via --input <json> or --family <name>")
 
 
-def _seed(args):
-    if getattr(args, "seed", None) is not None:  # only sample and converge take --seed
-        return args.seed
-    return int(os.environ.get("RATBOUND_SEED", "0"))
+def _seed(text, name=""):
+    """A seed: a non-negative integer's text, else an ArgumentTypeError opening with `name`."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{name}must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _tolerances(args):
@@ -111,7 +112,7 @@ def _tolerances(args):
 
 
 def _emit_json(args, result):
-    envelope = {"command": args.command, "tolerances": _tolerances(args), "seed": _seed(args),
+    envelope = {"command": args.command, "tolerances": _tolerances(args), "seed": args.seed,
                 "result": result}
     _write(args.out, itertools.chain(_json_pieces(envelope), "\n"))
 
@@ -330,13 +331,13 @@ def cmd_sample(args, params):
     a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
     f = _load_map(args, params)
     emp = sample_max_entropy(
-        f, a0, depth=args.depth, count=args.count, seed=_seed(args),
+        f, a0, depth=args.depth, count=args.count, seed=args.seed,
         workers=args.workers, gcd_tol=args.tol,
     )
     samples = emp.samples.view(float).reshape(-1, 2, 2)
     if args.format == "csv":
         _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], samples.reshape(-1, 4).tolist(),
-                  {"seed": _seed(args), "depth": args.depth, "count": args.count})
+                  {"seed": args.seed, "depth": args.depth, "count": args.count})
     else:
         _emit_json(args, {"samples": samples, "seed": emp.seed, "depth": emp.depth,
                           "count": emp.count, "source": emp.source})
@@ -355,9 +356,8 @@ def cmd_converge(args, params):
     tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-6))
     family = fam.FamilySpec(args.family, params)
     family.check_limit()
-    # the specs check their keys before any work; the target (its integrals,
-    # or the mass check that exits 2) and the rows (each one's integrals and
-    # disk mass, or its error flag) are tasks shared with the pool, in order
+    # the specs check their keys before any work; the target (its integrals, or the mass
+    # check that exits 2) and the rows (integrals and disk mass, or an error flag) share the pool
     specs = [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
 
     def run(spec):
@@ -365,7 +365,7 @@ def cmd_converge(args, params):
             return _design_integrals(family.limit(tail_tol))
         try:
             emp = sample_max_entropy(spec.build(), a0, depth=args.depth, count=args.count,
-                                     seed=_seed(args), workers=args.workers, gcd_tol=args.tol)
+                                     seed=args.seed, workers=args.workers, gcd_tol=args.tol)
             return _design_integrals(emp), mass_in_disk(emp, center, radius)
         except (ValueError, NumericalFailure, MathDomainError) as exc:
             return f"error: {exc}"
@@ -386,7 +386,7 @@ def cmd_converge(args, params):
         "final_distance": dists[-1] if dists else math.nan,
     }
     _emit_csv(args, [sweep, "weak_distance", "mass_in_disk", "flag"], rows,
-              {"seed": _seed(args), "depth": args.depth, "count": args.count,
+              {"seed": args.seed, "depth": args.depth, "count": args.count,
                **{f"summary.{k}": v for k, v in summary.items()}})
 
 
@@ -483,7 +483,7 @@ def build_parser():
         p.add_argument("--tol", type=_positive(float, below=1), default=DEFAULTS.gcd,
                        help="gcd tolerance: root-matching radius and residual bound")
         if name in ("sample", "converge"):
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="falls back to RATBOUND_SEED, then 0")
             p.add_argument("--depth", type=_positive(int), default=20)
             p.add_argument("--count", type=_positive(int), default=10_000)
@@ -507,6 +507,8 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command not in ("properness", "escape") and getattr(args, "seed", None) is None:
+            args.seed = _seed(os.environ.get("RATBOUND_SEED", "0"), "RATBOUND_SEED ")
         COMMANDS[args.command](args, _parse_params(args.param))
     except MathDomainError as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
@@ -514,7 +516,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
         return 2
     return 0

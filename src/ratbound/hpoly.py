@@ -8,11 +8,10 @@ chordal clustering for multiplicities), and an approximate gcd computed by
 matching root clusters of the two inputs.  One batched companion kernel,
 _companion_roots, serves both roots and the preimage slots of measure.
 
-Independent work shares one fixed pool through _shared_map: the caller's
-thread and at most one worker (separate from BLAS's).  It runs the halves of
-a large companion batch or measure level, the sampler's chunks (each step of
-which solves each distinct walk state once, the stream unchanged) and a
-`converge` sweep's target and rows, each the serial loop's bit for bit.
+Independent work shares one fixed pool through _shared_map, an in-order queue
+that the caller's thread and one pool task (separate from BLAS's threads) drain:
+the halves of a large companion batch or measure level, the sampler's chunks and
+a `converge` sweep's target and rows, each the serial loop's bit for bit.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
 gcd because floating-point remainder sequences degrade exactly where these
@@ -313,56 +312,54 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # matrix, serial -> split, 2-core Xeon VM, BLAS on 1 thread: n=4 11.8 -> 8.0,
 # n=5 18.3 -> 11.4, n=9 57.6 -> 34.6 at k=256; n=5 at k=192 and n=3 at k=256
 # lost (18.8 -> 20.2, 6.5 -> 7.4); with the other core busy a split costs 2-9%.
-# _SPLIT_LEVEL is the smallest level measure._pull_back solves in two halves.
-# Median ms per F_T level (e = 2), serial -> split, same machine, worse of two
-# runs: 512 rows 0.9 -> 1.7 and 1,024 rows 3.0 -> 3.3 lost; 2,048 rows
-# 5.0 -> 4.3 and 8,192 rows 13.8 -> 11.6 won.
-_SPLIT_N, _SPLIT_K, _SPLIT_LEVEL = 4, 256, 2048
+_SPLIT_N, _SPLIT_K = 4, 256
 _pool = None
 if hasattr(os, "register_at_fork"):  # a forked child inherits no worker thread
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
 def _shared_map(fn, items):
-    """[fn(item) for item in items], the items shared between the caller's
-    thread and the pool; the results, or the exception, of the serial loop.
+    """[fn(item) for item in items], shared between the caller's thread and one
+    pool task: the results, or the exception, of the serial loop.
 
-    Every item but the first is queued on the pool.  The caller walks the
-    items in order and runs each one the pool has not started (cancelling it
-    there), so a task that calls _shared_map itself never waits on a queued
-    task.  Once a task has failed nothing more starts; it returns or raises
-    after every task the pool started has finished, and raises the exception
-    of the earliest item that failed.
+    Both run drain, which takes the next untaken item and stores its result or
+    exception by index; once an item has failed nothing more is taken, so every
+    item before the earliest failure has run, and that failure is raised.  The
+    caller cancels the pool task if it never started, or waits for it: a nested
+    call never waits on a queued task, and nothing outlives the call.
     """
     global _pool
     items = list(items)
     if _THREADS < 2 or len(items) < 2:
         return [fn(item) for item in items]
-    from concurrent.futures import Future, wait
-
     if _pool is None:  # created on first use: the import costs ~5 ms at start-up
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(_THREADS - 1)
-    tasks = [None] + [_pool.submit(fn, item) for item in items[1:]]
-    try:
-        for i, item in enumerate(items):
-            if tasks[i] is not None and not tasks[i].cancel():
-                continue  # started on the pool
-            if any(task.done() and task.exception() is not None for task in tasks[:i]):
-                break
-            tasks[i] = Future()
+    out, errors, todo = [None] * len(items), {}, list(reversed(range(len(items))))
+
+    def drain():  # list.pop and list.clear are atomic: no item is taken twice or after a failure
+        while True:
             try:
-                tasks[i].set_result(fn(item))
-            except Exception as exc:
-                tasks[i].set_exception(exc)
-                break
+                i = todo.pop()
+            except IndexError:
+                return
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                todo.clear()
+
+    task = _pool.submit(drain)
+    try:
+        drain()
     finally:
-        for task in tasks:
-            if task is not None:
-                task.cancel()
-        wait([task for task in tasks if task is not None and not task.cancelled()])
-    return [task.result() for task in tasks]
+        todo.clear()  # a caller interrupted outside fn leaves the pool task nothing to take
+        if not task.cancel():
+            task.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _companion_roots(C):

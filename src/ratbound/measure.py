@@ -28,40 +28,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, islice
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
-from .hpoly import _SPLIT_LEVEL, _companion_roots, _rows, _shared_map, roots
+from .hpoly import _companion_roots, _rows, _shared_map, roots
 from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
 from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
                      _orbit_steps)
 
 DESIGN_VERSION = 1
-_DESIGN_CACHE = None
 
 
+@cache
 def design_points() -> np.ndarray:
     """The frozen 32-point test family centers (version 1), as canonical rows."""
-    global _DESIGN_CACHE
-    if _DESIGN_CACHE is None:
-        pts = [[1.0, 0.0], [0.0, 1.0]]  # infinity and zero
-        n = 30
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for k in range(n):
-            y = 1.0 - 2.0 * (k + 0.5) / n
-            r = math.sqrt(max(1.0 - y * y, 0.0))
-            theta = golden * k
-            x1, x2 = r * math.cos(theta), r * math.sin(theta)
-            zeta = complex(x1, x2) / (1.0 - y)
-            pts.append([zeta, 1.0])
-        design = canonicalize_rows(np.array(pts, dtype=complex))
-        design.flags.writeable = False
-        _DESIGN_CACHE = design  # set once read-only: _shared_map tasks may race to build it
-    return _DESIGN_CACHE
+    pts = [[1.0, 0.0], [0.0, 1.0]]  # infinity and zero
+    n = 30
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    for k in range(n):
+        y = 1.0 - 2.0 * (k + 0.5) / n
+        r = math.sqrt(max(1.0 - y * y, 0.0))
+        theta = golden * k
+        x1, x2 = r * math.cos(theta), r * math.sin(theta)
+        zeta = complex(x1, x2) / (1.0 - y)
+        pts.append([zeta, 1.0])
+    design = canonicalize_rows(np.array(pts, dtype=complex))
+    design.flags.writeable = False
+    return design
 
 
 @dataclass
@@ -223,6 +220,11 @@ def _exact_slots(phi, row):
     return [pt.as_array() for pt, mult in preimages(phi, a) for _ in range(mult)]
 
 
+# Median ms per F_T level (e = 2), serial -> split, 2-core Xeon VM, 1 BLAS thread, worse of
+# two runs: 512 rows 0.9 -> 1.7, 1,024 3.0 -> 3.3 lost; 2,048 5.0 -> 4.3, 8,192 13.8 -> 11.6 won.
+_SPLIT_LEVEL = 2048
+
+
 def _pull_back(phi, pts, masses):
     """One backward step: the phi-preimages of the rows, each with its row's mass.
 
@@ -231,9 +233,9 @@ def _pull_back(phi, pts, masses):
     radius roots uses for multiplicities) is solved again by _exact_slots.
     Only siblings are tested: preimages of distinct nearby rows can lie
     closer than that radius and are distinct points.  The slots are found
-    row by row, so a level of at least hpoly._SPLIT_LEVEL rows finds them in
-    two halves by _shared_map, with the bits of one pass.  The children are
-    then merged at pt, which makes each multiple preimage one atom.
+    row by row, so a level of at least _SPLIT_LEVEL rows, the smallest that
+    gains, finds them in two halves by _shared_map, with the bits of one pass.
+    The children are then merged at pt, which makes each multiple preimage one atom.
     """
     halves = np.array_split(pts, 2 if len(pts) >= _SPLIT_LEVEL else 1)
     slots = np.concatenate(_shared_map(partial(_sibling_slots, phi), halves))
@@ -391,10 +393,9 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     that of one solve per orbit.  It depends on (seed, workers) only, never
     on the thread count: worker i draws from default_rng([seed, i]) and
     chunks are concatenated in worker order.  `workers` selects a partition
-    of the random stream; the chunks share hpoly's fixed pool of at most two
-    threads (separate from BLAS's) by _shared_map, as do the halves of a
-    large root batch, and no thread is started per chunk.  Degree d < 2 is a
-    MathDomainError, an exceptional start a an ExceptionalPointError.
+    of the random stream; the chunks are the items of one _shared_map call,
+    and no thread is started per chunk.  Degree d < 2 is a MathDomainError,
+    an exceptional start a an ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")

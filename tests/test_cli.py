@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import json
@@ -939,6 +940,12 @@ SAMPLER = ["--depth", "3", "--count", "5"]
     (["converge", *E1, "--param", "values=0.1", "--count", "0"], "--count: must be positive"),
     (["converge", *E1, "--param", "values=0.1", "--param", "tail_tol=1e-3",
       "--param", "sweep=tt", *SAMPLER], "family example1 takes no --param tt"),
+    (["sample", *E1, "--param", "t=0.1", "--seed", "-1", *SAMPLER],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["converge", *E1, "--param", "values=0.1,0.01", "--seed", "-1", *SAMPLER],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["converge", *E1, "--param", "values=0.1", "--seed", "1.5", *SAMPLER],
+     "argument --seed: must be a non-negative integer, got '1.5'"),
 ])
 def test_inputs_a_verb_does_not_read_exit_2(argv, named, tmp_path, capsys):
     # each exits 2 with a message naming the flag, key or value, before any output
@@ -956,6 +963,36 @@ def test_only_sample_and_converge_take_sampler_flags(capsys):
             assert code == 2 and f"unrecognized arguments: {flag} 1" in err, (verb, flag)
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", *FT], ["indeterminate", *FT], ["iterate", *FT],
+    ["measure", *FT, "--param", "tail_tol=0.1"], ["pointmass", *FT],
+    ["sample", *E1, "--param", "t=0.1", *SAMPLER],
+    ["converge", *E1, "--param", "values=0.1", *SAMPLER],
+])
+@pytest.mark.parametrize("value", ["abc", "-1", "", "2.0"])
+def test_bad_env_seed_exits_2_before_any_work(argv, value, tmp_path, capsys, monkeypatch):
+    # every verb that records or uses a seed reads RATBOUND_SEED once, first
+    def built(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setenv("RATBOUND_SEED", value)
+    monkeypatch.setattr(fam.FamilySpec, "build", built)
+    monkeypatch.setattr(fam.FamilySpec, "limit", built)
+    out = tmp_path / "o"
+    code, err = _exit(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"ratbound: RATBOUND_SEED must be a non-negative integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_verbs_without_a_seed_ignore_env_seed(capsys, monkeypatch):
+    # --seed wins over RATBOUND_SEED, and properness and escape never read it
+    monkeypatch.setenv("RATBOUND_SEED", "abc")
+    for argv in (["properness", *FT], ["escape", *FT, "--param", "re=0:1:2"],
+                 ["sample", *E1, "--param", "t=0.1", "--seed", "3", *SAMPLER]):
+        assert run(capsys, *argv)[0] == 0
+
+
 def test_converge_row_the_family_rejects_stays_an_error_row(capsys):
     code, out = run(capsys, "converge", *E1, "--param", "values=0,0.1",
                     "--param", "tail_tol=1e-3", *SAMPLER)
@@ -963,6 +1000,24 @@ def test_converge_row_the_family_rejects_stays_an_error_row(capsys):
     _, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
     assert [r[3] for r in rows] == ["error: t must be nonzero (the t = 0 limit is example1_limit)",
                                     "ok"]
+
+
+def test_readme_library_tour_runs():
+    # the tour as written, each bare expression's value kept as a REPL shows it:
+    # the mass at infinity is 1/4 within its bound, the hole is non-exceptional,
+    # and samples of a nearby family member lie within 0.05 of mu
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, shown = {}, []
+    for node in ast.parse(tour).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    (mass, bound), case, final = shown[1], shown[2], shown[-1]
+    assert abs(mass - 0.25) <= bound
+    assert case == "non-exceptional hole"
+    assert final < 0.05
 
 
 def test_readme_names_resolve():

@@ -114,6 +114,21 @@ def test_example2_second_limit_mass():
     assert k / (d + 1) > k / (d + k)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_example2_with_k_equal_d_has_a_constant_P(d):
+    # k = d leaves P of degree 0, which must be 1: phi has degree d, and H
+    # vanishes only at infinity, to order d(d - 1); the closed-form masses are
+    # d/(d + 1) at infinity and (d - 1)/(d(d + 1)) at 0
+    dec = decompose(fam.example2_second_limit(d, d, a=0.5), 1e-4)
+    assert dec.e == d and len(dec.holes) == 1
+    assert multiplicity_at(dec.holes, INFINITY) == d * (d - 1)
+    for at, exact in ((INFINITY, d / (d + 1)), (ZERO, (d - 1) / (d * (d + 1)))):
+        mass, err = point_mass(dec, at)
+        assert abs(mass - exact) <= err
+    with pytest.raises(ValueError, match="constant P must be identically 1"):
+        fam.make_example2(d, d, a=0.5, t=0.1, P=HPoly.constant(2.0))
+
+
 def test_example2_companion_limits():
     d, k = 4, 2
     # h_a in I(d^2) iff P(a, 1) = 0; default P roots are 1 and 2

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 
 import mpmath
@@ -380,6 +381,78 @@ def test_shared_map_raises_the_earliest_failure_and_leaves_nothing_queued(monkey
     assert len(seen) < 40
     time.sleep(0.05)
     assert sorted(started) == seen
+
+
+def test_shared_map_takes_no_item_after_a_failure_on_the_pool(monkeypatch):
+    # item 0 runs 0.3 s on one thread while item 1 fails on the other: as in
+    # the serial loop, items 0 and 1 run, nothing after them starts, and the
+    # error is item 1's
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    started = []
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.3)
+        if i == 1:
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        hpoly._shared_map(task, range(10))
+    time.sleep(0.05)
+    assert sorted(started) == [0, 1]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_shared_map_takes_no_item_after_a_failure_on_the_caller(monkeypatch, error):
+    # the caller's first item fails once the pool task has started its own,
+    # which runs 0.3 s: the pool task takes nothing more, its item finishes
+    # before the call raises, and the error is the caller's item's
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    caller, pool_started = threading.get_ident(), threading.Event()
+    started, finished = [], []
+
+    def task(i):
+        started.append(i)
+        if threading.get_ident() == caller:
+            pool_started.wait(5)
+            raise error(f"item {i}")
+        pool_started.set()
+        time.sleep(0.3)
+        finished.append(i)
+        return i
+
+    with pytest.raises(error) as exc:
+        hpoly._shared_map(task, range(10))
+    assert sorted(started) == [0, 1] and len(finished) == 1
+    assert str(exc.value) == f"item {({0, 1} - set(finished)).pop()}"
+    time.sleep(0.05)
+    assert sorted(started) == [0, 1]
+
+
+def test_shared_map_interrupted_while_waiting_raises_at_once(monkeypatch):
+    # the caller has taken every item the pool task has not and waits for it;
+    # SIGINT there raises KeyboardInterrupt from the call, and nothing more starts
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    caller, pool_started = threading.get_ident(), threading.Event()
+    started = []
+
+    def task(i):
+        started.append(i)
+        if threading.get_ident() == caller:
+            pool_started.wait(5)
+            return i
+        pool_started.set()
+        time.sleep(0.1)
+        signal.pthread_kill(caller, signal.SIGINT)
+        time.sleep(0.2)
+        return i
+
+    with pytest.raises(KeyboardInterrupt):
+        hpoly._shared_map(task, range(2))
+    time.sleep(0.3)
+    assert sorted(started) == [0, 1]
 
 
 def test_root_kernel_pool_is_capped_at_two_usable_cores():

@@ -458,7 +458,7 @@ def test_boundary_measure_and_pullback_bit_identical_at_one_and_two_threads(monk
     # measure, find their slots in two halves on two threads
     dec = decompose(f, gcd_tol)
     one, two = (_at_threads(monkeypatch, t, lambda: boundary_measure(dec, tol)) for t in (1, 2))
-    assert len(one.points) >= 2 * hpoly._SPLIT_LEVEL and _same_measure(one, two)
+    assert len(one.points) >= 2 * measure._SPLIT_LEVEL and _same_measure(one, two)
     pulled = [_at_threads(monkeypatch, t, lambda: pullback(dec, one, normalize=True))
               for t in (1, 2)]
     assert _same_measure(*pulled)
