@@ -344,6 +344,7 @@ def cmd_sample(args, params):
 
 
 def cmd_converge(args, params):
+    _require_family(args)
     sweep = _sweep_key(params)
     values = params.pop("values", None)
     if values is None:
@@ -397,6 +398,7 @@ def cmd_properness(args, params):
     if values is None:
         maps = [("-", _load_map(args, params))]
     else:
+        _require_family(args)
         maps = [(v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
                 for v in values]
     rows = []
@@ -414,6 +416,11 @@ def cmd_escape(args, params):
     rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
                        n_max=n_max, dec=decompose(f, args.tol))
     _emit_csv(args, ["re", "im", "G"], rows)
+
+
+def _require_family(args):
+    if not args.family:
+        raise ValueError("a sweep builds its maps from --family <name> and does not read --input")
 
 
 def _sweep_key(params):

@@ -122,6 +122,8 @@ def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
     """_escape_batch on the rule escape_rate picks for f; one decompose."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
+    if f.d < 2:  # d^-n log||F^n x|| converges only for d >= 2
+        raise MathDomainError("escape rate needs degree d >= 2")
     if dec is None:
         dec = decompose(f)
     if dec.indeterminate:

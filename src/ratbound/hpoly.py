@@ -481,61 +481,42 @@ def _sorted_roots(entries) -> list:
         key=lambda e: (e[0].is_infinity, round(e[0].z.real, 9), round(e[0].z.imag, 9)))
 
 
+def _rotated(P: HPoly, pt: ProjPoint) -> HPoly:
+    """P(U^-1 (z, w)) for the unitary U sending pt = u to (0:1): its coefficient k
+    is the k-th Taylor coefficient g_k of s -> P(u + s v), v = (-conj w, conj z)."""
+    A = HPoly.from_coeffs([pt.z, -np.conj(pt.w)])
+    B = HPoly.from_coeffs([pt.w, np.conj(pt.z)])
+    return substitute(P, A, B)
+
+
 def vanishing_order(P: HPoly, pt: ProjPoint) -> int:
     """Order of vanishing of P at a projective point.
 
-    Expands g(s) = P(u + s v) along a unit direction v orthogonal to u; the
-    order is the first k whose |g_k| exceeds DEFAULTS.ramification times
-    the largest |g_j|: smaller coefficients are taken as cancellation noise.
+    Read off the Taylor coefficients g_k of the rotated polynomial
+    (_rotated): the first k whose |g_k| exceeds DEFAULTS.ramification times
+    the largest |g_j|; smaller coefficients are taken as cancellation noise.
     """
     if P.is_zero:
         return P.degree + 1
-    u = (pt.z, pt.w)
-    v = (-np.conj(pt.w), np.conj(pt.z))
-    d = P.degree
-    g = np.zeros(d + 1, dtype=complex)
-    for i, c in enumerate(P.coeffs):
-        if c == 0:
-            continue
-        a = _binom_expand(u[0], v[0], i)
-        b = _binom_expand(u[1], v[1], d - i)
-        g += c * np.convolve(a, b)
-    mods = np.abs(g)
-    cutoff = DEFAULTS.ramification * mods.max()
-    for k in range(d + 1):
-        if mods[k] > cutoff:
-            return k
-    return d
-
-
-def _binom_expand(x, y, n):
-    """Coefficients in s of (x + s y)^n."""
-    out = np.zeros(n + 1, dtype=complex)
-    binom = 1.0
-    for k in range(n + 1):
-        out[k] = binom * x ** (n - k) * y**k
-        binom = binom * (n - k) / (k + 1)
-    return out
+    mods = np.abs(_rotated(P, pt).coeffs)
+    above = np.flatnonzero(mods > DEFAULTS.ramification * mods.max())
+    return int(above[0]) if len(above) else P.degree
 
 
 def count_zeros_in_disk(P: HPoly, center: ProjPoint, radius: float = 1e-2) -> int:
     """Zeros of P (with multiplicity) in a small disk, by the argument
     principle.
 
-    The center is unitarily rotated to (0:1) and the winding number of P
-    along an affine circle of the given radius is counted.  Being
-    evaluation-based, this reads multiplicities of high-degree products
-    whose coefficient dynamic range defeats threshold tests.  Chordal and
-    affine radii agree to O(radius^2); keep radius below the root
-    separation.
+    The winding number of the rotated polynomial (_rotated, which sends the
+    center to (0:1)), evaluated from its Taylor coefficients, is counted
+    along an affine circle of the given radius.  Being evaluation-based,
+    this reads multiplicities of high-degree products whose coefficient
+    dynamic range defeats threshold tests.  Chordal and affine radii agree
+    to O(radius^2); keep radius below the root separation.
     """
     if P.is_zero:
         raise ValueError("zero polynomial")
-    zc, wc = center.z, center.w
-    # (z, w) = U^-1 (z', w') for the unitary U sending the center to (0:1)
-    A = HPoly.from_coeffs([zc, -np.conj(wc)])
-    B = HPoly.from_coeffs([wc, np.conj(zc)])
-    rotated = substitute(P.normalize(), A, B)
+    rotated = _rotated(P.normalize(), center)
     r = radius
     theta = 2 * np.pi * np.arange(513) / 512  # 512 steps round the circle
     for _ in range(8):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ratbound
-from ratbound import DEFAULTS, Tolerances, canonicalize, sample_max_entropy, weak_distance
+from ratbound import (DEFAULTS, BoundaryMap, HPoly, Tolerances, canonicalize, sample_max_entropy,
+                      weak_distance)
 from ratbound import cli
 from ratbound import families as fam
 from ratbound import hpoly
@@ -217,6 +218,19 @@ def test_sample_degree_one_exit_code(tmp_path, capsys):
     assert code == 3
     assert "d >= 2" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("f", [
+    BoundaryMap(0, HPoly.constant(1.0), HPoly.constant(2.0)),
+    BoundaryMap(1, HPoly.from_coeffs([0, 2]), HPoly.from_coeffs([1, 0])),  # z -> 2z
+])
+def test_escape_below_degree_two_exit_code(f, tmp_path, capsys):
+    # the escape rate has no limit below d = 2: exit 3 before any output
+    out = tmp_path / "grid.csv"
+    code = main(["escape", "--input", write_map(tmp_path, f), "--param", "re=0:1:2",
+                 "--param", "im=0:0:1", "--out", str(out)])
+    assert code == 3 and "escape rate needs degree d >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_sample_csv_rows_are_the_json_samples(capsys):
     argv = ["sample", "--family", "example1", "--param", "d=3", "--param", "t=1e-2",
@@ -946,6 +960,9 @@ SAMPLER = ["--depth", "3", "--count", "5"]
      "argument --seed: must be a non-negative integer, got '-1'"),
     (["converge", *E1, "--param", "values=0.1", "--seed", "1.5", *SAMPLER],
      "argument --seed: must be a non-negative integer, got '1.5'"),
+    (["converge", "--input", "MAP", "--param", "values=1,2"], "builds its maps from --family"),
+    (["properness", "--input", "MAP", "--param", "values=1,2"], "builds its maps from --family"),
+    (["converge", "--param", "values=1,2"], "builds its maps from --family"),
 ])
 def test_inputs_a_verb_does_not_read_exit_2(argv, named, tmp_path, capsys):
     # each exits 2 with a message naming the flag, key or value, before any output

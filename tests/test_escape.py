@@ -10,6 +10,7 @@ from ratbound import (
     BoundaryMap,
     HPoly,
     IndeterminateMapError,
+    MathDomainError,
     canonicalize,
     cone_angle_report,
     decompose,
@@ -375,3 +376,15 @@ def test_cone_angles_match_per_atom_formula():
     angles, inf_ends = cone_angle_report(mu)
     assert angles.tolist() == [2.0 * math.pi - 4.0 * math.pi * m for m in masses.tolist()]
     assert inf_ends.tolist() == [m >= 0.5 for m in masses.tolist()]
+
+
+@pytest.mark.parametrize("f", [
+    BoundaryMap(0, hp(1), hp(2)),
+    BoundaryMap(1, hp(0, 2), hp(1, 0)),  # z -> 2z
+])
+def test_escape_rate_refuses_degree_below_two(f):
+    # d^-n log||F^n x|| has no limit below d = 2, so no value is returned
+    for call in (lambda: escape_rate(f, (0.3, 1)), lambda: escape_grid(f, (0, 1), (0, 0), 2, 1),
+                 lambda: functional_equation_residual(f, (0.3, 1))):
+        with pytest.raises(MathDomainError, match="escape rate needs degree d >= 2"):
+            call()

@@ -25,6 +25,7 @@ from ratbound import (
     map_residual,
     point_mass,
     resultant,
+    vanishing_order,
 )
 from ratbound import families as fam
 from ratbound import ratmap
@@ -163,6 +164,23 @@ def test_matched_gcd_factor_is_built_from_its_holes(order, hole_mults, e, scales
     q = HPoly.from_roots([(pt, 1) for pt in rest[e:2 * e]], scales[2])
     dec = decompose(BoundaryMap(H.degree + e, H * p, H * q), 1e-4)
     assert np.array_equal(HPoly.from_roots(dec.holes).monic_leading().coeffs, dec.H.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.permutations(range(len(_SITES))),
+    mults=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    scale=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+)
+def test_local_orders_read_the_planted_multiplicities(order, mults, scale):
+    # at each site, the Taylor threshold and the argument principle both read the
+    # multiplicity planted there, 0 where none is; the disks have a third of the
+    # sites' smallest chordal separation, 0.447, so each holds one site
+    sites = [_SITES[i] for i in order]
+    P = HPoly.from_roots(list(zip(sites, mults)), scale)
+    for site, mult in zip(sites, mults + [0] * (len(sites) - len(mults))):
+        assert vanishing_order(P, site) == mult
+        assert count_zeros_in_disk(P, site, 0.447 / 3) == mult
 
 
 @pytest.mark.parametrize("f, tol", [
