@@ -36,7 +36,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
 from .hpoly import _companion_roots, _rows, _shared_map, roots
-from .projline import ProjPoint, _merge_close, canonicalize_rows, chordal_cross, chordal_distance
+from .projline import (ProjPoint, _merge_close, _row_max, canonicalize_rows, chordal_cross,
+                       chordal_distance)
 from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
                      _orbit_steps)
 
@@ -189,11 +190,12 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=complex).reshape(-1, 2)
     n = len(pts)
     C = pts[:, 1:2] * p.coeffs[None, :] - pts[:, 0:1] * q.coeffs[None, :]
-    rowmax = np.abs(C).max(axis=1)
+    mods = np.abs(C)
+    rowmax = _row_max(mods)
     if np.any(rowmax == 0.0):
         raise ValueError("fiber polynomial vanished: pair is not coprime")
-    lead_z = np.abs(C[:, -1])
-    lead_w = np.abs(C[:, 0])
+    lead_z = mods[:, -1]
+    lead_w = mods[:, 0]
     floor = 1e-12 * rowmax
     use_z = (lead_z >= lead_w) & (lead_z > floor)
     use_w = (~use_z) & (lead_w > floor)

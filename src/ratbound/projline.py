@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,11 +78,25 @@ def chordal_distance(p: ProjPoint, q: ProjPoint) -> float:
 # vectorized kernels used by the measure module
 
 
+def _row_max(mods) -> np.ndarray:
+    """The largest entry of each row of a float array of a few columns.
+
+    np.maximum column by column: numpy reduces max(axis=1) one short row at
+    a time, several times slower at these widths, to the same (exact) values.
+    """
+    return reduce(np.maximum, mods.T)
+
+
 def canonicalize_rows(pairs) -> np.ndarray:
-    """Canonicalize an (n, 2) array of representatives, rowwise."""
+    """Canonicalize an (n, 2) array of representatives, rowwise.
+
+    Every step is an elementwise ufunc on the two columns, so a row's bits
+    depend on that row alone, never on its batch.  The norm is
+    sqrt(s[:, 0] + s[:, 1]) with s = (conj(a) a).real, exactly what
+    np.linalg.norm(a, axis=1) evaluates, without its row-by-row reduction.
+    """
     a = np.array(pairs, dtype=complex)
-    mods = np.abs(a)
-    m = mods.max(axis=1)
+    m = _row_max(np.abs(a))
     if np.any(m == 0.0):
         raise ValueError("not a projective point: (0, 0)")
     # numpy divides a complex by a real m through 1/m, which overflows for a
@@ -89,9 +104,10 @@ def canonicalize_rows(pairs) -> np.ndarray:
     tiny = m < np.finfo(float).tiny
     if np.any(tiny):
         a[tiny] *= 2.0**64
-        m[tiny] = np.abs(a[tiny]).max(axis=1)
+        m[tiny] = _row_max(np.abs(a[tiny]))
     a /= m[:, None]
-    a /= np.linalg.norm(a, axis=1)[:, None]
+    s = (a.conj() * a).real
+    a /= np.sqrt(s[:, 0] + s[:, 1])[:, None]
     anchor = np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1])
     a *= (np.abs(anchor) / anchor)[:, None]
     return a
@@ -135,7 +151,13 @@ def _merge_close(points, weights, eps):
     Other rows come back unchanged; with no group, so do the inputs.  On the
     unit sphere chordal distance is half the Euclidean one, so only pairs
     whose projections on a sweep axis lie within 2 eps are compared.
+
+    A group's sum adds its members in index order from +0.0, one np.bincount
+    per real and imaginary part of each column (np.add.at adds in the same
+    order, but one row at a time).
     """
+    if len(points) < 2:
+        return points, weights
     z, w = points[:, 0], points[:, 1]
     zw = z * np.conj(w)
     proj = (2 * zw.real * _SWEEP_AXIS[0] + 2 * zw.imag * _SWEEP_AXIS[1]
@@ -175,11 +197,16 @@ def _merge_close(points, weights, eps):
     members = np.flatnonzero(in_group)
     first = label[members]
     heads = members[first == members]
-    t = np.sum(points[members] * np.conj(points[first]), axis=1)
+    t = points[members] * np.conj(points[first])
+    t = t[:, 0] + t[:, 1]
     aligned = (weights[members] * np.conj(t) / np.abs(t))[:, None] * points[members]
-    total = np.zeros((len(heads), 2), dtype=complex)
-    np.add.at(total, np.searchsorted(heads, first), aligned)
+    slot = np.searchsorted(heads, first)
+    # complex rows viewed as float rows: re z, im z, re w, im w
+    parts = aligned.view(float)
+    total = np.empty((len(heads), 4))
+    for j in range(4):
+        total[:, j] = np.bincount(slot, parts[:, j], len(heads))
     out = points.copy()
-    out[heads] = canonicalize_rows(total)
+    out[heads] = canonicalize_rows(total.view(complex))
     keep = label == np.arange(n)
     return out[keep], np.bincount(label, weights=weights, minlength=n)[keep]

@@ -17,6 +17,7 @@ degree-d^n polynomials.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
@@ -168,18 +169,32 @@ def _phi_pair_normalize(pair):
     return HPoly(p.degree, p.coeffs / scale), HPoly(q.degree, q.coeffs / scale)
 
 
+def _require_finite(n: int, d: int, *polys):
+    """NumericalFailure if a factor of the n-th iterate of a degree-d map has
+    a non-finite coefficient."""
+    if not all(np.isfinite(P.coeffs).all() for P in polys):
+        raise NumericalFailure(f"iterate n={n}: the degree-{d**n} product formula "
+                               "overflowed to non-finite coefficients")
+
+
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, with
     each factor renormalized at every step.  H_n has degree d^n - e^n, and its
-    vanishing orders are the hole depths of f^n."""
+    vanishing orders are the hole depths of f^n.  A factor that overflows
+    raises NumericalFailure before it is renormalized, since scaling inf
+    would only turn it into nan."""
     d = f.d
     H = dec.H
     p, q = dec.phi
     prod = HPoly.constant(1.0)
     Phi = (HPoly.z(), HPoly.w())
     for k in range(n):
-        prod = (prod * (substitute(H, *Phi) ** (d ** (n - k - 1)))).normalize()
-        Phi = _phi_pair_normalize(compose_pair((p, q), Phi))
+        prod = prod * (substitute(H, *Phi) ** (d ** (n - k - 1)))
+        _require_finite(n, d, prod)
+        prod = prod.normalize()
+        Phi = compose_pair((p, q), Phi)
+        _require_finite(n, d, *Phi)
+        Phi = _phi_pair_normalize(Phi)
     return prod, Phi
 
 
@@ -196,9 +211,7 @@ def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
         return f
     prod, Phi = _iterate_parts(f, n, dec)
     Pn, Qn = prod * Phi[0], prod * Phi[1]
-    if not (np.isfinite(Pn.coeffs).all() and np.isfinite(Qn.coeffs).all()):
-        raise NumericalFailure(f"iterate n={n}: the degree-{f.d**n} product formula "
-                               "overflowed to non-finite coefficients")
+    _require_finite(n, f.d, Pn, Qn)
     if max(Pn.max_modulus(), Qn.max_modulus()) == 0.0:
         raise IndeterminateMapError("iterate undefined on indeterminacy locus")
     return BoundaryMap(f.d**n, Pn, Qn)
@@ -256,6 +269,11 @@ def _match_hole(x: ProjPoint, holes):
     return 0, x
 
 
+def _bits(pt: ProjPoint) -> bytes:
+    """The exact bits of pt: a key that tells -0.0 from 0.0, as == does not."""
+    return struct.pack("4d", pt.z.real, pt.z.imag, pt.w.real, pt.w.imag)
+
+
 def _orbit_steps(dec: Decomposition, z: ProjPoint):
     """Yield (x_k, depth_k, phi(x_k)) along the forward phi-orbit x_k of z:
     the orbit point, its depth as a hole of f (0 off the hole set) and its
@@ -267,13 +285,20 @@ def _orbit_steps(dec: Decomposition, z: ProjPoint):
     before the orbit continues.  The walk is lazy and endless; phi(x_k),
     computed once, is the next point, and a reader that needs the local
     degree at x_k passes it to _local_degree, which the probe never pays for.
+    Each distinct point (by its bits) is matched and stepped once per walk:
+    a point met again yields its stored step, the same values a second
+    computation would give.
     """
+    steps = {}
     x = z
     while True:
-        depth, x = _match_hole(x, dec.holes)
-        img = apply_pair(dec.phi, x)
-        yield x, depth, img
-        x = img
+        key = _bits(x)
+        step = steps.get(key)
+        if step is None:
+            depth, x = _match_hole(x, dec.holes)
+            step = steps[key] = (x, depth, apply_pair(dec.phi, x))
+        yield step
+        x = step[2]
 
 
 def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
@@ -298,7 +323,8 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     T_k = m_(k+1)/d^(k+1), as exact rationals.
 
     For e = d there are no holes (all terms 0); for e = 0 the series is its
-    first term, the depth of z as a hole over d.  Both have tail 0.
+    first term, the depth of z as a hole over d.  Both have tail 0.  The
+    local degree m_(k+1)/m_k is computed once per distinct orbit point.
     """
     d, e = dec.d, dec.e
     if e == d:
@@ -308,8 +334,12 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     else:
         partial = Fraction(0)
         m = 1
+        degrees = {}
         for k, (x, depth, img) in enumerate(_orbit_steps(dec, z)):
             if depth:
                 partial += Fraction(m * depth, d ** (k + 1))
-            m *= _local_degree(dec.phi, x, img)
+            key = _bits(x)
+            if key not in degrees:
+                degrees[key] = _local_degree(dec.phi, x, img)
+            m *= degrees[key]
             yield partial, Fraction(m, d ** (k + 1))

@@ -127,17 +127,23 @@ def test_iterate_decomposes_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
     # n = 3 of this degree-16 map has degree 4096; the product formula's power
-    # tables overflow and no non-finite coefficients may be written
+    # tables overflow and no non-finite coefficients may be written.  The
+    # overflow is caught before a factor is renormalized, so numpy warns of
+    # nothing (pytest turns a RuntimeWarning into an error) and stderr holds
+    # the one exit-4 line
     f = fam.example2_second_limit(4, 2, a=0.5)
-    out = tmp_path / "it.json"
-    code = main(["iterate", "--input", write_map(tmp_path, f), "--tol", "1e-4",
-                 "--param", "n=3", "--out", str(out)])
-    assert code == 4
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
+    path = write_map(tmp_path, f)
+    for verb in ("iterate", "properness"):
+        out = tmp_path / f"{verb}.out"
+        code = main([verb, "--input", path, "--tol", "1e-4", "--param", "n=3",
+                     "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "ratbound: iterate n=3: the degree-4096 product formula overflowed "
+            "to non-finite coefficients\n")
+        assert not out.exists()
 
 
 def test_param_lists_do_not_leak_between_calls(capsys):

@@ -317,6 +317,23 @@ def test_point_mass_generic_point_zero():
     assert err < 1e-10
 
 
+def test_point_mass_steps_each_distinct_orbit_point_once(monkeypatch):
+    # F_T's phi fixes infinity and sends 0 there; the series sums 20 terms, and
+    # the walk matches, steps and takes the local degree of each distinct
+    # orbit point once
+    calls = {}
+    for name in ("_local_degree", "apply_pair"):
+        def counted(*args, _fn=getattr(ratmap, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(ratmap, name, counted)
+    dec = decompose(fam.make_epstein_FT(1.0))
+    for pt, distinct in ((INFINITY, 1), (ZERO, 2)):
+        calls.clear()
+        assert point_mass(dec, pt) == (0.33333333333303017, 9.094947017729282e-13)
+        assert calls == {"_local_degree": distinct, "apply_pair": distinct}
+
+
 def test_point_mass_constant_case():
     H = HPoly.from_roots([(canonicalize(2, 1), 2), (ZERO, 1)])
     f = BoundaryMap(3, 5.0 * H, 1.0 * H)

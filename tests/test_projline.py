@@ -12,7 +12,10 @@ from ratbound import (
     chordal_distance,
 )
 from ratbound.config import DEFAULTS
-from ratbound.projline import _CROSS_BLOCK, _merge_close, canonicalize_rows, chordal_cross
+from ratbound.hpoly import HPoly, _companion_roots
+from ratbound.measure import _exact_slots, batched_preimage_slots
+from ratbound.projline import (_CROSS_BLOCK, _SWEEP_AXIS, _merge_close, canonicalize_rows,
+                               chordal_cross)
 
 
 def test_canonicalize_scaling():
@@ -231,3 +234,157 @@ def test_merge_close_joins_a_chain_and_aligns_phases():
     # the pair's representatives differ by a phase; the mean still lies between them
     mid = canonicalize_rows([[np.mean(pair[:, 0] / pair[:, 1]), 1.0]])
     assert chordal_cross(out_p[1:], mid)[0, 0] < 0.3 * EPS
+
+
+# -- the row kernels, bit for bit against their first formulas -------------------
+# canonicalize_rows, _merge_close and batched_preimage_slots reduce each row
+# column by column with elementwise ufuncs.  The references below keep the
+# formulas they replaced (max(axis=1), np.linalg.norm(a, axis=1), sum(axis=1)
+# and np.add.at), and every output must match them in every bit.
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _canonicalize_rows_reference(pairs):
+    a = np.array(pairs, dtype=complex)
+    m = np.abs(a).max(axis=1)
+    tiny = m < np.finfo(float).tiny
+    if np.any(tiny):
+        a[tiny] *= 2.0**64
+        m[tiny] = np.abs(a[tiny]).max(axis=1)
+    a /= m[:, None]
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    anchor = np.where(np.abs(a[:, 0]) >= np.abs(a[:, 1]), a[:, 0], a[:, 1])
+    a *= (np.abs(anchor) / anchor)[:, None]
+    return a
+
+
+def _merge_close_reference(points, weights, eps):
+    z, w = points[:, 0], points[:, 1]
+    zw = z * np.conj(w)
+    proj = (2 * zw.real * _SWEEP_AXIS[0] + 2 * zw.imag * _SWEEP_AXIS[1]
+            + (np.abs(z) ** 2 - np.abs(w) ** 2) * _SWEEP_AXIS[2])
+    order = np.argsort(proj)
+    swept = proj[order]
+    span = np.searchsorted(swept, swept + (2 * eps + 1e-15), side="right")
+    span -= np.arange(1, len(swept) + 1)
+    none = np.zeros(0, dtype=np.intp)
+    near_a, near_b = [none], [none]
+    active = np.nonzero(span > 0)[0]
+    k = 1
+    while len(active):
+        a, b = order[active], order[active + k]
+        close = np.abs(z[a] * w[b] - z[b] * w[a]) <= eps
+        near_a.append(a[close])
+        near_b.append(b[close])
+        k += 1
+        active = active[span[active] >= k]
+    a, b = np.concatenate(near_a), np.concatenate(near_b)
+    if len(a) == 0:
+        return points, weights
+    n = len(points)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        label = label[label]
+        if np.array_equal(label[a], label[b]):
+            break
+    in_group = np.zeros(n, dtype=bool)
+    in_group[a] = in_group[b] = True
+    members = np.flatnonzero(in_group)
+    first = label[members]
+    heads = members[first == members]
+    t = np.sum(points[members] * np.conj(points[first]), axis=1)
+    aligned = (weights[members] * np.conj(t) / np.abs(t))[:, None] * points[members]
+    total = np.zeros((len(heads), 2), dtype=complex)
+    np.add.at(total, np.searchsorted(heads, first), aligned)
+    out = points.copy()
+    out[heads] = _canonicalize_rows_reference(total)
+    keep = label == np.arange(n)
+    return out[keep], np.bincount(label, weights=weights, minlength=n)[keep]
+
+
+def _preimage_slots_reference(phi, pts):
+    p, q = phi
+    e = p.degree
+    pts = np.asarray(pts, dtype=complex).reshape(-1, 2)
+    C = pts[:, 1:2] * p.coeffs[None, :] - pts[:, 0:1] * q.coeffs[None, :]
+    rowmax = np.abs(C).max(axis=1)
+    lead_z = np.abs(C[:, -1])
+    lead_w = np.abs(C[:, 0])
+    floor = 1e-12 * rowmax
+    use_z = (lead_z >= lead_w) & (lead_z > floor)
+    use_w = (~use_z) & (lead_w > floor)
+    out = np.empty((len(pts), e, 2), dtype=complex)
+    if use_z.any():
+        out[use_z, :, 0] = _companion_roots(C[use_z])
+        out[use_z, :, 1] = 1.0
+    if use_w.any():
+        out[use_w, :, 0] = 1.0
+        out[use_w, :, 1] = _companion_roots(C[use_w, ::-1])
+    for i in np.nonzero(~(use_z | use_w))[0]:
+        out[i] = _exact_slots(phi, pts[i])
+    return out
+
+
+def _signed(x):
+    return st.sampled_from([1.0, -1.0]).map(lambda s: s * x)
+
+
+# a coordinate part: a signed zero, the smallest subnormal, or a magnitude
+# from 1e-300 to 1e300
+_PART = st.one_of(
+    _signed(0.0), _signed(5e-324),
+    st.builds(lambda s, m, k: s * m * 10.0**k, st.sampled_from([1.0, -1.0]),
+              st.floats(1.0, 9.99), st.integers(-300, 299)))
+_COORD = st.builds(complex, _PART, _PART)
+# |z| = |w| exactly: abs is the same hypot of the same two parts
+_TIES = [lambda z: -z, lambda z: z.conjugate(), lambda z: 1j * z,
+         lambda z: complex(z.imag, z.real)]
+_ROW = st.one_of(
+    st.tuples(_COORD, _COORD),
+    st.tuples(_COORD, st.just(0j)), st.tuples(st.just(-0j), _COORD),
+    st.builds(lambda z, tie, swap: (tie(z), z) if swap else (z, tie(z)),
+              _COORD, st.sampled_from(_TIES), st.booleans()),
+).filter(lambda row: row[0] != 0 or row[1] != 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_ROW, min_size=1, max_size=16))
+def test_canonicalize_rows_matches_its_first_formula_bit_for_bit(rows):
+    rows = np.array(rows, dtype=complex)
+    assert _same_bits(canonicalize_rows(rows), _canonicalize_rows_reference(rows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(clouds())
+def test_merge_close_matches_its_first_formula_bit_for_bit(cloud):
+    points, masses = cloud
+    out_p, out_m = _merge_close(points, masses, EPS)
+    ref_p, ref_m = _merge_close_reference(points, masses, EPS)
+    assert _same_bits(out_p, ref_p) and _same_bits(out_m, ref_m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(2, 5), tie=st.booleans())
+def test_preimage_slots_keep_their_chart_and_bits_at_ties_and_the_floor(seed, e, tie):
+    # tie: p and q have equal outer coefficients, so every row's two leading
+    # coefficients tie exactly.  The rows (p_e : q_e) and (p_0 : q_0) zero one
+    # leading coefficient (both when tie), and small offsets put it just
+    # either side of the 1e-12 floor
+    rng = np.random.default_rng(seed)
+    p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
+    if tie:
+        p[0], q[0] = p[-1], q[-1]
+    phi = (HPoly(e, p), HPoly(e, q))
+    rows = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
+    for end in (-1, 0):
+        for offset in (0.0, 3e-13, 1e-12, 3e-12, 1e-10):
+            rows.append(np.array([p[end], q[end]]) + offset * rng.standard_normal(2))
+    rows = np.array(rows)
+    assert _same_bits(batched_preimage_slots(phi, rows), _preimage_slots_reference(phi, rows))
