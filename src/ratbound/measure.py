@@ -305,21 +305,19 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
 
     all_pts = [hole_pts]
     all_ms = [depths / d]
-    cur_pts, cur_ms = hole_pts, depths / d
-    total = len(cur_pts)
+    total = len(hole_pts)
     level = 1
     while level < n_levels:
-        if total + len(cur_pts) * e > max_atoms:
+        if total + len(all_pts[-1]) * e > max_atoms:
             break
-        child_pts, child_ms = _pull_back(dec.phi, cur_pts, cur_ms / d)
-        all_pts.append(child_pts)
-        all_ms.append(child_ms)
-        cur_pts, cur_ms = child_pts, child_ms
-        total += len(child_pts)
+        pts, ms = _pull_back(dec.phi, all_pts[-1], all_ms[-1] / d)
+        all_pts.append(pts)
+        all_ms.append(ms)
+        total += len(pts)
         level += 1
 
-    pts = np.concatenate(all_pts)
-    ms = np.concatenate(all_ms)
+    pts, ms = np.concatenate(all_pts), np.concatenate(all_ms)
+    del all_pts, all_ms
     pts, ms = merge_atoms(pts, ms)
     return AtomicMeasure(pts, ms, (e / d) ** level, note)
 

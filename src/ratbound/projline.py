@@ -154,7 +154,10 @@ def _merge_close(points, weights, eps):
 
     A group's sum adds its members in index order from +0.0, one np.bincount
     per real and imaginary part of each column (np.add.at adds in the same
-    order, but one row at a time).
+    order, but one row at a time).  Full-size temporaries are deleted once
+    used, but each expression keeps its unnamed temporaries: numpy reuses a
+    temporary of 256 KB or more in place, which can swap a complex product's
+    operands, and its SIMD a*b and b*a may differ in the last bit.
     """
     if len(points) < 2:
         return points, weights
@@ -167,6 +170,7 @@ def _merge_close(points, weights, eps):
     # 1e-15 absorbs the rounding of the embedding at distance exactly eps
     span = np.searchsorted(swept, swept + (2 * eps + 1e-15), side="right")
     span -= np.arange(1, len(swept) + 1)
+    del zw, proj, swept
     none = np.zeros(0, dtype=np.intp)
     near_a, near_b = [none], [none]
     active = np.nonzero(span > 0)[0]
@@ -179,6 +183,7 @@ def _merge_close(points, weights, eps):
         k += 1
         active = active[span[active] >= k]
     a, b = np.concatenate(near_a), np.concatenate(near_b)
+    del order, span, near_a, near_b
     if len(a) == 0:
         return points, weights
 
@@ -195,18 +200,21 @@ def _merge_close(points, weights, eps):
     in_group = np.zeros(n, dtype=bool)
     in_group[a] = in_group[b] = True
     members = np.flatnonzero(in_group)
+    del a, b, low, in_group
     first = label[members]
     heads = members[first == members]
     t = points[members] * np.conj(points[first])
     t = t[:, 0] + t[:, 1]
     aligned = (weights[members] * np.conj(t) / np.abs(t))[:, None] * points[members]
     slot = np.searchsorted(heads, first)
+    del t, members, first
     # complex rows viewed as float rows: re z, im z, re w, im w
     parts = aligned.view(float)
     total = np.empty((len(heads), 4))
     for j in range(4):
         total[:, j] = np.bincount(slot, parts[:, j], len(heads))
-    out = points.copy()
-    out[heads] = canonicalize_rows(total.view(complex))
-    keep = label == np.arange(n)
-    return out[keep], np.bincount(label, weights=weights, minlength=n)[keep]
+    del aligned, parts, slot
+    kept = np.flatnonzero(label == np.arange(n))
+    out = points[kept]
+    out[np.searchsorted(kept, heads)] = canonicalize_rows(total.view(complex))
+    return out, np.bincount(label, weights=weights, minlength=n)[kept]

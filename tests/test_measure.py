@@ -761,6 +761,22 @@ def test_weak_distance_peak_memory_is_one_float_distance_table():
     assert peak <= 1.5 * table
 
 
+def test_boundary_measure_peak_memory_is_set_by_the_final_merge_input():
+    # F_T's 14 levels at tail_tol 1e-4 hold 32,766 rows of 32 bytes (1.05 MB),
+    # merged once into 16,384 atoms.  The traced peak is 4.3-4.9 of those row
+    # sets when the merge frees each temporary after its last use and the
+    # levels are released once concatenated, and 9.6-10.1 when all are held
+    dec = decompose(fam.make_epstein_FT(1.0), 1e-6)
+    tracemalloc.start()
+    try:
+        mu = boundary_measure(dec, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (2 * len(mu.points) - 2) * 32
+    assert peak <= 5.75 * rows
+
+
 # -- disk masses and support ------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratbound import (
@@ -361,8 +361,22 @@ def test_canonicalize_rows_matches_its_first_formula_bit_for_bit(rows):
     assert _same_bits(canonicalize_rows(rows), _canonicalize_rows_reference(rows))
 
 
+def _twin_cloud(seed, n):
+    """n random canonical rows and a twin of each within 1e-12, shuffled."""
+    rng = np.random.default_rng(seed)
+    rows = canonicalize_rows(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    twins = canonicalize_rows(rows + 1e-12 * (rng.standard_normal((n, 2))
+                                              + 1j * rng.standard_normal((n, 2))))
+    return np.concatenate([rows, twins])[rng.permutation(2 * n)], rng.uniform(0.01, 1.0, 2 * n)
+
+
+# numpy reuses a temporary operand of 256 KB or more in place, which can swap
+# the operands of a complex product, and a*b and b*a may differ in the last
+# bit.  clouds() stays far below that size; the twin cloud's 20,000 members make
+# points[members] 640 KB and the phase terms t 320 KB, both above it
 @settings(deadline=None, max_examples=60)
 @given(clouds())
+@example(_twin_cloud(29, 10_000))
 def test_merge_close_matches_its_first_formula_bit_for_bit(cloud):
     points, masses = cloud
     out_p, out_m = _merge_close(points, masses, EPS)
@@ -388,3 +402,28 @@ def test_preimage_slots_keep_their_chart_and_bits_at_ties_and_the_floor(seed, e,
             rows.append(np.array([p[end], q[end]]) + offset * rng.standard_normal(2))
     rows = np.array(rows)
     assert _same_bits(batched_preimage_slots(phi, rows), _preimage_slots_reference(phi, rows))
+
+
+# -- a row's bits never depend on its batch, at sizes where numpy's loops
+# take their vectorized paths and the root kernel splits its batch
+
+
+def test_canonicalize_rows_at_size_equals_its_7_row_slices():
+    # magnitudes from 1e-315 to 1e300, so some rows take the subnormal rescale
+    rng = np.random.default_rng(31)
+    scale = 10.0 ** rng.integers(-315, 300, (40_000, 1))
+    rows = scale * (rng.standard_normal((40_000, 2)) + 1j * rng.standard_normal((40_000, 2)))
+    sliced = np.concatenate([canonicalize_rows(rows[i:i + 7]) for i in range(0, 40_000, 7)])
+    assert _same_bits(canonicalize_rows(rows), sliced)
+
+
+@pytest.mark.parametrize("e", [2, 5])
+def test_batched_preimage_slots_at_size_equal_their_5_row_slices(e):
+    rng = np.random.default_rng(37 + e)
+    p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
+    phi = (HPoly(e, p), HPoly(e, q))
+    rows = canonicalize_rows(rng.standard_normal((20_000, 2))
+                             + 1j * rng.standard_normal((20_000, 2)))
+    sliced = np.concatenate([batched_preimage_slots(phi, rows[i:i + 5])
+                             for i in range(0, 20_000, 5)])
+    assert _same_bits(batched_preimage_slots(phi, rows), sliced)
