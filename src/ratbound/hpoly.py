@@ -10,8 +10,9 @@ _companion_roots, serves both roots and the preimage slots of measure.
 
 Independent work shares one fixed pool through _shared_map, an in-order queue
 that the caller's thread and one pool task (separate from BLAS's threads) drain:
-the halves of a large companion batch or measure level, the sampler's chunks and
-a `converge` sweep's target and rows, each the serial loop's bit for bit.
+the halves of a companion batch whose work k * n**2 reaches _SPLIT_WORK (the
+only place a row batch is split), the sampler's chunks and a `converge` sweep's
+target and rows, each the serial loop's bit for bit.
 
 Root clustering rather than a Euclidean remainder sequence is used for the
 gcd because floating-point remainder sequences degrade exactly where these
@@ -308,11 +309,14 @@ def projective_residual(a, b) -> float:
 # at the usable cores.  eigvals drops the GIL and solves each matrix alone.
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# Smallest companion size and batch that are split.  Median us per companion
-# matrix, serial -> split, 2-core Xeon VM, BLAS on 1 thread: n=4 11.8 -> 8.0,
-# n=5 18.3 -> 11.4, n=9 57.6 -> 34.6 at k=256; n=5 at k=192 and n=3 at k=256
-# lost (18.8 -> 20.2, 6.5 -> 7.4); with the other core busy a split costs 2-9%.
-_SPLIT_N, _SPLIT_K = 4, 256
+# Smallest batch work k * n**2 (k companion matrices of size n) that is split.
+# Serial -> split, 2-core Xeon VM, BLAS on 1 thread: per matrix n=5 18.3 -> 11.4
+# us and n=9 57.6 -> 34.6 us at k=256 (work 6,400 and 20,736); an F_T level
+# (n=2), split whole, 5.0 -> 4.3 ms at 2,048 rows (8,192).  Lost: n=5 at k=192
+# (4,800), n=3 at k=256 (2,304) and F_T levels of 1,024 rows (4,096).  n=4 at
+# k=256 (4,096) won, 11.8 -> 8.0 us, and is given up; with the other core busy
+# a split costs 2-9%.
+_SPLIT_WORK = 6400
 _pool = None
 if hasattr(os, "register_at_fork"):  # a forked child inherits no worker thread
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
@@ -369,7 +373,9 @@ def _companion_roots(C):
     The eigenvalues of each row's monic companion matrix (the method of
     numpy.roots, backward stable by Edelman-Murakami, Math. Comp. 1995),
     in one batched eigvals call, or in two halves by _shared_map when the
-    batch is large.
+    batch's work k * n**2 reaches _SPLIT_WORK.  This is the one place a row
+    batch is split: eigvals solves each matrix alone, so the halves give the
+    bits of one pass.
     """
     k, width = C.shape
     n = width - 1
@@ -379,7 +385,7 @@ def _companion_roots(C):
         idx = np.arange(n - 1)
         A[:, idx + 1, idx] = 1.0
     A[:, :, -1] = -monic[:, :-1]
-    if _THREADS < 2 or n < _SPLIT_N or k < _SPLIT_K:
+    if _THREADS < 2 or k < 2 or k * n * n < _SPLIT_WORK:
         return np.linalg.eigvals(A)
     return np.concatenate(_shared_map(np.linalg.eigvals, [A[: k // 2], A[k // 2 :]]))
 
@@ -419,6 +425,8 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
     call, the merged clusters by the one _merge_close (connected components
     of the chordal relation at radius max(tol, 1e-7)) that makes them.
     """
+    if not tol > 0:  # a zero leading coefficient is below no tol <= 0: it would reach the solver
+        raise ValueError(f"roots tol must be positive, got {tol!r}")
     if P.is_zero:
         raise ValueError("roots undefined for the zero polynomial")
     d = P.degree

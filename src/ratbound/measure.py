@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, islice
 
 import numpy as np
@@ -201,15 +201,14 @@ def batched_preimage_slots(phi, pts) -> np.ndarray:
     use_w = (~use_z) & (lead_w > floor)
     fallback = ~(use_z | use_w)
 
+    # the rows of both charts are one batch, whose work decides its split
+    z_rows = np.count_nonzero(use_z)
+    rts = _companion_roots(np.concatenate([C[use_z], C[use_w, ::-1]]))
     out = np.empty((n, e, 2), dtype=complex)
-    if use_z.any():
-        rts = _companion_roots(C[use_z])
-        out[use_z, :, 0] = rts
-        out[use_z, :, 1] = 1.0
-    if use_w.any():
-        rts = _companion_roots(C[use_w, ::-1])
-        out[use_w, :, 0] = 1.0
-        out[use_w, :, 1] = rts
+    out[use_z, :, 0] = rts[:z_rows]
+    out[use_z, :, 1] = 1.0
+    out[use_w, :, 0] = 1.0
+    out[use_w, :, 1] = rts[z_rows:]
     for i in np.nonzero(fallback)[0]:
         out[i] = _exact_slots(phi, pts[i])
     return out
@@ -222,11 +221,6 @@ def _exact_slots(phi, row):
     return [pt.as_array() for pt, mult in preimages(phi, a) for _ in range(mult)]
 
 
-# Median ms per F_T level (e = 2), serial -> split, 2-core Xeon VM, 1 BLAS thread, worse of
-# two runs: 512 rows 0.9 -> 1.7, 1,024 3.0 -> 3.3 lost; 2,048 5.0 -> 4.3, 8,192 13.8 -> 11.6 won.
-_SPLIT_LEVEL = 2048
-
-
 def _pull_back(phi, pts, masses):
     """One backward step: the phi-preimages of the rows, each with its row's mass.
 
@@ -234,19 +228,10 @@ def _pull_back(phi, pts, masses):
     pt, so a row with two slots within the root-clustering radius (the
     radius roots uses for multiplicities) is solved again by _exact_slots.
     Only siblings are tested: preimages of distinct nearby rows can lie
-    closer than that radius and are distinct points.  The slots are found
-    row by row, so a level of at least _SPLIT_LEVEL rows, the smallest that
-    gains, finds them in two halves by _shared_map, with the bits of one pass.
-    The children are then merged at pt, which makes each multiple preimage one atom.
+    closer than that radius and are distinct points.  The level's rows are
+    one root batch, which only the root kernel may split.  The children are
+    then merged at pt, which makes each multiple preimage one atom.
     """
-    halves = np.array_split(pts, 2 if len(pts) >= _SPLIT_LEVEL else 1)
-    slots = np.concatenate(_shared_map(partial(_sibling_slots, phi), halves))
-    return merge_atoms(slots.reshape(-1, 2), np.repeat(masses, phi[0].degree))
-
-
-def _sibling_slots(phi, pts):
-    """The canonical preimage slots (n, e, 2) of the rows of pts, a row with
-    two slots within cluster_floor solved again by _exact_slots."""
     raw = batched_preimage_slots(phi, pts)
     n, e = raw.shape[:2]
     slots = canonicalize_rows(raw.reshape(-1, 2)).reshape(n, e, 2)
@@ -256,7 +241,7 @@ def _sibling_slots(phi, pts):
         split |= np.abs(z[:, j] * w[:, k] - z[:, k] * w[:, j]) <= DEFAULTS.cluster_floor
     for i in np.nonzero(split)[0]:
         slots[i] = _exact_slots(phi, pts[i])
-    return slots
+    return merge_atoms(slots.reshape(-1, 2), np.repeat(masses, e))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +375,14 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     one of the d preimages uniformly with multiplicity weights.  Orbits that
     made the same choices share a state, and a step solves each distinct
     state once (at most d^k at step k); the stream is unchanged, bit for bit
-    that of one solve per orbit.  It depends on (seed, workers) only, never
-    on the thread count: worker i draws from default_rng([seed, i]) and
-    chunks are concatenated in worker order.  `workers` selects a partition
-    of the random stream; the chunks are the items of one _shared_map call,
-    and no thread is started per chunk.  Degree d < 2 is a MathDomainError,
-    an exceptional start a an ExceptionalPointError.
+    that of one solve per orbit.  It depends on (seed, workers), never on
+    the thread count: worker i draws from default_rng([seed, i]) and chunks
+    are concatenated in worker order.  Its bits also depend on numpy's SIMD
+    dispatch, whose complex product uses FMA on some CPUs and not on others.
+    `workers` selects a partition of the random stream; the chunks are the
+    items of one _shared_map call, and no thread is started per chunk.
+    Degree d < 2 is a MathDomainError, an exceptional start a an
+    ExceptionalPointError.
     """
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")

@@ -1,8 +1,25 @@
 """Helpers shared by the test modules."""
 
-from ratbound import DEFAULTS, chordal_distance
+import numpy as np
+
+from ratbound import DEFAULTS, chordal_distance, hpoly
 
 
 def multiplicity_at(entries, pt, tol=DEFAULTS.hole_match):
     """The summed multiplicity of the (ProjPoint, mult) entries within chordal tol of pt."""
     return sum(m for p, m in entries if chordal_distance(p, pt) <= tol)
+
+
+def split_batches(monkeypatch):
+    """The sizes of the root batches that _companion_roots splits over the pool,
+    recorded as they are split."""
+    sizes, shared = [], hpoly._shared_map
+
+    def spy(fn, items):
+        items = list(items)
+        if fn is np.linalg.eigvals:
+            sizes.append(sum(map(len, items)))
+        return shared(fn, items)
+
+    monkeypatch.setattr(hpoly, "_shared_map", spy)
+    return sizes

@@ -27,6 +27,8 @@ from ratbound.escape import cone_angle_report
 from ratbound.measure import boundary_measure
 from ratbound.ratmap import decompose, iterate_formula
 
+from helpers import split_batches
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -339,12 +341,14 @@ def test_converge_csv_bit_identical_at_one_and_two_threads(tmp_path, monkeypatch
 
 
 def test_converge_rows_nesting_split_chunks_finish(tmp_path, monkeypatch):
-    # a row is a task, its two chunks are tasks, and each chunk's d = 5
-    # batches of _SPLIT_K rows split into tasks: no level waits on a task the
-    # pool has not started, so the sweep finishes, with the one-thread bytes
+    # a row is a task, its two chunks of 512 walks are tasks, and each chunk's
+    # d = 5 batch of step 5 (about 350 distinct states, split from 256) splits
+    # into tasks: no level waits on a task the pool has not started, so the
+    # sweep finishes, with the one-thread bytes
     argv = ["converge", "--family", "polylimit", "--param", "roots=1,-1,2,0.5,3j",
-            "--param", "sweep=k", "--param", "values=10,1e4", "--seed", "3", "--depth", "3",
-            "--count", str(2 * hpoly._SPLIT_K), "--workers", "2"]
+            "--param", "sweep=k", "--param", "values=10,1e4", "--seed", "3", "--depth", "5",
+            "--count", "1024", "--workers", "2"]
+    split = split_batches(monkeypatch)
     texts = []
     for threads in (2, 1):
         monkeypatch.setattr(hpoly, "_THREADS", threads)
@@ -354,6 +358,8 @@ def test_converge_rows_nesting_split_chunks_finish(tmp_path, monkeypatch):
         finally:
             signal.alarm(0)
         texts.append((tmp_path / "sweep.csv").read_bytes())
+        assert bool(split) == (threads == 2)
+        split.clear()
     assert texts[0] == texts[1] and texts[0].count(b",ok\n") == 2
 
 

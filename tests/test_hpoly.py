@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -305,33 +306,56 @@ def test_roots_against_mpmath_oracle(n):
         assert dist < (5e-14 if mult == 1 else 2e-13)
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+# (n, k) -> split for the batches the package makes: F_T levels (n = 2),
+# d = 5 sampler batches, cubic fibers and one high-degree polynomial's roots
+_SPLIT_TABLE = {(2, 1024): False, (2, 2048): True, (5, 255): False, (5, 256): True,
+                (3, 256): False, (80, 1): False}
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 80])
 def test_companion_roots_split_is_bit_identical(monkeypatch, n):
-    # batches just below, at and just above the split threshold (an odd
-    # size, so the halves differ) and one large batch; a split batch must
-    # give the very bits of the unsplit one, with the pool forced to 1
+    # the table's batches of size n and, for n < 10, batches just below, at
+    # and just above the edge k * n^2 = _SPLIT_WORK (an odd size among them,
+    # so the halves differ) and one large batch; a split batch must give the
+    # very bits of the unsplit one, with the pool forced to 1
+    cases = {}
+    if n < 10:
+        edge = -(-hpoly._SPLIT_WORK // n**2)
+        cases = {edge - 1: False, edge: True, edge + 1: True, 2500: True}
+    cases.update({k: split for (m, k), split in _SPLIT_TABLE.items() if m == n})
     rng = np.random.default_rng(n)
-    K = hpoly._SPLIT_K
-    for k in (K - 1, K, K + 1, 2500):
+    for k, splits in cases.items():
         C = rng.standard_normal((k, n + 1)) + 1j * rng.standard_normal((k, n + 1))
         monkeypatch.setattr(hpoly, "_THREADS", 1)
         whole = _companion_roots(C)
         monkeypatch.setattr(hpoly, "_THREADS", 2)
         monkeypatch.setattr(hpoly, "_pool", None)
         split = _companion_roots(C)
-        assert (hpoly._pool is not None) == (n >= hpoly._SPLIT_N and k >= K)
+        assert (hpoly._pool is not None) == splits, (n, k)
         assert whole.shape == split.shape == (k, n)
         assert np.array_equal(whole.view(float), split.view(float))
+
+
+def test_roots_of_one_high_degree_polynomial_starts_no_pool(monkeypatch):
+    # a batch of one companion matrix is never split, whatever its size
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    monkeypatch.setattr(hpoly, "_pool", None)
+    rng = np.random.default_rng(100)
+    rl = roots(HPoly.from_coeffs(rng.standard_normal(101) + 1j * rng.standard_normal(101)))
+    assert sum(m for _, m in rl) == 100 and hpoly._pool is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_companion_roots_split_in_a_forked_child(monkeypatch):
     # the child inherits the parent's pool object but not its worker thread;
-    # a split there must start a pool of its own instead of waiting forever
+    # a split there (256 rows at n = 5) must start a pool of its own instead
+    # of waiting forever
     monkeypatch.setattr(hpoly, "_THREADS", 2)
+    monkeypatch.setattr(hpoly, "_pool", None)
     rng = np.random.default_rng(1)
-    C = rng.standard_normal((hpoly._SPLIT_K, 6)) + 1j * rng.standard_normal((hpoly._SPLIT_K, 6))
+    C = rng.standard_normal((256, 6)) + 1j * rng.standard_normal((256, 6))
     whole = _companion_roots(C)
+    assert hpoly._pool is not None
     pid = os.fork()
     if pid == 0:
         signal.alarm(20)
@@ -433,9 +457,17 @@ def test_shared_map_takes_no_item_after_a_failure_on_the_caller(monkeypatch, err
 
 def test_shared_map_interrupted_while_waiting_raises_at_once(monkeypatch):
     # the caller has taken every item the pool task has not and waits for it;
-    # SIGINT there raises KeyboardInterrupt from the call, and nothing more starts
+    # SIGINT there raises KeyboardInterrupt from the call, and nothing more
+    # starts.  The pool task sends it once the caller has entered that wait
     monkeypatch.setattr(hpoly, "_THREADS", 2)
-    caller, pool_started = threading.get_ident(), threading.Event()
+    caller, pool_started, waiting = threading.get_ident(), threading.Event(), threading.Event()
+    result = Future.result
+
+    def wait_for(future, timeout=None):
+        waiting.set()
+        return result(future, timeout)
+
+    monkeypatch.setattr(Future, "result", wait_for)
     started = []
 
     def task(i):
@@ -444,7 +476,7 @@ def test_shared_map_interrupted_while_waiting_raises_at_once(monkeypatch):
             pool_started.wait(5)
             return i
         pool_started.set()
-        time.sleep(0.1)
+        assert waiting.wait(5)
         signal.pthread_kill(caller, signal.SIGINT)
         time.sleep(0.2)
         return i
@@ -541,6 +573,14 @@ def test_gcd_tol_must_lie_in_0_1(tol):
     # a chordal distance is at most 1, so a tol of 1 or more matches every root pair
     with pytest.raises(ValueError, match="gcd tol must lie in"):
         numeric_gcd(hp(0, 1, 1), hp(1, 1, 0), tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+def test_roots_tol_must_be_positive(tol):
+    # z^2 - 3zw + w^2 as a cubic: its zero leading coefficient, a root at
+    # (1:0), is below no tol <= 0 and would be divided by
+    with pytest.raises(ValueError, match="roots tol must be positive"):
+        roots(hp(1, -3, 1, 0), tol)
 
 
 def test_gcd_round_trip():

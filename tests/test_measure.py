@@ -47,7 +47,7 @@ from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atom
 from ratbound.projline import canonicalize_rows, chordal_cross
 from ratbound.ratmap import _depth_series, apply_pair
 
-from helpers import multiplicity_at
+from helpers import multiplicity_at, split_batches
 
 
 def hp(*coeffs):
@@ -471,14 +471,16 @@ def _same_measure(a, b):
 ])
 def test_boundary_measure_and_pullback_bit_identical_at_one_and_two_threads(monkeypatch, f,
                                                                              gcd_tol, tol):
-    # the levels of at least _SPLIT_LEVEL rows, and the pullback of the whole
-    # measure, find their slots in two halves on two threads
+    # the large levels, and the pullback of the whole measure, find their
+    # roots in two halves on two threads
     dec = decompose(f, gcd_tol)
+    split = split_batches(monkeypatch)
     one, two = (_at_threads(monkeypatch, t, lambda: boundary_measure(dec, tol)) for t in (1, 2))
-    assert len(one.points) >= 2 * measure._SPLIT_LEVEL and _same_measure(one, two)
+    assert len(one.points) >= 4096 and split and _same_measure(one, two)
+    split.clear()
     pulled = [_at_threads(monkeypatch, t, lambda: pullback(dec, one, normalize=True))
               for t in (1, 2)]
-    assert _same_measure(*pulled)
+    assert split and _same_measure(*pulled)
 
 
 @pytest.mark.parametrize("d, count", [(2, 1201), (5, 301)])
@@ -495,17 +497,20 @@ def test_sampler_stream_bit_identical_at_one_and_two_threads(monkeypatch, d, cou
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_stream_bit_identical_at_split_batches(monkeypatch, workers, threads):
-    # 2 * _SPLIT_K rows per chunk, so the distinct states of the later steps
-    # reach the split root kernel; the picked rows canonicalized alone must
-    # be the bits of canonicalizing every slot, whatever the thread count
+    # 512 rows per chunk, so the distinct states of the later steps reach the
+    # split root kernel (256 rows at n = 5); the picked rows canonicalized
+    # alone must be the bits of canonicalizing every slot, whatever the
+    # thread count
     monkeypatch.setattr(hpoly, "_THREADS", threads)
     shapes, kernel = [], measure._companion_roots
     monkeypatch.setattr(measure, "_companion_roots", lambda C: shapes.append(C.shape) or kernel(C))
+    split = split_batches(monkeypatch)
     f = fam.make_example1(5, a=0.5, t=1e-3)
     a = canonicalize(0.3 + 0.2j, 1)
-    count = 2 * hpoly._SPLIT_K * workers
+    count = 512 * workers
     emp = sample_max_entropy(f, a, depth=8, count=count, seed=5, workers=workers)
-    assert any(k >= hpoly._SPLIT_K and n - 1 >= hpoly._SPLIT_N for k, n in shapes)
+    assert any(k * (n - 1) ** 2 >= hpoly._SPLIT_WORK for k, n in shapes)
+    assert bool(split) == (threads == 2)
     ref = _stream_canonicalizing_every_slot(f, a, 8, count, 5, workers)
     assert np.array_equal(emp.samples.view(float), ref.view(float))
 
@@ -546,13 +551,13 @@ def test_sampler_solves_each_distinct_walk_state_once(monkeypatch):
 
 
 def test_boundary_measure_bit_identical_to_canonicalizing_every_slot():
-    # H * phi with deg phi = 4: the last level pulls back 256 rows, a
+    # H * phi with deg phi = 4: the last level pulls back 1,024 rows, a
     # split-sized batch; the reference canonicalizes all raw slots of each
     # level, then merges
     H = hp(-2, 1)
     dec = decompose(BoundaryMap(5, H * hp(0.3, 0, 0.5j, 0, 1), H * hp(1, 0.2, 0, 0.1, 0)))
     d, e = dec.d, dec.e
-    mu = boundary_measure(dec, 0.3)
+    mu = boundary_measure(dec, 0.25)
     levels = round(math.log(mu.tail_bound) / math.log(e / d))
     pts = np.array([pt.as_array() for pt, _ in dec.holes])
     ms = np.array([m for _, m in dec.holes], dtype=float) / d
@@ -562,7 +567,7 @@ def test_boundary_measure_bit_identical_to_canonicalizing_every_slot():
         pts, ms = merge_atoms(canonicalize_rows(raw.reshape(-1, 2)), np.repeat(ms / d, e))
         all_pts.append(pts)
         all_ms.append(ms)
-    assert e == 4 and len(pts) == 4 * hpoly._SPLIT_K
+    assert e == 4 and len(pts) == 4096 and 1024 * e**2 >= hpoly._SPLIT_WORK
     ref_pts, ref_ms = merge_atoms(np.concatenate(all_pts), np.concatenate(all_ms))
     assert np.array_equal(mu.points.view(float), ref_pts.view(float))
     assert np.array_equal(mu.masses, ref_ms)
