@@ -277,7 +277,7 @@ def _write(path, pieces):
 def cmd_decompose(args, params):
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    rep = dec.report()
+    rep = dec.report(f)
     rep["verdict"] = ("indeterminate" if dec.indeterminate
                       else "degenerate" if dec.degenerate else "nondegenerate")
     _emit_json(args, rep)
@@ -495,10 +495,10 @@ def build_parser():
             p.add_argument("--depth", type=_positive(int), default=20)
             p.add_argument("--count", type=_positive(int), default=10_000)
             p.add_argument("--workers", type=_positive(int), default=1,
-                           help="sampler RNG stream partition. The stream depends on "
-                                "(seed, workers) only, never on threads: chunks, converge rows "
-                                "and large root batches share a fixed pool of at most two, "
-                                "separate from BLAS's")
+                           help="sampler RNG stream partition. The stream depends on (seed, "
+                                "workers) and numpy's SIMD dispatch (FMA), never on threads: "
+                                "chunks, converge rows and large root batches share a fixed "
+                                "pool of at most two, separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
         formats = _FORMATS.get(name, ("json",))
         p.add_argument("--format", choices=formats, default=formats[0])

@@ -33,7 +33,7 @@ from .projline import (INFINITY, ZERO, ProjPoint, _merge_close, canonicalize,
                        canonicalize_rows, chordal_cross)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class HPoly:
     degree: int
     coeffs: np.ndarray = field(repr=False)
@@ -44,7 +44,7 @@ class HPoly:
             raise ValueError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, got {c.shape}"
             )
-        c.flags.writeable = False
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors ------------------------------------------------------
@@ -84,7 +84,7 @@ class HPoly:
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
+        return not self.coeffs.any()
 
     def max_modulus(self) -> float:
         return float(np.abs(self.coeffs).max())
@@ -101,8 +101,7 @@ class HPoly:
         if self.is_zero:
             return self
         mods = np.abs(self.coeffs)
-        cutoff = 1e-12 * mods.max()
-        lead = max(i for i in range(self.degree + 1) if mods[i] > cutoff)
+        lead = np.flatnonzero(mods > 1e-12 * mods.max())[-1]
         return HPoly(self.degree, self.coeffs / self.coeffs[lead])
 
     def __mul__(self, other):
@@ -123,6 +122,7 @@ class HPoly:
         return self + (-1) * other
 
     def __pow__(self, n: int) -> "HPoly":
+        """self ** n by repeated squaring, stopped by NumericalFailure at a non-finite square."""
         if n < 0:
             raise ValueError("negative power")
         result = HPoly.constant(1.0)
@@ -130,7 +130,10 @@ class HPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
+            if n > 1:
+                base = base * base
+                if not np.isfinite(base.coeffs).all():
+                    raise NumericalFailure(f"a degree-{base.degree} square overflowed")
             n >>= 1
         return result
 
@@ -379,12 +382,9 @@ def _companion_roots(C):
     """
     k, width = C.shape
     n = width - 1
-    monic = C / C[:, -1:]
     A = np.zeros((k, n, n), dtype=complex)
-    if n > 1:
-        idx = np.arange(n - 1)
-        A[:, idx + 1, idx] = 1.0
-    A[:, :, -1] = -monic[:, :-1]
+    A.reshape(k, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+    A[:, :, -1] = -(C[:, :-1] / C[:, -1:])
     if _THREADS < 2 or k < 2 or k * n * n < _SPLIT_WORK:
         return np.linalg.eigvals(A)
     return np.concatenate(_shared_map(np.linalg.eigvals, [A[: k // 2], A[k // 2 :]]))
@@ -420,10 +420,11 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
     Leading coefficients below tol * (max modulus) contribute multiplicity at
     (1:0); exactly-zero trailing coefficients contribute at (0:1); the
     remaining dehomogenized core is solved by _companion_roots plus three
-    Newton steps.  Each point is canonicalized once, when it is made (a
-    second pass is not a no-op): the numeric roots by one canonicalize_rows
-    call, the merged clusters by the one _merge_close (connected components
-    of the chordal relation at radius max(tol, 1e-7)) that makes them.
+    Newton steps, each evaluating p and p' in one Horner pass over a stacked
+    table (p' padded with a +0 top coefficient, bit for bit its own pass).
+    Each point is canonicalized once, when it is made (a second pass is not a
+    no-op): the numeric roots by one canonicalize_rows call, the merged ones
+    by the _merge_close (chordal components at max(tol, 1e-7)) that makes them.
     """
     if not tol > 0:  # a zero leading coefficient is below no tol <= 0: it would reach the solver
         raise ValueError(f"roots tol must be positive, got {tol!r}")
@@ -432,7 +433,7 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
     d = P.degree
     if d == 0:
         return []
-    c = P.normalize().coeffs
+    c = P.coeffs / P.max_modulus()
     m_inf = 0
     while m_inf < d and abs(c[d - m_inf]) < tol:
         m_inf += 1
@@ -443,22 +444,24 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
 
     rows, mults = _rows([(pt, m) for pt, m in ((ZERO, m_zero), (INFINITY, m_inf)) if m])
     if len(core) > 1:
-        monic = core / core[-1]
-        dp = monic[1:] * np.arange(1, len(core))
+        k = len(core) - 1  # p's and p''s coefficients side by side, repeated for the k roots
+        table = np.zeros((k + 1, 2 * k), dtype=complex)
+        table[:, :k] = (monic := core / core[-1])[:, None]
+        table[:-1, k:] = (monic[1:] * np.arange(1, k + 1))[:, None]
         x = _companion_roots(core[None, :])[0]
-        pv = _horner_vec(monic, x)
+        pv = _horner_vec(table, np.concatenate([x, x])).reshape(2, k)
         # three Newton steps, each kept only where it lowers |p|: inside a
         # multiple root's cluster p' is round-off and a step can throw the
         # root far outside the clustering radius (a step through p' = 0 is
         # not finite, so it is not kept either)
         with np.errstate(all="ignore"):
             for _ in range(3):
-                x1 = x - pv / _horner_vec(dp, x)
-                pv1 = _horner_vec(monic, x1)
-                keep = np.abs(pv1) < np.abs(pv)
+                x1 = x - pv[0] / pv[1]
+                pv1 = _horner_vec(table, np.concatenate([x1, x1])).reshape(2, k)
+                keep = np.abs(pv1[0]) < np.abs(pv[0])
                 x, pv = np.where(keep, x1, x), np.where(keep, pv1, pv)
-        rows = np.concatenate([rows, canonicalize_rows(np.stack([x, np.ones_like(x)], 1))])
-        mults = np.concatenate([mults, np.ones(len(x))])
+        rows = np.concatenate([rows, canonicalize_rows(np.column_stack([x, np.ones(k)]))])
+        mults = np.concatenate([mults, np.ones(k)])
 
     radius = max(tol, DEFAULTS.cluster_floor)
     refined = []
@@ -474,13 +477,13 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
 
 def _rows(entries):
     """The canonical rows (n, 2) and multiplicities of (ProjPoint, mult) entries."""
-    return (np.array([pt.as_array() for pt, _ in entries]).reshape(-1, 2),
+    return (np.array([(pt.z, pt.w) for pt, _ in entries], dtype=complex).reshape(-1, 2),
             np.array([m for _, m in entries], dtype=float))
 
 
 def _points(rows, mults):
     """(ProjPoint, int multiplicity) entries of canonical rows, taken as they are."""
-    return [(ProjPoint(z, w), int(round(m))) for (z, w), m in zip(rows.tolist(), mults)]
+    return [(ProjPoint(z, w), round(m)) for (z, w), m in zip(rows.tolist(), mults.tolist())]
 
 
 def _sorted_roots(entries) -> list:
@@ -600,16 +603,16 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
 
 def _match_clusters(dist, p_mults, q_mults, tol):
     """numeric_gcd's greedy matching on the chordal table dist (P rows, Q
-    columns): take[i, j] is the multiplicity P cluster i shares with Q's j."""
-    take, left = np.zeros(dist.shape), np.array(q_mults, dtype=float)
-    for i, need in enumerate(p_mults):
-        while need > 0 and left.any():
-            j = np.argmin(np.where(left > 0, dist[i], np.inf))
-            if not dist[i, j] < tol:
+    columns), walked as lists: take[i, j] is the multiplicity P cluster i shares with Q's j."""
+    take, left = np.zeros(dist.shape), [float(m) for m in q_mults]
+    for i, (row, need) in enumerate(zip(dist.tolist(), p_mults)):
+        while need > 0 and (open_ := [j for j, m in enumerate(left) if m > 0]):
+            j = min(open_, key=row.__getitem__)  # the first of equals, as argmin
+            if not row[j] < tol:
                 break
-            take[i, j] = min(need, left[j])
-            left[j] -= take[i, j]
-            need -= take[i, j]
+            take[i, j] = t = min(need, left[j])
+            left[j] -= t
+            need -= t
     return take
 
 

@@ -97,12 +97,12 @@ def canonicalize_rows(pairs) -> np.ndarray:
     """
     a = np.array(pairs, dtype=complex)
     m = _row_max(np.abs(a))
-    if np.any(m == 0.0):
+    if (m == 0.0).any():
         raise ValueError("not a projective point: (0, 0)")
     # numpy divides a complex by a real m through 1/m, which overflows for a
     # subnormal m; scaling such rows by an exact power of two makes m normal.
     tiny = m < np.finfo(float).tiny
-    if np.any(tiny):
+    if tiny.any():
         a[tiny] *= 2.0**64
         m[tiny] = _row_max(np.abs(a[tiny]))
     a /= m[:, None]
@@ -170,6 +170,8 @@ def _merge_close(points, weights, eps):
     # 1e-15 absorbs the rounding of the embedding at distance exactly eps
     span = np.searchsorted(swept, swept + (2 * eps + 1e-15), side="right")
     span -= np.arange(1, len(swept) + 1)
+    if not span.any():  # no pair within 2 eps along the axis: the usual case for simple roots
+        return points, weights
     del zw, proj, swept
     none = np.zeros(0, dtype=np.intp)
     near_a, near_b = [none], [none]
@@ -195,7 +197,7 @@ def _merge_close(points, weights, eps):
         np.minimum.at(label, a, low)
         np.minimum.at(label, b, low)
         label = label[label]
-        if np.array_equal(label[a], label[b]):
+        if (label[a] == label[b]).all():
             break
     in_group = np.zeros(n, dtype=bool)
     in_group[a] = in_group[b] = True

@@ -96,7 +96,9 @@ class Decomposition:
 
     Scales are kept consistent: H * p ~ P and H * q ~ Q coefficientwise for
     the normalized pair of the decomposed map, so escape-rate formulas can
-    use H and phi without re-deriving the lift's scale.
+    use H and phi without re-deriving the lift's scale.  The fit's diagnostics,
+    the relative residual of H * phi against the decomposed map f and (for
+    e > 0) |Res(p, q)| of the normalized phi, are computed only by report(f).
     """
 
     d: int
@@ -106,14 +108,14 @@ class Decomposition:
     e: int
     constant_value: ProjPoint | None
     indeterminate: bool
-    cofactor_resultant: float | None
-    gcd_residual: float
 
     @property
     def degenerate(self) -> bool:
         return self.e < self.d
 
-    def report(self):
+    def report(self, f: BoundaryMap):
+        recon = np.concatenate([(self.H * P).coeffs for P in self.phi])
+        given = np.concatenate([f.P.coeffs, f.Q.coeffs])
         rep = {
             "d": self.d,
             "e": self.e,
@@ -122,12 +124,12 @@ class Decomposition:
             "holes": [
                 {"point": pt.to_json(), "depth": mult} for pt, mult in self.holes
             ],
-            "gcd_residual": self.gcd_residual,
+            "gcd_residual": float(np.linalg.norm(recon - given) / np.linalg.norm(given)),
         }
         if self.constant_value is not None:
             rep["constant_value"] = self.constant_value.to_json()
-        if self.cofactor_resultant is not None:
-            rep["cofactor_resultant"] = self.cofactor_resultant
+        else:
+            rep["cofactor_resultant"] = abs(resultant(*(P.normalize() for P in self.phi)))
         return rep
 
 
@@ -138,18 +140,12 @@ def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
     e = f.d - H.degree
     constant = None
     indeterminate = False
-    cof_res = None
     if e == 0:
         constant = canonicalize(complex(p.coeffs[0]), complex(q.coeffs[0]))
         indeterminate = bool(
             abs(H.normalize().evaluate(constant)) < DEFAULTS.indeterminacy
         )
-    else:
-        cof_res = abs(resultant(p.normalize(), q.normalize()))
-    recon = np.concatenate([(H * p).coeffs, (H * q).coeffs])
-    given = np.concatenate([f.P.coeffs, f.Q.coeffs])
-    residual = float(np.linalg.norm(recon - given) / np.linalg.norm(given))
-    return Decomposition(f.d, H, (p, q), holes, e, constant, indeterminate, cof_res, residual)
+    return Decomposition(f.d, H, (p, q), holes, e, constant, indeterminate)
 
 
 def is_indeterminate(f: BoundaryMap) -> bool:
@@ -169,32 +165,46 @@ def _phi_pair_normalize(pair):
     return HPoly(p.degree, p.coeffs / scale), HPoly(q.degree, q.coeffs / scale)
 
 
+_OVERFLOW = "iterate n={}: the degree-{} product formula overflowed to non-finite coefficients"
+
+
 def _require_finite(n: int, d: int, *polys):
     """NumericalFailure if a factor of the n-th iterate of a degree-d map has
     a non-finite coefficient."""
     if not all(np.isfinite(P.coeffs).all() for P in polys):
-        raise NumericalFailure(f"iterate n={n}: the degree-{d**n} product formula "
-                               "overflowed to non-finite coefficients")
+        raise NumericalFailure(_OVERFLOW.format(n, d**n))
 
 
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, with
     each factor renormalized at every step.  H_n has degree d^n - e^n, and its
-    vanishing orders are the hole depths of f^n.  A factor that overflows
-    raises NumericalFailure before it is renormalized, since scaling inf
-    would only turn it into nan."""
+    vanishing orders are the hole depths of f^n.  The factors (phi^k* H)^(d^(n-k-1))
+    are powered as phi^k is composed, the largest (k = 0) last, each stopped at
+    its first non-finite square; then multiplied from k = 0 on, an overflowing
+    product raising before it is renormalized (scaling inf gives nan)."""
     d = f.d
     H = dec.H
     p, q = dec.phi
-    prod = HPoly.constant(1.0)
+
+    def power(P, k):
+        try:
+            return P ** (d ** (n - k - 1))
+        except NumericalFailure:  # a non-finite square, which the power would carry
+            raise NumericalFailure(_OVERFLOW.format(n, d**n)) from None
+
     Phi = (HPoly.z(), HPoly.w())
-    for k in range(n):
-        prod = prod * (substitute(H, *Phi) ** (d ** (n - k - 1)))
-        _require_finite(n, d, prod)
-        prod = prod.normalize()
+    first, powers = substitute(H, *Phi), []
+    for k in range(1, n + 1):
         Phi = compose_pair((p, q), Phi)
         _require_finite(n, d, *Phi)
         Phi = _phi_pair_normalize(Phi)
+        if k < n:
+            powers.append(power(substitute(H, *Phi), k))
+    prod = HPoly.constant(1.0)
+    for factor in [power(first, 0), *powers]:
+        prod = prod * factor
+        _require_finite(n, d, prod)
+        prod = prod.normalize()
     return prod, Phi
 
 

@@ -148,6 +148,31 @@ def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [10, 12, 40])
+def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, monkeypatch, n):
+    # F_T's factor (phi* H)^(4^(n-2)) overflows by degree 2,048; H^(4^(n-1)) is
+    # a finite monomial of degree 2 * 4^(n-1), whose squaring once took minutes.
+    # A spy fails the test, rather than hangs it, once a factor passes 2^16
+    mul = HPoly.__mul__
+
+    def bounded(self, other):
+        if isinstance(other, HPoly) and max(self.degree, other.degree) > 2**16:
+            raise AssertionError(f"a degree-{max(self.degree, other.degree)} factor")
+        return mul(self, other)
+
+    monkeypatch.setattr(HPoly, "__mul__", bounded)
+    f = fam.make_epstein_FT(1.0)
+    message = f"iterate n={n}: the degree-{4**n} product formula overflowed"
+    with pytest.raises(ratbound.NumericalFailure, match=message):
+        iterate_formula(f, n)
+    for verb in ("iterate", "properness"):
+        out = tmp_path / f"{verb}.out"
+        assert main([verb, "--family", "epstein_FT", "--param", "T=1", "--param", f"n={n}",
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"ratbound: {message}")
+        assert not out.exists()
+
+
 def test_param_lists_do_not_leak_between_calls(capsys):
     code, out = run(capsys, "decompose", "--family", "example1",
                     "--param", "d=3", "--param", "a=0.5", "--param", "t=0.01")

@@ -141,7 +141,7 @@ def test_constant_case_hole_line_minus_infinity():
     dec = Decomposition(
         2, H, (HPoly.constant(3.0), HPoly.constant(1.0)),
         [(canonicalize(1, 1), 1), (canonicalize(2, 1), 1)],
-        0, canonicalize(3, 1), False, None, 0.0,
+        0, canonicalize(3, 1), False,
     )
     assert escape_rate_constant_case(dec, (1.0, 1.0)) == -math.inf
     assert escape_rate_constant_case(dec, (2.0, 1.0)) == -math.inf

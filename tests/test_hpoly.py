@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -16,6 +17,7 @@ from ratbound import (
     INFINITY,
     ZERO,
     HPoly,
+    NumericalFailure,
     canonicalize,
     chordal_distance,
     compose_pair,
@@ -39,6 +41,32 @@ def hp(*coeffs):
 
 Z = HPoly.z()
 W = HPoly.w()
+
+
+def test_hpoly_is_immutable_and_keeps_its_repr():
+    P = HPoly(2, [1, -3j, 0.5])
+    assert (P.degree, P.coeffs.tolist()) == (2, [1, -3j, 0.5])
+    assert repr(P) == "HPoly((1+0j)w^2 + (-0-3j)zw + (0.5+0j)z^2, deg=2)"
+    for name in ("degree", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(P, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(P, name)
+    with pytest.raises((AttributeError, TypeError)):  # no other attribute either
+        P.other = 1
+    with pytest.raises(ValueError):
+        P.coeffs[0] = 2.0  # read-only, and a copy of the input
+    with pytest.raises(ValueError, match="degree 2 needs 3 coefficients"):
+        HPoly(2, [1, 2])
+    Q = pickle.loads(pickle.dumps(P))
+    assert Q.degree == 2 and Q.coeffs.tobytes() == P.coeffs.tobytes()
+
+
+def test_a_power_stops_at_its_first_non_finite_square():
+    P = hp(1e200, 1e200)
+    with pytest.raises(NumericalFailure, match="a degree-2 square overflowed"):
+        P ** 1000
+    assert (P ** 1).coeffs.tobytes() == P.coeffs.tobytes()  # no square taken
 
 
 # -- evaluation --------------------------------------------------------------
