@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,7 +44,7 @@ from .ratmap import (
 )
 
 # --param keys that take a comma-separated list; every other key takes one value
-_LIST_PARAMS = ("values", "roots", "P_roots")
+_LIST_PARAMS = {"values", *fam.LIST_KEYS}
 
 
 def _parse_value(text):
@@ -442,16 +443,19 @@ def _parse_range(key, spec):
     return lo, hi, count
 
 
+# each verb: its function, the formats it writes (default first) and whether it samples,
+# taking --seed --depth --count --workers; it records a seed if it samples or writes json
+_Verb = namedtuple("_Verb", "run formats samples", defaults=(("json",), False))
 COMMANDS = {
-    "decompose": cmd_decompose,
-    "indeterminate": cmd_indeterminate,
-    "iterate": cmd_iterate,
-    "measure": cmd_measure,
-    "pointmass": cmd_pointmass,
-    "sample": cmd_sample,
-    "converge": cmd_converge,
-    "properness": cmd_properness,
-    "escape": cmd_escape,
+    "decompose": _Verb(cmd_decompose),
+    "indeterminate": _Verb(cmd_indeterminate),
+    "iterate": _Verb(cmd_iterate),
+    "measure": _Verb(cmd_measure),
+    "pointmass": _Verb(cmd_pointmass),
+    "sample": _Verb(cmd_sample, ("json", "csv"), samples=True),
+    "converge": _Verb(cmd_converge, ("csv",), samples=True),
+    "properness": _Verb(cmd_properness, ("csv",)),
+    "escape": _Verb(cmd_escape, ("csv",)),
 }
 
 
@@ -468,18 +472,13 @@ def _positive(cast, below=math.inf):
     return positive
 
 
-# the formats a verb writes, default first; every verb not listed writes json
-_FORMATS = {"sample": ("json", "csv"), "converge": ("csv",), "properness": ("csv",),
-            "escape": ("csv",)}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ratbound",
         description="experiments with boundary points of the space of rational maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, verb in COMMANDS.items():
         p = sub.add_parser(name)
         source = p.add_mutually_exclusive_group()
         source.add_argument("--input", help="path to a BoundaryMap JSON file")
@@ -489,7 +488,7 @@ def build_parser():
         # chordal distances lie in [0, 1], so a tol of 1 would match every root pair
         p.add_argument("--tol", type=_positive(float, below=1), default=DEFAULTS.gcd,
                        help="gcd tolerance: root-matching radius and residual bound")
-        if name in ("sample", "converge"):
+        if verb.samples:
             p.add_argument("--seed", type=_seed, default=None,
                            help="falls back to RATBOUND_SEED, then 0")
             p.add_argument("--depth", type=_positive(int), default=20)
@@ -500,8 +499,7 @@ def build_parser():
                                 "chunks, converge rows and large root batches share a fixed "
                                 "pool of at most two, separate from BLAS's")
         p.add_argument("--out", help="output path (default stdout)")
-        formats = _FORMATS.get(name, ("json",))
-        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--format", choices=verb.formats, default=verb.formats[0])
     return parser
 
 
@@ -514,9 +512,10 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command not in ("properness", "escape") and getattr(args, "seed", None) is None:
+        verb = COMMANDS[args.command]
+        if (verb.samples or "json" in verb.formats) and getattr(args, "seed", None) is None:
             args.seed = _seed(os.environ.get("RATBOUND_SEED", "0"), "RATBOUND_SEED ")
-        COMMANDS[args.command](args, _parse_params(args.param))
+        verb.run(args, _parse_params(args.param))
     except MathDomainError as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
         return 3

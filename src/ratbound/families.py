@@ -9,8 +9,10 @@ Each constructor builds the displayed pair by exact coefficient arithmetic:
   polylimit       p_k = (P : w^d / k),                    k -> oo limit (P : 0)
   inversion       (k w : z) at d = 1,                     f^2 = (k z : k w) for every k
 
-FamilySpec builds one by name from the --param keys FAMILY_KEYS lists for it (d and
-example2's k integers); any other key, or a missing required one, is a ValueError.
+FamilySpec builds one by name from its _FAMILIES entry: its --param keys in the README's
+order, each with its reader; its map maker (get, P); and its converge target (get, P), a
+limit map whose mu a sweep tends to or that measure itself (None: no converge).  get names
+a missing required key, P is P_roots' polynomial or None, and the makers check the ranges.
 
 The t -> 0 limits of the second iterates of the example families are also
 provided in closed form, since they are the targets of the measure
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,16 +226,6 @@ def make_inversion(k: complex) -> BoundaryMap:
 # ---------------------------------------------------------------------------
 # named family specs (the CLI input schema)
 
-# each family's --param keys, every one read by build(); any other key is a ValueError
-FAMILY_KEYS = {
-    "example1": ("d", "t", "a", "P_roots"),
-    "example2": ("d", "k", "t", "a", "P_roots"),
-    "epstein_FT": ("T",),
-    "cubic_eps": ("eps",),
-    "polylimit": ("roots", "k"),
-    "inversion": ("k",),
-}
-
 # gcd tolerance for the closed-form family limits, whose gcd factors carry
 # multiplicity-m roots (numeric m-fold roots spread like eps^(1/m))
 FAMILY_LIMIT_GCD_TOL = 1e-4
@@ -259,6 +252,39 @@ def _finite_param(key, value):
     raise ValueError(f"--param {key} takes finite numbers, got {value!r}")
 
 
+def _finite_list(key, value):
+    """A list --param value of finite numbers; a swept value is one item, not a list."""
+    if isinstance(value, (list, tuple)):
+        return [_finite_param(key, r) for r in value]
+    raise ValueError(f"--param {key} takes a list, got {value!r}")
+
+
+_Family = namedtuple("_Family", "readers make target", defaults=(None,))
+_FAMILIES = {
+    "example1": _Family(
+        {"d": int_param, "t": _finite_param, "a": _finite_param, "P_roots": _finite_list},
+        lambda get, P: make_example1(get("d"), get("a", 1.0), get("t"), P),
+        lambda get, P: example1_second_limit(get("d"), get("a", 1.0), P)),
+    "example2": _Family(
+        {"d": int_param, "k": int_param, "t": _finite_param, "a": _finite_param,
+         "P_roots": _finite_list},
+        lambda get, P: make_example2(get("d"), get("k"), get("a", 1.0), get("t"), P),
+        lambda get, P: example2_second_limit(get("d"), get("k"), get("a", 1.0), P)),
+    "epstein_FT": _Family({"T": _finite_param}, lambda get, P: make_epstein_FT(get("T", 1.0))),
+    "cubic_eps": _Family(  # mu of the limit (z^2 w : w^3) is delta_infinity, exactly
+        {"eps": _finite_param}, lambda get, P: make_cubic_eps(get("eps")),
+        lambda get, P: AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))),
+    "polylimit": _Family(  # k = inf is the limit (P : 0)
+        {"roots": _finite_list, "k": real_param},
+        lambda get, P: make_polylimit(get("roots"), get("k", 1.0)),
+        lambda get, P: polylimit_limit(get("roots"))),
+    "inversion": _Family({"k": _finite_param}, lambda get, P: make_inversion(get("k"))),
+}
+FAMILY_KEYS = {name: tuple(family.readers) for name, family in _FAMILIES.items()}
+LIST_KEYS = frozenset(key for family in _FAMILIES.values()  # the keys that take a list
+                      for key, read in family.readers.items() if read is _finite_list)
+
+
 @dataclass
 class FamilySpec:
     """A named family and its --param values: build() gives the map, limit() a converge target."""
@@ -267,65 +293,38 @@ class FamilySpec:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = FAMILY_KEYS.get(self.name)
-        if keys is None:
+        if self.name not in _FAMILIES:
             raise ValueError(f"unknown family {self.name!r}; choose from {tuple(FAMILY_KEYS)}")
-        unknown = [str(key) for key in self.parameters if key not in keys]
+        readers = _FAMILIES[self.name].readers
+        unknown = [str(key) for key in self.parameters if key not in readers]
         if unknown:
             raise ValueError(f"family {self.name} takes no --param {', '.join(unknown)}; "
-                             f"its keys: {keys}")
-        # each value's kind is read here, so a spec that exists holds only values of
-        # the right kind; the ranges (t nonzero, 2 <= k <= d, ...) are the makers' checks
-        self.parameters = {key: self._read(key, value) for key, value in self.parameters.items()}
-
-    def _read(self, key, value):
-        if key in ("roots", "P_roots"):
-            if not isinstance(value, (list, tuple)):  # a swept value is one item
-                raise ValueError(f"--param {key} takes a list, got {value!r}")
-            return [_finite_param(key, r) for r in value]
-        if key == "d" or key == "k" and self.name == "example2":
-            return int_param(key, value)
-        if key == "k" and self.name == "polylimit":
-            return real_param(key, value)  # k = inf is the limit (P : 0)
-        return _finite_param(key, value)
+                             f"its keys: {FAMILY_KEYS[self.name]}")
+        # each value's kind is read here: a spec that exists holds only values of the right kind
+        self.parameters = {key: readers[key](key, value) for key, value in self.parameters.items()}
 
     def _get(self, key, *default):
         if key not in self.parameters and not default:
             raise ValueError(f"family {self.name} needs --param {key}")
         return self.parameters.get(key, *default)
 
+    def _P(self):
+        return _p_from_roots(self._get("P_roots", None))
+
     def build(self) -> BoundaryMap:
         """The map; a value the family cannot take is a ValueError naming its key."""
-        get, P = self._get, _p_from_roots(self._get("P_roots", None))
-        if self.name == "example1":
-            return make_example1(get("d"), get("a", 1.0), get("t"), P)
-        if self.name == "example2":
-            return make_example2(get("d"), get("k"), get("a", 1.0), get("t"), P)
-        if self.name == "epstein_FT":
-            return make_epstein_FT(get("T", 1.0))
-        if self.name == "cubic_eps":
-            return make_cubic_eps(get("eps"))
-        if self.name == "polylimit":
-            return make_polylimit(get("roots"), get("k", 1.0))
-        return make_inversion(get("k"))
+        return _FAMILIES[self.name].make(self._get, self._P())
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""
-        if self.name not in ("example1", "example2", "polylimit", "cubic_eps"):
+        if _FAMILIES[self.name].target is None:
             raise ValueError(f"converge sweeps are not defined for family {self.name!r}")
 
     def limit(self, tail_tol: float) -> AtomicMeasure:
-        """The measure a converge sweep tends to, read without the swept key: mu of the
-        closed-form limit of the second iterates (example1, example2) or of (P : 0)
-        (polylimit) at FAMILY_LIMIT_GCD_TOL and tail_tol; delta_infinity for cubic_eps."""
+        """The measure a converge sweep tends to, read without the swept key: the family's
+        target, or mu of its limit map at FAMILY_LIMIT_GCD_TOL and tail_tol."""
         self.check_limit()
-        get, P = self._get, _p_from_roots(self._get("P_roots", None))
-        if self.name == "example1":
-            f = example1_second_limit(get("d"), get("a", 1.0), P)
-        elif self.name == "example2":
-            f = example2_second_limit(get("d"), get("k"), get("a", 1.0), P)
-        elif self.name == "cubic_eps":
-            return AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))
-        else:
-            f = polylimit_limit(get("roots"))
-        return boundary_measure(decompose(f, FAMILY_LIMIT_GCD_TOL), tail_tol)
+        target = _FAMILIES[self.name].target(self._get, self._P())
+        if isinstance(target, AtomicMeasure):
+            return target
+        return boundary_measure(decompose(target, FAMILY_LIMIT_GCD_TOL), tail_tol)

@@ -271,15 +271,23 @@ def wronskian(pair) -> HPoly:
 # resultant
 
 
+_SYLVESTER_MAX = 2048  # rows: 2,048^2 complex entries take 64 MiB
+
+
 def resultant(P: HPoly, Q: HPoly) -> complex:
     """Sylvester determinant; vanishes iff P and Q share a root on P^1.
 
     A shared root at (1:0) (both leading coefficients vanishing) zeroes the
     first column, so the convention covers infinity without special casing.
+    The dense matrix has (m + n)^2 entries: past _SYLVESTER_MAX rows it is a
+    NumericalFailure, raised before any allocation.
     """
     m, n = P.degree, Q.degree
     if m + n == 0:
         return 1.0 + 0j
+    if m + n > _SYLVESTER_MAX:
+        raise NumericalFailure(f"resultant: a {m + n} x {m + n} Sylvester matrix exceeds "
+                               f"{_SYLVESTER_MAX} rows")
     a = P.coeffs[::-1]  # z-descending
     b = Q.coeffs[::-1]
     S = np.zeros((m + n, m + n), dtype=complex)
@@ -465,8 +473,12 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
 
     radius = max(tol, DEFAULTS.cluster_floor)
     refined = []
-    for center, mult in _points(*_merge_close(rows, mults, radius)):
-        if mult > 1 and len(core) > mult and not center.is_infinity and abs(center.w) > 0.1:
+    for i, (center, mult) in enumerate(_points(*_merge_close(rows, mults, radius))):
+        # the cluster holding the exact root at (0:1), row 0 whenever m_zero > 0, is not
+        # polished: the core, whose derivative the polish walks, does not have that root
+        exact = i == 0 and m_zero
+        if (mult > 1 and len(core) > mult and not exact and not center.is_infinity
+                and abs(center.w) > 0.1):
             z0 = center.ratio()
             z1 = _polish_multiple_root(core, z0, mult)
             if abs(z1 - z0) <= radius * (1 + abs(z0)):

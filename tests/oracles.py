@@ -4,6 +4,8 @@ as bit-for-bit oracles for the trimmed ones in the package.
 Each function is the version that evaluated p and p' in separate Horner
 passes, matched clusters with np.argmin per step, built the companion
 subdiagonal by fancy indexing and ran the merge's pair search to the end.
+roots carries one later change, the package's too: it does not polish the
+cluster holding the exact root at (0:1).
 Helpers that did not change (HPoly, _horner_vec, _polish_multiple_root,
 _sorted_roots, _deconvolve, _fit_scale, projective_residual, chordal_cross)
 are the package's own.
@@ -149,8 +151,10 @@ def roots(P, tol=1e-8):
 
     radius = max(tol, DEFAULTS.cluster_floor)
     refined = []
-    for center, mult in _points(*merge_close(rows, mults, radius)):
-        if mult > 1 and len(core) > mult and not center.is_infinity and abs(center.w) > 0.1:
+    for i, (center, mult) in enumerate(_points(*merge_close(rows, mults, radius))):
+        exact = i == 0 and m_zero  # the cluster holding the exact root at (0:1) is not polished
+        if (mult > 1 and len(core) > mult and not exact and not center.is_infinity
+                and abs(center.w) > 0.1):
             z0 = center.ratio()
             z1 = _polish_multiple_root(core, z0, mult)
             if abs(z1 - z0) <= radius * (1 + abs(z0)):

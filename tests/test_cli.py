@@ -173,6 +173,32 @@ def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, 
         assert not out.exists()
 
 
+def test_properness_past_the_sylvester_limit_exits_4_at_once(tmp_path, capsys):
+    # F_T's sixth iterate has degree 4,096: its 8,192-row Sylvester matrix (1.07 GB)
+    # is refused before allocation, where it once took 26 s to build; the fifth's
+    # 2,048 rows are still built and read 0
+    out = tmp_path / "res.csv"
+    start = time.perf_counter()
+    code, err = _exit(["properness", *FT, "--param", "T=1", "--param", "n=6", "--out", str(out)],
+                      capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 4 and not out.exists()
+    assert err == "ratbound: resultant: a 8192 x 8192 Sylvester matrix exceeds 2048 rows\n"
+    code, out = run(capsys, "properness", *FT, "--param", "T=1", "--param", "n=5")
+    assert code == 0 and out.splitlines()[-1] == "-,0"
+
+
+def test_decompose_of_a_split_gcd_exits_4(tmp_path, capsys):
+    P = HPoly.from_roots([(canonicalize(0.1, 1), 3)])
+    Q = HPoly.from_roots([(canonicalize(0.1 + 8e-6, 1), 3)])
+    out = tmp_path / "dec.json"
+    code, err = _exit(["decompose", "--input", write_map(tmp_path, BoundaryMap(3, P, Q)),
+                       "--tol", "9e-6", "--out", str(out)], capsys)
+    assert code == 4 and not out.exists()
+    assert err.startswith("ratbound: gcd reconstruction residual 1.122e-05 exceeds tol 9.0e-06 "
+                          "on P")
+
+
 def test_param_lists_do_not_leak_between_calls(capsys):
     code, out = run(capsys, "decompose", "--family", "example1",
                     "--param", "d=3", "--param", "a=0.5", "--param", "t=0.01")

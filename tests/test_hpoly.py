@@ -210,6 +210,18 @@ def test_resultant_vs_product_oracle():
         assert abs(resultant(P, Q) - val) < 1e-9 * max(1, abs(val))
 
 
+def test_resultant_refuses_a_sylvester_matrix_past_2048_rows(monkeypatch):
+    # refused before the matrix is allocated: np.zeros is never called
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    # z^1024 and w^1024, coprime: 2,048 rows is the largest matrix built
+    assert abs(resultant(hp(*[0] * 1024, 1), hp(1, *[0] * 1024))) == 1.0
+    monkeypatch.setattr(hpoly.np, "zeros", no_alloc)
+    with pytest.raises(NumericalFailure, match="a 2049 x 2049 Sylvester matrix exceeds 2048 rows"):
+        resultant(hp(*[0] * 1024, 1), hp(1, *[0] * 1025))
+
+
 def test_resultant_zero_iff_shared_root_random():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -533,6 +545,15 @@ def test_roots_newton_polish_against_mpmath_oracle():
         assert min(chordal_distance(canonicalize(r, 1), pt) for pt, _ in rl) < 2e-15
 
 
+def test_roots_does_not_polish_the_exact_root_at_zero():
+    # the two zero trailing coefficients are an exact double root at (0:1); a Newton
+    # polish of it on the core, which lacks that root, once overflowed from 0 (numpy
+    # warnings, errors under this suite's filter)
+    found = roots(hp(0, 0, 1j, 1j, 2.6382280136631755e-93j, 0, 0, 0, 0, 1j))
+    assert sum(m for _, m in found) == 9
+    assert [(pt.z, pt.w, m) for pt, m in found if pt.z == 0] == [(0, 1, 2)]
+
+
 def test_roots_zero_poly_rejected():
     with pytest.raises(ValueError):
         roots(HPoly.zero(3))
@@ -637,6 +658,16 @@ def test_gcd_tight_tolerance_sees_split_clusters_as_coprime():
     # while a tolerance above the cluster spread recovers the shared factor
     H2, p2, q2, _ = numeric_gcd(P, Q, 1e-2)
     assert H2.degree == 6
+
+
+def test_gcd_reconstruction_residual_above_tol_is_a_numerical_failure():
+    # two triple roots 8e-6 apart match at tol 9e-6, but the cofactor of the
+    # merged hole reconstructs P only to 1.1e-5
+    P = HPoly.from_roots([(canonicalize(0.1, 1), 3)])
+    Q = HPoly.from_roots([(canonicalize(0.1 + 8e-6, 1), 3)])
+    message = "gcd reconstruction residual 1.122e-05 exceeds tol 9.0e-06 on P"
+    with pytest.raises(NumericalFailure, match=message):
+        numeric_gcd(P, Q, 9e-6)
 
 
 def _double_loop_matching(rp, rq, tol):
