@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndeterminateMapError, MathDomainError
+from .errors import MathDomainError
 from .hpoly import HPoly
 from .ratmap import BoundaryMap, Decomposition, decompose
 
@@ -126,8 +126,7 @@ def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
         raise MathDomainError("escape rate needs degree d >= 2")
     if dec is None:
         dec = decompose(f)
-    if dec.indeterminate:
-        raise IndeterminateMapError("escape rate undefined on indeterminacy locus")
+    dec.off_locus("escape rate")
     if dec.e == f.d:
         return _escape_batch(f.d, f.pair(), None, z, w, n_max, tol)
     return _escape_batch(f.d, dec.phi, dec.H, z, w, n_max, tol)
@@ -157,8 +156,7 @@ def escape_rate_constant_case(dec: Decomposition, x) -> float:
     """
     if dec.e != 0:
         raise ValueError("closed form requires deg(phi) = 0")
-    if dec.indeterminate:
-        raise IndeterminateMapError("escape rate undefined on indeterminacy locus")
+    dec.off_locus("escape rate")
     d = dec.d
     if d < 2:
         raise MathDomainError("closed form requires d >= 2")

@@ -34,7 +34,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ExceptionalPointError, IndeterminateMapError, MathDomainError
+from .errors import ExceptionalPointError, MathDomainError
 from .hpoly import _companion_roots, _rows, _shared_map, roots
 from .projline import (ProjPoint, _merge_close, _row_max, canonicalize_rows, chordal_cross,
                        chordal_distance)
@@ -335,8 +335,7 @@ def pullback(dec: Decomposition, mu: AtomicMeasure, normalize: bool = False) -> 
     Unnormalized total mass is e*|mu| + sum(depths); pass normalize=True to
     divide by d (the operator whose unique fixed point is mu_f).
     """
-    if dec.indeterminate:
-        raise IndeterminateMapError("pullback undefined on indeterminacy locus")
+    dec.off_locus("pullback")
     d, e = dec.d, dec.e
     hole_pts, depths = _rows(dec.holes)
     if e == 0:

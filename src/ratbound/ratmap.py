@@ -113,6 +113,12 @@ class Decomposition:
     def degenerate(self) -> bool:
         return self.e < self.d
 
+    def off_locus(self, what: str) -> "Decomposition":
+        """self off I(d); on it the one IndeterminateMapError, naming what is undefined."""
+        if self.indeterminate:
+            raise IndeterminateMapError(f"{what} undefined on indeterminacy locus")
+        return self
+
     def report(self, f: BoundaryMap):
         recon = np.concatenate([(self.H * P).coeffs for P in self.phi])
         given = np.concatenate([f.P.coeffs, f.Q.coeffs])
@@ -157,31 +163,29 @@ def is_indeterminate(f: BoundaryMap) -> bool:
 # iteration
 
 
-def _phi_pair_normalize(pair):
-    p, q = pair
-    scale = max(p.max_modulus(), q.max_modulus())
-    if scale == 0.0:
-        raise NumericalFailure("composition vanished")
-    return HPoly(p.degree, p.coeffs / scale), HPoly(q.degree, q.coeffs / scale)
-
-
 _OVERFLOW = "iterate n={}: the degree-{} product formula overflowed to non-finite coefficients"
+_UNDERFLOW = "iterate n={}: the degree-{} product formula underflowed to 0"
 
 
-def _require_finite(n: int, d: int, *polys):
-    """NumericalFailure if a factor of the n-th iterate of a degree-d map has
-    a non-finite coefficient."""
+def _unit_scaled(n: int, d: int, *polys):
+    """polys divided by their largest coefficient modulus, as normalize does; the
+    product formula's one check, a NumericalFailure on a non-finite coefficient
+    or an all-zero result of the n-th iterate of a degree-d map."""
     if not all(np.isfinite(P.coeffs).all() for P in polys):
         raise NumericalFailure(_OVERFLOW.format(n, d**n))
+    scale = max(P.max_modulus() for P in polys)
+    if scale == 0.0:
+        raise NumericalFailure(_UNDERFLOW.format(n, d**n))
+    return [HPoly(P.degree, P.coeffs / scale) for P in polys]
 
 
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
-    """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, with
-    each factor renormalized at every step.  H_n has degree d^n - e^n, and its
-    vanishing orders are the hole depths of f^n.  The factors (phi^k* H)^(d^(n-k-1))
-    are powered as phi^k is composed, the largest (k = 0) last, each stopped at
-    its first non-finite square; then multiplied from k = 0 on, an overflowing
-    product raising before it is renormalized (scaling inf gives nan)."""
+    """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, each
+    composition and partial product checked and renormalized by _unit_scaled.
+    H_n has degree d^n - e^n, and its vanishing orders are the hole depths of
+    f^n.  The factors (phi^k* H)^(d^(n-k-1)) are powered as phi^k is composed,
+    the largest (k = 0) last, each stopped at its first non-finite square; then
+    multiplied from k = 0 on."""
     d = f.d
     H = dec.H
     p, q = dec.phi
@@ -195,36 +199,28 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     Phi = (HPoly.z(), HPoly.w())
     first, powers = substitute(H, *Phi), []
     for k in range(1, n + 1):
-        Phi = compose_pair((p, q), Phi)
-        _require_finite(n, d, *Phi)
-        Phi = _phi_pair_normalize(Phi)
+        Phi = _unit_scaled(n, d, *compose_pair((p, q), Phi))
         if k < n:
             powers.append(power(substitute(H, *Phi), k))
     prod = HPoly.constant(1.0)
     for factor in [power(first, 0), *powers]:
-        prod = prod * factor
-        _require_finite(n, d, prod)
-        prod = prod.normalize()
+        [prod] = _unit_scaled(n, d, prod * factor)
     return prod, Phi
 
 
 def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
                     dec: Decomposition | None = None) -> BoundaryMap:
-    """The n-th iterate assembled from the product formula; errors on I(d)."""
+    """The n-th iterate assembled from the product formula; IndeterminateMapError
+    only on decompose's I(d) verdict, NumericalFailure on overflow or underflow."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if dec is None:
         dec = decompose(f, tol)
-    if dec.indeterminate:
-        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
+    dec.off_locus("iterate")
     if n == 1:
         return f
     prod, Phi = _iterate_parts(f, n, dec)
-    Pn, Qn = prod * Phi[0], prod * Phi[1]
-    _require_finite(n, f.d, Pn, Qn)
-    if max(Pn.max_modulus(), Qn.max_modulus()) == 0.0:
-        raise IndeterminateMapError("iterate undefined on indeterminacy locus")
-    return BoundaryMap(f.d**n, Pn, Qn)
+    return BoundaryMap(f.d**n, prod * Phi[0], prod * Phi[1])
 
 
 def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
@@ -241,9 +237,10 @@ def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
     cur = f.pair()
     for _ in range(n - 1):
         cur = compose_pair(f.pair(), cur)
-        if max(cur[0].max_modulus(), cur[1].max_modulus()) < 1e-12:
+        scale = max(cur[0].max_modulus(), cur[1].max_modulus())
+        if scale < 1e-12:
             raise NumericalFailure("composition vanished")
-        cur = _phi_pair_normalize(cur)
+        cur = [HPoly(P.degree, P.coeffs / scale) for P in cur]
     return BoundaryMap(f.d**n, cur[0], cur[1])
 
 
@@ -321,8 +318,7 @@ def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
     """
     if dec is None:
         dec = decompose(f, tol)
-    if dec.indeterminate:
-        raise IndeterminateMapError("hole depths undefined on indeterminacy locus")
+    dec.off_locus("hole depths")
     return [partial for partial, _ in islice(_depth_series(dec, z), N)]
 
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -146,6 +147,25 @@ def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
             "ratbound: iterate n=3: the degree-4096 product formula overflowed "
             "to non-finite coefficients\n")
         assert not out.exists()
+
+
+def test_an_underflowing_iterate_exits_4_off_the_indeterminacy_locus(tmp_path, capsys):
+    # (1.01 H : H) with H = z^2 - w^2 is off I(d) by decompose's verdict, but
+    # the product formula of its 10th iterate underflows to 0 (its k >= 1
+    # factors are constants of modulus about 0.02, and 0.02^256 is 0 in
+    # float64): exit 4 with one line and no file, not an exit-3 I(d) verdict.
+    # The 8th iterate keeps its bytes
+    H = HPoly.from_coeffs([-1, 0, 1])
+    path = write_map(tmp_path, BoundaryMap(2, 1.01 * H, H))
+    for verb in ("iterate", "properness"):
+        out = tmp_path / f"{verb}.out"
+        code, err = _exit([verb, "--input", path, "--param", "n=10", "--out", str(out)], capsys)
+        assert code == 4 and not out.exists()
+        assert err == "ratbound: iterate n=10: the degree-1024 product formula underflowed to 0\n"
+    code, out = run(capsys, "iterate", "--input", path, "--param", "n=8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "87bbd75ce7bc0af2815fb2b518081221c47bb63295e439030413b9ea43b05eb7")
 
 
 @pytest.mark.parametrize("n", [10, 12, 40])

@@ -265,6 +265,22 @@ def test_iterate_on_indeterminacy_raises():
             iterate_formula(g, n)
 
 
+@pytest.mark.parametrize("c, n", [(1.01, 10), (1.001, 9)])
+def test_an_underflowing_iterate_is_a_numerical_failure_not_a_verdict(c, n):
+    # (c H : H) with H = z^2 - w^2 is degenerate with e = 0 and off I(d) by
+    # decompose's verdict.  The k >= 1 factors of its product formula are
+    # constants of modulus about c^2 - 1, so their 2^(n-k-1)-th powers reach 0
+    # in float64; decompose alone decides I(d), so the n-th iterate is a
+    # NumericalFailure naming the underflow, and the (n-1)-th still succeeds
+    H = hp(-1, 0, 1)
+    f = BoundaryMap(2, c * H, H)
+    assert decompose(f).e == 0 and not decompose(f).indeterminate
+    assert iterate_formula(f, n - 1).d == 2 ** (n - 1)
+    with pytest.raises(NumericalFailure,
+                       match=f"^iterate n={n}: the degree-{2**n} product formula underflowed to 0$"):
+        iterate_formula(f, n)
+
+
 def test_iterate_direct_collapses_on_indeterminacy():
     g = fam.example1_limit(2)
     with pytest.raises(NumericalFailure):
