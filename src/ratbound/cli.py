@@ -239,17 +239,26 @@ def _json_pieces(value, level=0, items=None):
     yield "".join(run) + ("\n" + "  " * level + close if children else close)
 
 
-def _emit_csv(args, header_fields, rows, extra_header=None):
+def _emit_csv(args, header_fields, columns, extra_header=None):
+    """Stream the CSV table of `columns`, one sequence per header field, all of one length,
+    under the comment header.  A float64 ndarray, or a list of floats only, is formatted
+    as _fmt does, once per distinct float; any other column, an ndarray of another dtype
+    too, goes through _fmt value by value."""
     lines = [f"# command={args.command}",
              *(f"# tol.{key}={val:.17g}" for key, val in _tolerances(args).items()),
              *(f"# {key}={val}" for key, val in (extra_header or {}).items()),
              ",".join(map(_fmt, header_fields)) + "\n"]
-    # a column of floats only is formatted as _fmt does, once per distinct float
-    columns = [_item_texts(np.array(column), lambda values: [f"{v:.17g}" for v in values])
-               if all(isinstance(v, float) for v in column)
-               else np.array(list(map(_fmt, column)), dtype=object) for column in zip(*rows)]
-    body = _table_rows("", ["", *[","] * (len(columns) - 1), "\n"], columns)
+    texts = list(map(_csv_texts, columns))
+    body = _table_rows("", ["", *[","] * (len(texts) - 1), "\n"], texts)
     _write(args.out, itertools.chain(["\n".join(lines)], body))
+
+
+def _csv_texts(column):
+    """An object array of a CSV column's fields; the float test is made once per column."""
+    ndarray = isinstance(column, np.ndarray)
+    if column.dtype == np.float64 if ndarray else all(isinstance(v, float) for v in column):
+        return _item_texts(column, lambda values: [f"{v:.17g}" for v in values])
+    return np.array(list(map(_fmt, column.tolist() if ndarray else column)), dtype=object)
 
 
 def _fmt(value):
@@ -337,7 +346,7 @@ def cmd_sample(args, params):
     )
     samples = emp.samples.view(float).reshape(-1, 2, 2)
     if args.format == "csv":
-        _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], samples.reshape(-1, 4).tolist(),
+        _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], samples.reshape(-1, 4).T,
                   {"seed": args.seed, "depth": args.depth, "count": args.count})
     else:
         _emit_json(args, {"samples": samples, "seed": emp.seed, "depth": emp.depth,
@@ -373,21 +382,16 @@ def cmd_converge(args, params):
             return f"error: {exc}"
 
     target_integrals, *outcomes = _shared_map(run, [None, *specs])
-    rows = []
-    dists = []
-    for v, outcome in zip(values, outcomes):
-        if isinstance(outcome, str):
-            rows.append((v, math.nan, math.nan, outcome))
-            continue
-        integrals, md = outcome
-        dist = float(np.abs(integrals - target_integrals).max())
-        rows.append((v, dist, md, "ok"))
-        dists.append(dist)
+    rows = [(math.nan, math.nan, outcome) if isinstance(outcome, str)
+            else (float(np.abs(outcome[0] - target_integrals).max()), outcome[1], "ok")
+            for outcome in outcomes]  # (weak_distance, mass_in_disk, flag)
+    dists = [dist for dist, _, flag in rows if flag == "ok"]
     summary = {
         "distances_decreasing": all(b <= a for a, b in zip(dists, dists[1:])),
         "final_distance": dists[-1] if dists else math.nan,
     }
-    _emit_csv(args, [sweep, "weak_distance", "mass_in_disk", "flag"], rows,
+    _emit_csv(args, [sweep, "weak_distance", "mass_in_disk", "flag"],
+              [values, *map(list, zip(*rows))],
               {"seed": args.seed, "depth": args.depth, "count": args.count,
                **{f"summary.{k}": v for k, v in summary.items()}})
 
@@ -402,11 +406,11 @@ def cmd_properness(args, params):
         _require_family(args)
         maps = [(v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
                 for v in values]
-    rows = []
-    for v, f in maps:
+    resultants = []
+    for _, f in maps:
         fn = iterate_formula(f, n, args.tol)
-        rows.append((v, abs(resultant(fn.P, fn.Q))))
-    _emit_csv(args, [sweep, "abs_resultant"], rows, {"n": n})
+        resultants.append(abs(resultant(fn.P, fn.Q)))
+    _emit_csv(args, [sweep, "abs_resultant"], [[v for v, _ in maps], resultants], {"n": n})
 
 
 def cmd_escape(args, params):
@@ -414,9 +418,9 @@ def cmd_escape(args, params):
     im_lo, im_hi, n_im = _parse_range("im", params.pop("im", "-2:2:21"))
     n_max = fam.int_param("n_max", params.pop("n_max", 50))
     f = _load_map(args, params)
-    rows = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
-                       n_max=n_max, dec=decompose(f, args.tol))
-    _emit_csv(args, ["re", "im", "G"], rows)
+    columns = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
+                          n_max=n_max, dec=decompose(f, args.tol))
+    _emit_csv(args, ["re", "im", "G"], columns)
 
 
 def _require_family(args):

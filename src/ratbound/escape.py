@@ -101,7 +101,8 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
                 val = g + lam / dn
                 res = np.abs(val - prev)
                 prev = val
-            vz, vw = pz / s, pw / s
+            inv = 1.0 / s  # pz * inv is pz / s up to the sign of a zero part
+            vz, vw = pz * inv, pw * inv
             done = hole | (res < tol) if n < n_max else np.ones(len(idx), dtype=bool)
             if not np.count_nonzero(done):
                 continue
@@ -182,17 +183,16 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
 
 def escape_grid(f: BoundaryMap, re_range, im_range, n_re: int, n_im: int,
                 n_max: int = 50, dec: Decomposition | None = None):
-    """Rows (re z, im z, G(z, 1)) over a rectangle, for CSV export.
+    """The columns [re z, im z, G(z, 1)] over a rectangle, as float64 arrays, for CSV export.
 
-    Rows run over re within im, as one batch with per-point stopping at
+    Points run over re within im, as one batch with per-point stopping at
     residual 1e-12.  dec is f's decomposition, taken at the default gcd
     tolerance when not given.
     """
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
     re, im = np.tile(res, n_im), np.repeat(ims, n_re)
-    value = _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, 1e-12, dec)[0]
-    return list(zip(re.tolist(), im.tolist(), value.tolist()))
+    return [re, im, _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, 1e-12, dec)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,17 @@ class HPoly:
     def _evaluate_vec(polys, z, w) -> list:
         """Each HPoly of polys at the rows of the complex arrays (z, w).
 
-        evaluate's charts, chosen once per row for all of polys; a row
-        (0, 0) gives 0 for positive degree.
+        evaluate's charts, chosen once per row for all of polys, and the
+        chart's leading power once per distinct degree; a row (0, 0) gives 0
+        for positive degree.
         """
         zc = np.abs(z) >= np.abs(w)
         lead = np.where(zc, z, w)
         # lead == 0 only at (0, 0), where dividing by 1 instead leaves t = 0
         t = np.where(zc, w, z) / (lead + (lead == 0))
+        powers = {d: lead**d for d in {P.degree for P in polys}}
         return [
-            lead**P.degree
+            powers[P.degree]
             * _horner_vec(np.where(zc, P.coeffs[::-1, None], P.coeffs[:, None]), t)
             for P in polys
         ]

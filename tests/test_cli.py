@@ -24,7 +24,7 @@ from ratbound import cli
 from ratbound import families as fam
 from ratbound import hpoly
 from ratbound.cli import main
-from ratbound.escape import cone_angle_report
+from ratbound.escape import cone_angle_report, escape_grid
 from ratbound.measure import boundary_measure
 from ratbound.ratmap import decompose, iterate_formula
 
@@ -438,7 +438,7 @@ def test_csv_field_with_a_comma_or_quote_is_quoted(tmp_path):
     # the rows stay as wide as the header when a flag holds a comma or a quote
     args = argparse.Namespace(command="converge", tol=1e-6, out=str(tmp_path / "o.csv"))
     flags = ['error: total mass 0.75 outside [0.9, 1.1]', 'say "hi"', "ok"]
-    cli._emit_csv(args, ["t", "flag"], [(0.1, f) for f in flags])
+    cli._emit_csv(args, ["t", "flag"], [[0.1] * len(flags), flags])
     header, *rows = csv.reader(l for l in (tmp_path / "o.csv").read_text().splitlines()
                                if not l.startswith("#"))
     assert header == ["t", "flag"] and rows == [["0.10000000000000001", f] for f in flags]
@@ -951,10 +951,65 @@ def test_csv_rows_are_their_fields(tmp_path):
     special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, 1 / 3]
     rows = [(special[i % 9], i if i % 2 else i / 7, 'a, "b"' if i % 5 else "ok", i * 0.5)
             for i in range(cli._BLOCK + 3)]
-    cli._emit_csv(args, ["x", "y", "flag", "z"], rows, {"seed": 1})
+    cli._emit_csv(args, ["x", "y", "flag", "z"], [list(c) for c in zip(*rows)], {"seed": 1})
     head, body = (tmp_path / "o.csv").read_text().split("\nx,y,flag,z\n")
     assert head.startswith("# command=escape\n# tol.pt=") and head.endswith("# seed=1")
     assert body == "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+def _csv_body(tmp_path, columns):
+    args = argparse.Namespace(command="escape", tol=1e-6, out=str(tmp_path / "o.csv"))
+    cli._emit_csv(args, [f"c{i}" for i in range(len(columns))], columns)
+    return (tmp_path / "o.csv").read_bytes().split(b"\n", 8)[-1]  # past the # lines and the header
+
+
+def test_csv_float_columns_give_the_same_bytes_in_every_form(tmp_path):
+    # a contiguous float64 array, a strided view of one and a list of Python
+    # floats write the same fields, _fmt's
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+              1e-5, 0.1, 1e16]
+    values += [-v for v in values[5:]]
+    table = np.array([values, values[::-1], [v * 3 for v in values], values])
+    forms = {
+        "contiguous": [np.ascontiguousarray(column) for column in table],
+        "strided": np.ascontiguousarray(table.T).T,  # each column a view of stride 4 items
+        "list": table.tolist(),
+    }
+    assert not forms["strided"][0].flags.c_contiguous
+    bodies = {name: _csv_body(tmp_path, columns) for name, columns in forms.items()}
+    want = "".join(",".join(map(cli._fmt, row)) + "\n" for row in zip(*table.tolist()))
+    assert bodies == dict.fromkeys(forms, want.encode())
+    # a sample array's columns, as `sample --format csv` hands them over
+    samples = np.array(values[:8], dtype=float).reshape(-1, 2, 2)
+    assert _csv_body(tmp_path, samples.reshape(-1, 4).T) == _csv_body(
+        tmp_path, samples.reshape(-1, 4).T.tolist())
+
+
+@pytest.mark.parametrize("column, fields", [
+    ([1, 0.5], ["1", "0.5"]),
+    ([10**20, 0.5], ["100000000000000000000", "0.5"]),
+    # an ndarray of another dtype is written value by value: the float path
+    # would read an int's bits as a float (1 as 5e-324) and write bools as JSON
+    (np.array([1, 10**18]), ["1", "1000000000000000000"]),
+    (np.array([True, False]), ["True", "False"]),
+    (np.array([0.1], dtype=np.float32), ["0.10000000149011612"]),
+])
+def test_csv_columns_of_other_values_keep_fmt_text(tmp_path, column, fields):
+    assert _csv_body(tmp_path, [column]).decode().splitlines() == fields
+
+
+def test_escape_csv_is_escape_grid_columns(tmp_path):
+    # the F_T grid runs through z = 0, on the hole line: its -inf cell is written too
+    argv = ["escape", "--family", "epstein_FT", "--param", "re=-1:1:5", "--param", "im=-1:0.5:4"]
+    assert main(argv + ["--out", str(tmp_path / "g.csv")]) == 0
+    body = (tmp_path / "g.csv").read_text().split("\nre,im,G\n")[1]
+    re, im, g = escape_grid(fam.FamilySpec("epstein_FT", {}).build(), (-1, 1), (-1, 0.5), 5, 4)
+    assert re.dtype == im.dtype == g.dtype == np.float64
+    assert re.tolist() == [-1, -0.5, 0, 0.5, 1] * 4
+    assert im.tolist() == [v for v in (-1, -0.5, 0, 0.5) for _ in range(5)]
+    assert np.flatnonzero(g == -math.inf).tolist() == [12]  # the cell z = 0
+    assert body.splitlines() == ["%.17g,%.17g,%.17g" % row
+                                 for row in zip(re.tolist(), im.tolist(), g.tolist())]
 
 
 def test_signed_floats_render_as_their_magnitude_after_a_sign():

@@ -322,7 +322,8 @@ def test_batched_homogeneity(f, coords, r, theta):
 
 
 def test_escape_grid_rows():
-    rows = escape_grid(SQUARING, (-1, 1), (-1, 1), 3, 3, n_max=30)
+    columns = escape_grid(SQUARING, (-1, 1), (-1, 1), 3, 3, n_max=30)
+    rows = list(zip(*(column.tolist() for column in columns)))
     assert len(rows) == 9
     center = [r for r in rows if r[0] == 0 and r[1] == 0]
     assert center and abs(center[0][2]) < 1e-12

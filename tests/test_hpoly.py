@@ -21,6 +21,7 @@ from ratbound import (
     canonicalize,
     chordal_distance,
     compose_pair,
+    decompose,
     numeric_gcd,
     projective_residual,
     resultant,
@@ -28,6 +29,7 @@ from ratbound import (
     vanishing_order,
     wronskian,
 )
+from ratbound import families as fam
 from ratbound import hpoly
 from ratbound.hpoly import _companion_roots, count_zeros_in_disk, substitute
 from ratbound.projline import chordal_cross
@@ -104,6 +106,20 @@ def test_evaluate_vec_matches_evaluate():
         assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
     # at the origin, positive degree gives exactly 0 and degree 0 its constant
     assert [v[-1] for v in HPoly._evaluate_vec(polys, z, w)] == [0, 0, 0.5 - 2j]
+
+
+def test_evaluate_vec_of_mixed_degrees_is_each_alone_bit_for_bit():
+    # phi and H of a degenerate map, of degrees e and d - e, evaluated together
+    # share each degree's leading power and give each one's values exactly
+    dec = decompose(fam.example2_second_limit(3, 2, a=0.4), 1e-4)
+    polys = (*dec.phi, dec.H)
+    assert len({P.degree for P in polys}) == 2
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.standard_normal(40) + 1j * rng.standard_normal(40), [1e60, 0, 1, 0]])
+    w = np.concatenate([rng.standard_normal(40) + 1j * rng.standard_normal(40), [1, 1e60, 0, 0]])
+    together = HPoly._evaluate_vec(polys, z, w)
+    for P, vals in zip(polys, together):
+        assert vals.tobytes() == HPoly._evaluate_vec((P,), z, w)[0].tobytes()
 
 
 # -- products and composition ------------------------------------------------
