@@ -1,11 +1,11 @@
 """Command-line experiment runner; README.md's CLI section lists each verb's flags and keys.
 
-main parses the --param pairs once and hands the dict to the verb, which reads every
-input it takes before any work; a flag or key the verb does not read exits 2.
-Structured results are JSON whose text is exactly `json.dumps(envelope, indent=2)`
-plus a newline; sweeps are CSV with floats at 17 significant digits; every output
-embeds the tolerance block and streams to --out or stdout.  Exit codes: 0 ok, 2
-validation, 3 mathematical domain, 4 numerical failure.
+main parses the --param pairs once and reads the verb's own keys by their COMMANDS entry
+before the verb runs; its family reads the rest before any work, and a flag or key that
+neither reads exits 2.  Structured results are JSON whose text is exactly
+`json.dumps(envelope, indent=2)` plus a newline; sweeps are CSV with floats at 17
+significant digits; every output embeds the tolerance block and streams to --out or stdout.
+Exit codes: 0 ok, else the failure's `exit_code` (errors.py), 2 if it has none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import families as fam
 from .config import DEFAULTS
-from .errors import MathDomainError, NumericalFailure
+from .errors import NumericalFailure
 from .escape import cone_angle_report, escape_grid
 from .hpoly import _shared_map, resultant
 from .measure import (
@@ -35,7 +35,7 @@ from .measure import (
     point_mass,
     sample_max_entropy,
 )
-from .projline import INFINITY, canonicalize
+from .projline import INFINITY, canonicalize, re_im
 from .ratmap import (
     BoundaryMap,
     decompose,
@@ -298,8 +298,7 @@ def cmd_indeterminate(args, params):
     _emit_json(args, {"indeterminate": decompose(f, args.tol).indeterminate})
 
 
-def cmd_iterate(args, params):
-    n = fam.int_param("n", params.pop("n", 2))
+def cmd_iterate(args, params, n):
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     fn = iterate_formula(f, n, args.tol, dec=dec)
@@ -311,40 +310,36 @@ def cmd_iterate(args, params):
             "depth": depth,
             "normalized_depths": [float(s) for s in seq],
         })
-    polys = {name: {"degree": h.degree, "coeffs": h.coeffs.view(float).reshape(-1, 2)}
+    polys = {name: {"degree": h.degree, "coeffs": re_im(h.coeffs)}
              for name, h in (("P", fn.P), ("Q", fn.Q))}  # fn.to_json(), coeffs as arrays
     _emit_json(args, {"iterate": {"d": fn.d, **polys}, "hole_depth_table": table})
 
 
-def cmd_measure(args, params):
-    tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-9))
+def cmd_measure(args, params, tail_tol):
     f = _load_map(args, params)
     mu = boundary_measure(decompose(f, args.tol), tail_tol)
     angles, infinite = cone_angle_report(mu)
-    points = mu.points.view(float).reshape(-1, 2, 2)  # rows [[z.re, z.im], [w.re, w.im]]
+    points = re_im(mu.points)
     measure = {"atoms": _Rows(point=points, mass=mu.masses), "tail_bound": mu.tail_bound,
                "note": mu.note}
     cones = _Rows(point=points, angle=angles, infinite_end=infinite)
     _emit_json(args, {"measure": measure, "cone_angles": cones})
 
 
-def cmd_pointmass(args, params):
-    at = _parse_point("at", params.pop("at", math.inf))
-    series_tol = fam.real_param("series_tol", params.pop("series_tol", 1e-12))
+def cmd_pointmass(args, params, at, series_tol):
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
     mass, err = point_mass(dec, at, series_tol)
     _emit_json(args, {"point": at.to_json(), "mass": mass, "error_bound": err})
 
 
-def cmd_sample(args, params):
-    a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
+def cmd_sample(args, params, a0):
     f = _load_map(args, params)
     emp = sample_max_entropy(
         f, a0, depth=args.depth, count=args.count, seed=args.seed,
         workers=args.workers, gcd_tol=args.tol,
     )
-    samples = emp.samples.view(float).reshape(-1, 2, 2)
+    samples = re_im(emp.samples)
     if args.format == "csv":
         _emit_csv(args, ["z_re", "z_im", "w_re", "w_im"], samples.reshape(-1, 4).T,
                   {"seed": args.seed, "depth": args.depth, "count": args.count})
@@ -353,18 +348,7 @@ def cmd_sample(args, params):
                           "count": emp.count, "source": emp.source})
 
 
-def cmd_converge(args, params):
-    _require_family(args)
-    sweep = _sweep_key(params)
-    values = params.pop("values", None)
-    if values is None:
-        raise ValueError("converge needs --param values=v1,v2,...")
-    center = _parse_point("center", params.pop("center", math.inf))
-    radius = fam.real_param("radius", params.pop("radius", 0.1))
-    if not radius > 0:
-        raise ValueError(f"--param radius must be positive, got {radius!r}")
-    a0 = _parse_point("a0", params.pop("a0", complex(0.5, 0.5)))
-    tail_tol = fam.real_param("tail_tol", params.pop("tail_tol", 1e-6))
+def cmd_converge(args, params, sweep, values, center, radius, a0, tail_tol):
     family = fam.FamilySpec(args.family, params)
     family.check_limit()
     # the specs check their keys before any work; the target (its integrals, or the mass
@@ -378,7 +362,7 @@ def cmd_converge(args, params):
             emp = sample_max_entropy(spec.build(), a0, depth=args.depth, count=args.count,
                                      seed=args.seed, workers=args.workers, gcd_tol=args.tol)
             return _design_integrals(emp), mass_in_disk(emp, center, radius)
-        except (ValueError, NumericalFailure, MathDomainError) as exc:
+        except (ValueError, NumericalFailure) as exc:
             return f"error: {exc}"
 
     target_integrals, *outcomes = _shared_map(run, [None, *specs])
@@ -396,10 +380,7 @@ def cmd_converge(args, params):
                **{f"summary.{k}": v for k, v in summary.items()}})
 
 
-def cmd_properness(args, params):
-    n = fam.int_param("n", params.pop("n", 2))
-    sweep = _sweep_key(params)
-    values = params.pop("values", None)
+def cmd_properness(args, params, n, sweep, values):
     if values is None:
         maps = [("-", _load_map(args, params))]
     else:
@@ -413,13 +394,9 @@ def cmd_properness(args, params):
     _emit_csv(args, [sweep, "abs_resultant"], [[v for v, _ in maps], resultants], {"n": n})
 
 
-def cmd_escape(args, params):
-    re_lo, re_hi, n_re = _parse_range("re", params.pop("re", "-2:2:21"))
-    im_lo, im_hi, n_im = _parse_range("im", params.pop("im", "-2:2:21"))
-    n_max = fam.int_param("n_max", params.pop("n_max", 50))
+def cmd_escape(args, params, re, im, n_max):
     f = _load_map(args, params)
-    columns = escape_grid(f, (re_lo, re_hi), (im_lo, im_hi), n_re, n_im,
-                          n_max=n_max, dec=decompose(f, args.tol))
+    columns = escape_grid(f, re, im, re[2], im[2], n_max=n_max, dec=decompose(f, args.tol))
     _emit_csv(args, ["re", "im", "G"], columns)
 
 
@@ -428,11 +405,25 @@ def _require_family(args):
         raise ValueError("a sweep builds its maps from --family <name> and does not read --input")
 
 
-def _sweep_key(params):
-    sweep = params.pop("sweep", "t")
-    if not isinstance(sweep, str) or not sweep:
-        raise ValueError(f"--param sweep must be a key name, got {sweep!r}")
-    return sweep
+# the readers of the verbs' own keys, (key, value as parsed or its default) -> value
+def _key_name(key, value):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"--param {key} must be a key name, got {value!r}")
+    return value
+
+
+def _positive_real(key, value):
+    value = fam.real_param(key, value)
+    if not value > 0:
+        raise ValueError(f"--param {key} must be positive, got {value!r}")
+    return value
+
+
+def _sweep_values(key, values):
+    """A sweep's values as parsed; converge, which has no default for them, needs them."""
+    if values is fam.REQUIRED:
+        raise ValueError(f"converge needs --param {key}=v1,v2,...")
+    return values
 
 
 def _parse_range(key, spec):
@@ -447,19 +438,29 @@ def _parse_range(key, spec):
     return lo, hi, count
 
 
-# each verb: its function, the formats it writes (default first) and whether it samples,
-# taking --seed --depth --count --workers; it records a seed if it samples or writes json
-_Verb = namedtuple("_Verb", "run formats samples", defaults=(("json",), False))
+# each verb: its function; its own --param keys, key -> (reader, default), read by main in this
+# order; its formats (default first); whether it samples (--seed --depth --count --workers), and
+# so records a seed as a json verb does; whether it reads --family alone, which main checks first
+_Verb = namedtuple("_Verb", "run keys formats samples family_only",
+                   defaults=({}, ("json",), False, False))
 COMMANDS = {
     "decompose": _Verb(cmd_decompose),
     "indeterminate": _Verb(cmd_indeterminate),
-    "iterate": _Verb(cmd_iterate),
-    "measure": _Verb(cmd_measure),
-    "pointmass": _Verb(cmd_pointmass),
-    "sample": _Verb(cmd_sample, ("json", "csv"), samples=True),
-    "converge": _Verb(cmd_converge, ("csv",), samples=True),
-    "properness": _Verb(cmd_properness, ("csv",)),
-    "escape": _Verb(cmd_escape, ("csv",)),
+    "iterate": _Verb(cmd_iterate, {"n": (fam.int_param, 2)}),
+    "measure": _Verb(cmd_measure, {"tail_tol": (fam.real_param, 1e-9)}),
+    "pointmass": _Verb(cmd_pointmass, {"at": (_parse_point, math.inf),
+                                       "series_tol": (fam.real_param, 1e-12)}),
+    "sample": _Verb(cmd_sample, {"a0": (_parse_point, 0.5 + 0.5j)}, ("json", "csv"), samples=True),
+    "converge": _Verb(
+        cmd_converge,
+        {"sweep": (_key_name, "t"), "values": (_sweep_values, fam.REQUIRED),
+         "center": (_parse_point, math.inf), "radius": (_positive_real, 0.1),
+         "a0": (_parse_point, 0.5 + 0.5j), "tail_tol": (fam.real_param, 1e-6)},
+        ("csv",), samples=True, family_only=True),
+    "properness": _Verb(cmd_properness, {"n": (fam.int_param, 2), "sweep": (_key_name, "t"),
+                                         "values": (_sweep_values, None)}, ("csv",)),
+    "escape": _Verb(cmd_escape, {"re": (_parse_range, "-2:2:21"), "im": (_parse_range, "-2:2:21"),
+                                 "n_max": (fam.int_param, 50)}, ("csv",)),
 }
 
 
@@ -519,16 +520,15 @@ def main(argv=None) -> int:
         verb = COMMANDS[args.command]
         if (verb.samples or "json" in verb.formats) and getattr(args, "seed", None) is None:
             args.seed = _seed(os.environ.get("RATBOUND_SEED", "0"), "RATBOUND_SEED ")
-        verb.run(args, _parse_params(args.param))
-    except MathDomainError as exc:
+        params = _parse_params(args.param)
+        if verb.family_only:
+            _require_family(args)
+        keys = {key: read(key, params.pop(key, default))
+                for key, (read, default) in verb.keys.items()}
+        verb.run(args, params, **keys)
+    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError, NumericalFailure) as exc:
         print(f"ratbound: {exc}", file=sys.stderr)
-        return 3
-    except NumericalFailure as exc:
-        print(f"ratbound: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
-        print(f"ratbound: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

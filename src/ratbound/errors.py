@@ -1,13 +1,13 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: plain ``ValueError`` (and argparse
-failures) exit 2, :class:`MathDomainError` exits 3, and
-:class:`NumericalFailure` exits 4.
+Each carries its CLI exit code as ``exit_code``: :class:`MathDomainError` 3 and
+:class:`NumericalFailure` 4; a plain ``ValueError`` or an argparse failure exits 2.
 """
 
 
 class MathDomainError(ValueError):
     """The requested quantity is mathematically undefined for this input."""
+    exit_code = 3
 
 
 class IndeterminateMapError(MathDomainError):
@@ -20,3 +20,4 @@ class ExceptionalPointError(MathDomainError):
 
 class NumericalFailure(RuntimeError):
     """A tolerance-dependent step could not be resolved unambiguously."""
+    exit_code = 4

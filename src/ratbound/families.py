@@ -10,9 +10,9 @@ Each constructor builds the displayed pair by exact coefficient arithmetic:
   inversion       (k w : z) at d = 1,                     f^2 = (k z : k w) for every k
 
 FamilySpec builds one by name from its _FAMILIES entry: its --param keys in the README's
-order, each with its reader; its map maker (get, P); and its converge target (get, P), a
-limit map whose mu a sweep tends to or that measure itself (None: no converge).  get names
-a missing required key, P is P_roots' polynomial or None, and the makers check the ranges.
+order, each with its (reader, default); its map maker; and its converge target, a limit map
+whose mu a sweep tends to or that measure itself (None: no converge).  Both take get, which
+gives a key's value or default and names a missing REQUIRED key; the makers check the ranges.
 
 The t -> 0 limits of the second iterates of the example families are also
 provided in closed form, since they are the targets of the measure
@@ -259,30 +259,35 @@ def _finite_list(key, value):
     raise ValueError(f"--param {key} takes a list, got {value!r}")
 
 
-_Family = namedtuple("_Family", "readers make target", defaults=(None,))
+# a key without a default: a family that needs it names it when it builds
+REQUIRED = object()
+_Family = namedtuple("_Family", "keys make target", defaults=(None,))
 _FAMILIES = {
     "example1": _Family(
-        {"d": int_param, "t": _finite_param, "a": _finite_param, "P_roots": _finite_list},
-        lambda get, P: make_example1(get("d"), get("a", 1.0), get("t"), P),
-        lambda get, P: example1_second_limit(get("d"), get("a", 1.0), P)),
+        {"d": (int_param, REQUIRED), "t": (_finite_param, REQUIRED), "a": (_finite_param, 1.0),
+         "P_roots": (_finite_list, None)},
+        lambda get: make_example1(get("d"), get("a"), get("t"), _p_from_roots(get("P_roots"))),
+        lambda get: example1_second_limit(get("d"), get("a"), _p_from_roots(get("P_roots")))),
     "example2": _Family(
-        {"d": int_param, "k": int_param, "t": _finite_param, "a": _finite_param,
-         "P_roots": _finite_list},
-        lambda get, P: make_example2(get("d"), get("k"), get("a", 1.0), get("t"), P),
-        lambda get, P: example2_second_limit(get("d"), get("k"), get("a", 1.0), P)),
-    "epstein_FT": _Family({"T": _finite_param}, lambda get, P: make_epstein_FT(get("T", 1.0))),
+        {"d": (int_param, REQUIRED), "k": (int_param, REQUIRED), "t": (_finite_param, REQUIRED),
+         "a": (_finite_param, 1.0), "P_roots": (_finite_list, None)},
+        lambda get: make_example2(get("d"), get("k"), get("a"), get("t"),
+                                  _p_from_roots(get("P_roots"))),
+        lambda get: example2_second_limit(get("d"), get("k"), get("a"),
+                                          _p_from_roots(get("P_roots")))),
+    "epstein_FT": _Family({"T": (_finite_param, 1.0)}, lambda get: make_epstein_FT(get("T"))),
     "cubic_eps": _Family(  # mu of the limit (z^2 w : w^3) is delta_infinity, exactly
-        {"eps": _finite_param}, lambda get, P: make_cubic_eps(get("eps")),
-        lambda get, P: AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))),
+        {"eps": (_finite_param, REQUIRED)}, lambda get: make_cubic_eps(get("eps")),
+        lambda get: AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))),
     "polylimit": _Family(  # k = inf is the limit (P : 0)
-        {"roots": _finite_list, "k": real_param},
-        lambda get, P: make_polylimit(get("roots"), get("k", 1.0)),
-        lambda get, P: polylimit_limit(get("roots"))),
-    "inversion": _Family({"k": _finite_param}, lambda get, P: make_inversion(get("k"))),
+        {"roots": (_finite_list, REQUIRED), "k": (real_param, 1.0)},
+        lambda get: make_polylimit(get("roots"), get("k")),
+        lambda get: polylimit_limit(get("roots"))),
+    "inversion": _Family({"k": (_finite_param, REQUIRED)}, lambda get: make_inversion(get("k"))),
 }
-FAMILY_KEYS = {name: tuple(family.readers) for name, family in _FAMILIES.items()}
+FAMILY_KEYS = {name: tuple(family.keys) for name, family in _FAMILIES.items()}
 LIST_KEYS = frozenset(key for family in _FAMILIES.values()  # the keys that take a list
-                      for key, read in family.readers.items() if read is _finite_list)
+                      for key, (read, _) in family.keys.items() if read is _finite_list)
 
 
 @dataclass
@@ -295,25 +300,23 @@ class FamilySpec:
     def __post_init__(self):
         if self.name not in _FAMILIES:
             raise ValueError(f"unknown family {self.name!r}; choose from {tuple(FAMILY_KEYS)}")
-        readers = _FAMILIES[self.name].readers
-        unknown = [str(key) for key in self.parameters if key not in readers]
+        keys = _FAMILIES[self.name].keys
+        unknown = [str(key) for key in self.parameters if key not in keys]
         if unknown:
             raise ValueError(f"family {self.name} takes no --param {', '.join(unknown)}; "
                              f"its keys: {FAMILY_KEYS[self.name]}")
         # each value's kind is read here: a spec that exists holds only values of the right kind
-        self.parameters = {key: readers[key](key, value) for key, value in self.parameters.items()}
+        self.parameters = {key: keys[key][0](key, value) for key, value in self.parameters.items()}
 
-    def _get(self, key, *default):
-        if key not in self.parameters and not default:
+    def _get(self, key):
+        value = self.parameters.get(key, _FAMILIES[self.name].keys[key][1])
+        if value is REQUIRED:
             raise ValueError(f"family {self.name} needs --param {key}")
-        return self.parameters.get(key, *default)
-
-    def _P(self):
-        return _p_from_roots(self._get("P_roots", None))
+        return value
 
     def build(self) -> BoundaryMap:
         """The map; a value the family cannot take is a ValueError naming its key."""
-        return _FAMILIES[self.name].make(self._get, self._P())
+        return _FAMILIES[self.name].make(self._get)
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""
@@ -324,7 +327,7 @@ class FamilySpec:
         """The measure a converge sweep tends to, read without the swept key: the family's
         target, or mu of its limit map at FAMILY_LIMIT_GCD_TOL and tail_tol."""
         self.check_limit()
-        target = _FAMILIES[self.name].target(self._get, self._P())
+        target = _FAMILIES[self.name].target(self._get)
         if isinstance(target, AtomicMeasure):
             return target
         return boundary_measure(decompose(target, FAMILY_LIMIT_GCD_TOL), tail_tol)

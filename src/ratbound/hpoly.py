@@ -30,7 +30,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import NumericalFailure
 from .projline import (INFINITY, ZERO, ProjPoint, _merge_close, canonicalize,
-                       canonicalize_rows, chordal_cross)
+                       canonicalize_rows, chordal_cross, re_im)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -188,11 +188,7 @@ class HPoly:
         ]
 
     def to_json(self):
-        return {
-            "degree": self.degree,
-            "coeffs": [[re, im] for re, im in zip(self.coeffs.real.tolist(),
-                                                   self.coeffs.imag.tolist())],
-        }
+        return {"degree": self.degree, "coeffs": re_im(self.coeffs).tolist()}
 
     @staticmethod
     def from_json(data) -> "HPoly":
@@ -401,9 +397,11 @@ def _companion_roots(C):
 
 
 def _horner_vec(coeffs_asc, x):
-    """sum c[i] x^i for a scalar or an array x; a scalar x stays scalar."""
-    acc = 0j
-    for c in coeffs_asc[::-1]:
+    """sum c[i] x^i for a scalar or an array x, shaped as x, from the leading coefficient."""
+    if len(coeffs_asc) == 1:
+        return np.full(np.shape(x), coeffs_asc[0])
+    acc = coeffs_asc[-1]
+    for c in coeffs_asc[-2::-1]:
         acc = acc * x + c
     return acc
 
@@ -631,10 +629,8 @@ def _match_clusters(dist, p_mults, q_mults, tol):
 
 
 def _fit_scale(basis, target):
-    denom = np.vdot(basis, basis)
-    if denom == 0:
-        return 0j
-    return complex(np.vdot(basis, target) / denom)
+    """The least-squares scale c with c * basis ~ target, for a nonzero basis."""
+    return complex(np.vdot(basis, target) / np.vdot(basis, basis))
 
 
 def _deconvolve(H: HPoly, target: HPoly) -> HPoly:

@@ -37,7 +37,7 @@ from .config import DEFAULTS
 from .errors import ExceptionalPointError, MathDomainError
 from .hpoly import _companion_roots, _rows, _shared_map, roots
 from .projline import (ProjPoint, _merge_close, _row_max, canonicalize_rows, chordal_cross,
-                       chordal_distance)
+                       chordal_distance, re_im)
 from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
                      _orbit_steps)
 
@@ -81,12 +81,9 @@ class AtomicMeasure:
         return float(self.masses.sum())
 
     def to_json(self):
-        re, im = self.points.real.tolist(), self.points.imag.tolist()
         return {
-            "atoms": [
-                {"point": [[zr, zi], [wr, wi]], "mass": m}
-                for (zr, wr), (zi, wi), m in zip(re, im, self.masses.tolist())
-            ],
+            "atoms": [{"point": point, "mass": m}
+                      for point, m in zip(re_im(self.points).tolist(), self.masses.tolist())],
             "tail_bound": self.tail_bound,
             "note": self.note,
         }
@@ -96,11 +93,8 @@ class AtomicMeasure:
         """The measure of to_json's data, bit for bit: a row written canonical (unit norm
         and a positive real anchor, each within a few ulps) is kept as written, since a
         second canonicalization moves its last bits; any other row is canonicalized."""
-        pts = np.array([
-            [complex(a["point"][0][0], a["point"][0][1]),
-             complex(a["point"][1][0], a["point"][1][1])]
-            for a in data["atoms"]
-        ], dtype=complex).reshape(-1, 2)
+        pts = np.empty((len(data["atoms"]), 2), dtype=complex)
+        re_im(pts)[:] = np.reshape([a["point"] for a in data["atoms"]], (-1, 2, 2))
         z, w = pts[:, 0], pts[:, 1]
         eps = np.finfo(float).eps
 
@@ -145,8 +139,7 @@ class EmpiricalMeasure:
 
     def to_json(self):
         return {
-            "samples": [[[zr, zi], [wr, wi]] for (zr, wr), (zi, wi)
-                        in zip(self.samples.real.tolist(), self.samples.imag.tolist())],
+            "samples": re_im(self.samples).tolist(),
             "seed": self.seed,
             "depth": self.depth,
             "count": self.count,

@@ -69,6 +69,12 @@ INFINITY = canonicalize(1, 0)
 ZERO = canonicalize(0, 1)
 
 
+def re_im(values) -> np.ndarray:
+    """The JSON layout of complex numbers: a contiguous complex array's float view
+    with a trailing [re, im] axis; writing the view writes the array."""
+    return values.view(float).reshape(*values.shape, 2)
+
+
 def chordal_distance(p: ProjPoint, q: ProjPoint) -> float:
     """d(p, q) = |z_p w_q - z_q w_p| for canonical representatives."""
     return min(abs(p.z * q.w - q.z * p.w), 1.0)

@@ -2,7 +2,20 @@
 
 import numpy as np
 
-from ratbound import DEFAULTS, chordal_distance, hpoly
+from ratbound import DEFAULTS, BoundaryMap, HPoly, chordal_distance, hpoly, resultant
+
+
+def hp(*coeffs):
+    return HPoly.from_coeffs(coeffs)
+
+
+def random_rat2(rng, min_res=1e-3):
+    """A random degree-2 map with |Res(P, Q)| above min_res, drawn from rng."""
+    while True:
+        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        f = BoundaryMap(2, hp(*c[0]), hp(*c[1]))
+        if abs(resultant(f.P, f.Q)) > min_res:
+            return f
 
 
 def multiplicity_at(entries, pt, tol=DEFAULTS.hole_match):

@@ -41,9 +41,7 @@ from ratbound import (
 from ratbound import families as fam
 from ratbound.ratmap import _depth_series
 
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+from helpers import hp, random_rat2
 
 
 def report(num, desc, ok, elapsed=None):
@@ -51,14 +49,6 @@ def report(num, desc, ok, elapsed=None):
     suffix = f" ({elapsed:.2f} s)" if elapsed is not None else ""
     print(f"\n[{status}] criterion {num}: {desc}{suffix}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-def random_rat2(rng, min_res=1e-3):
-    while True:
-        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        f = BoundaryMap(2, hp(*c[0]), hp(*c[1]))
-        if abs(resultant(f.P, f.Q)) > min_res:
-            return f
 
 
 # -- criterion 1: exact point masses ------------------------------------------

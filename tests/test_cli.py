@@ -1200,6 +1200,29 @@ def test_readme_names_resolve():
     assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == fam.FAMILY_KEYS
 
 
+def test_readme_key_tables_are_the_declared_keys_and_defaults():
+    # each README key table row lists its keys in declaration order with their
+    # defaults as literals: "required" or none shown is REQUIRED, "none..." None
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    verb_table, family_table = readme.split("## CLI", 1)[1].split("| family |", 1)
+    family_table = family_table.split("\n\n", 1)[0]
+
+    def documented(cell):
+        return [(key, fam.REQUIRED if text in ("", "required")
+                 else None if text.startswith("none") else cli._parse_value(text))
+                for key, text in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cell)]
+
+    def declared(keys):
+        return [(key, default) for key, (_, default) in keys.items()]
+
+    rows = re.findall(r"^\| `(\w+)` \| `--[^|]*` \| ([^|]*) \|", verb_table, re.M)
+    assert {verb: documented(cell) for verb, cell in rows} == {
+        verb: declared(entry.keys) for verb, entry in cli.COMMANDS.items()}
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", family_table, re.M)
+    assert {name: documented(cell) for name, cell in rows} == {
+        name: declared(family.keys) for name, family in fam._FAMILIES.items()}
+
+
 @pytest.mark.parametrize("argv, key", [
     (["decompose", *FT, "--param", "T=1", "--param", "T=2"], "--param T given twice"),
     (["measure", *FT, "--param", "tail_tol=1j"], "--param tail_tol"),

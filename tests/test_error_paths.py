@@ -15,6 +15,7 @@ from ratbound import (
     HPoly,
     IndeterminateMapError,
     MathDomainError,
+    NumericalFailure,
     backward_tree,
     canonicalize,
     compose_pair,
@@ -32,11 +33,10 @@ from ratbound import (
 )
 from ratbound import families as fam
 from ratbound.escape import escape_rate_constant_case, functional_equation_residual
-from ratbound.hpoly import count_zeros_in_disk, projective_residual, substitute
+from ratbound.hpoly import (_polish_multiple_root, count_zeros_in_disk, projective_residual,
+                            substitute)
 
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+from helpers import hp
 
 
 H = hp(-1, 0, 1)  # z^2 - w^2
@@ -79,6 +79,22 @@ CASES = [
     pytest.param(lambda: vanishing_order(HPoly.zero(2), ZERO), 3, id="vanishing-order-of-0"),
     pytest.param(lambda: count_zeros_in_disk(HPoly.zero(2), ZERO),
                  ValueError("zero polynomial"), id="zeros-in-disk-of-0"),
+    pytest.param(lambda: count_zeros_in_disk(HPoly.constant(2.0), ZERO), 0,
+                 id="zeros-in-disk-of-a-constant"),
+    # z^300 at (0:1): the ring values underflow at every radius the contour grows to
+    pytest.param(lambda: count_zeros_in_disk(HPoly.from_coeffs([0] * 300 + [1]), ZERO),
+                 NumericalFailure("argument-principle contour failed to resolve"),
+                 id="zeros-in-disk-unresolved"),
+    pytest.param(lambda: HPoly.zero(2).normalize().coeffs.tolist(), [0j] * 3,
+                 id="normalize-0"),
+    pytest.param(lambda: HPoly.zero(2).monic_leading().coeffs.tolist(), [0j] * 3,
+                 id="monic-leading-0"),
+    pytest.param(lambda: [(P.degree, P.coeffs.tolist()) for P in
+                          (hp(5).derivative_z(), hp(5).derivative_w())],
+                 [(0, [0j])] * 2, id="derivatives-of-a-constant"),
+    # 3z^2 - 3, the derivative of z^3 - 3z, has slope 0 at 0: the start comes back
+    pytest.param(lambda: _polish_multiple_root([0, -3, 0, 1], 0j, 2), 0j,
+                 id="polish-at-a-critical-point"),
     # measure
     pytest.param(lambda: AtomicMeasure(np.zeros((2, 2)), np.ones(1)),
                  ValueError("points and masses length mismatch"), id="atoms-length-mismatch"),

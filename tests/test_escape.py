@@ -17,25 +17,14 @@ from ratbound import (
     escape_rate,
     escape_rate_constant_case,
     functional_equation_residual,
-    resultant,
 )
 from ratbound import families as fam
 from ratbound.escape import _escape_batch, _escape_rows, escape_grid
 
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+from helpers import hp, random_rat2
 
 
 SQUARING = BoundaryMap(2, hp(0, 0, 1), hp(1, 0, 0))
-
-
-def random_rat2(rng, min_res=1e-2):
-    while True:
-        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        f = BoundaryMap(2, hp(*c[0]), hp(*c[1]))
-        if abs(resultant(f.P, f.Q)) > min_res:
-            return f
 
 
 def random_constant_case(rng, d=2):
@@ -64,7 +53,7 @@ def test_escape_rate_homogeneity_mixed():
     rng = np.random.default_rng(31)
     H = hp(-1, 1)
     degenerate = BoundaryMap(3, H * hp(0, 0, 1), H * hp(1, 0, 0))
-    maps = [random_rat2(rng), degenerate, random_constant_case(rng)]
+    maps = [random_rat2(rng, min_res=1e-2), degenerate, random_constant_case(rng)]
     for f in maps:
         dec = decompose(f, 1e-8)
         for _ in range(10):
@@ -87,7 +76,7 @@ def test_functional_equation_squaring():
 def test_functional_equation_random():
     rng = np.random.default_rng(32)
     for _ in range(10):
-        f = random_rat2(rng)
+        f = random_rat2(rng, min_res=1e-2)
         x = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         assert functional_equation_residual(f, x, n_max=40) < 1e-6
 
@@ -95,7 +84,7 @@ def test_functional_equation_random():
 def test_functional_equation_scale_invariant():
     # replacing F by lam F shifts G by log|lam|/(d-1) on both sides consistently
     rng = np.random.default_rng(33)
-    f = random_rat2(rng)
+    f = random_rat2(rng, min_res=1e-2)
     x = (0.7 + 0.1j, 1.1 - 0.2j)
     r1 = functional_equation_residual(f, x, n_max=50)
     # BoundaryMap normalizes scale away, so the documented identity reduces to

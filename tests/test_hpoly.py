@@ -34,11 +34,7 @@ from ratbound import hpoly
 from ratbound.hpoly import _companion_roots, count_zeros_in_disk, substitute
 from ratbound.projline import chordal_cross
 
-from helpers import multiplicity_at
-
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+from helpers import hp, multiplicity_at
 
 
 Z = HPoly.z()

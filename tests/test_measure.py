@@ -47,11 +47,7 @@ from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atom
 from ratbound.projline import canonicalize_rows, chordal_cross
 from ratbound.ratmap import _depth_series, apply_pair
 
-from helpers import multiplicity_at, split_batches
-
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+from helpers import hp, multiplicity_at, split_batches
 
 
 SQUARING = BoundaryMap(2, hp(0, 0, 1), hp(1, 0, 0))

@@ -24,26 +24,13 @@ from ratbound import (
     local_degree,
     map_residual,
     point_mass,
-    resultant,
     vanishing_order,
 )
 from ratbound import families as fam
 from ratbound import ratmap
 from ratbound.hpoly import count_zeros_in_disk, numeric_gcd
 
-from helpers import multiplicity_at
-
-
-def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
-
-
-def random_rat2(rng, min_res=1e-3):
-    while True:
-        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        f = BoundaryMap(2, hp(*c[0]), hp(*c[1]))
-        if abs(resultant(f.P, f.Q)) > min_res:
-            return f
+from helpers import hp, multiplicity_at, random_rat2
 
 
 # -- decomposition -----------------------------------------------------------
@@ -279,6 +266,19 @@ def test_an_underflowing_iterate_is_a_numerical_failure_not_a_verdict(c, n):
     with pytest.raises(NumericalFailure,
                        match=f"^iterate n={n}: the degree-{2**n} product formula underflowed to 0$"):
         iterate_formula(f, n)
+
+
+def test_an_odd_power_can_overflow_past_its_squares_into_the_product_check():
+    # f = H (z : w) with H = (z - 0.8 w)^2: the n = 7 product formula's first factor
+    # H^729 = H^512 * H^217 has finite squares, so the power returns non-finite
+    # coefficients without raising, and the product formula's own check names it
+    H = hp(0.64, -1.6, 1)
+    f = BoundaryMap(3, H * HPoly.z(), H * HPoly.w())
+    assert decompose(f).e == 1
+    assert not np.isfinite((decompose(f).H ** 3**6).coeffs).all()
+    with pytest.raises(NumericalFailure, match="^iterate n=7: the degree-2187 product "
+                                               "formula overflowed to non-finite coefficients$"):
+        iterate_formula(f, 7)
 
 
 def test_iterate_direct_collapses_on_indeterminacy():
