@@ -27,7 +27,7 @@ from . import families as fam
 from .config import DEFAULTS
 from .errors import NumericalFailure
 from .escape import cone_angle_report, escape_grid
-from .hpoly import _shared_map, resultant
+from .hpoly import _shared_map
 from .measure import (
     _design_integrals,
     boundary_measure,
@@ -40,6 +40,7 @@ from .ratmap import (
     BoundaryMap,
     decompose,
     hole_depth_sequence,
+    iterate_abs_resultant,
     iterate_formula,
 )
 
@@ -387,10 +388,7 @@ def cmd_properness(args, params, n, sweep, values):
         _require_family(args)
         maps = [(v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
                 for v in values]
-    resultants = []
-    for _, f in maps:
-        fn = iterate_formula(f, n, args.tol)
-        resultants.append(abs(resultant(fn.P, fn.Q)))
+    resultants = [iterate_abs_resultant(f, n, args.tol) for _, f in maps]
     _emit_csv(args, [sweep, "abs_resultant"], [[v for v, _ in maps], resultants], {"n": n})
 
 

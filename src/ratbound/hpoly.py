@@ -286,14 +286,18 @@ def resultant(P: HPoly, Q: HPoly) -> complex:
     if m + n > _SYLVESTER_MAX:
         raise NumericalFailure(f"resultant: a {m + n} x {m + n} Sylvester matrix exceeds "
                                f"{_SYLVESTER_MAX} rows")
-    a = P.coeffs[::-1]  # z-descending
-    b = Q.coeffs[::-1]
+    return complex(np.linalg.det(_sylvester(P, Q)))
+
+
+def _sylvester(P: HPoly, Q: HPoly) -> np.ndarray:
+    """The Sylvester matrix of P and Q, rows of z-descending coefficients."""
+    m, n = P.degree, Q.degree
     S = np.zeros((m + n, m + n), dtype=complex)
     for r in range(n):
-        S[r, r : r + m + 1] = a
+        S[r, r : r + m + 1] = P.coeffs[::-1]
     for r in range(m):
-        S[n + r, r : r + n + 1] = b
-    return complex(np.linalg.det(S))
+        S[n + r, r : r + n + 1] = Q.coeffs[::-1]
+    return S
 
 
 def projective_residual(a, b) -> float:

@@ -39,7 +39,7 @@ class ProjPoint:
         return np.array([self.z, self.w], dtype=complex)
 
     def to_json(self):
-        return [[self.z.real, self.z.imag], [self.w.real, self.w.imag]]
+        return re_im(self.as_array()).tolist()
 
     def __repr__(self):
         if self.is_infinity:

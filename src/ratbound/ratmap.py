@@ -17,6 +17,7 @@ degree-d^n polynomials.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,24 +169,26 @@ _UNDERFLOW = "iterate n={}: the degree-{} product formula underflowed to 0"
 
 
 def _unit_scaled(n: int, d: int, *polys):
-    """polys divided by their largest coefficient modulus, as normalize does; the
-    product formula's one check, a NumericalFailure on a non-finite coefficient
-    or an all-zero result of the n-th iterate of a degree-d map."""
+    """(polys divided by their largest coefficient modulus, as normalize does, and
+    the log of that scale); the product formula's one check, a NumericalFailure
+    on a non-finite coefficient or an all-zero result of the n-th iterate of a
+    degree-d map."""
     if not all(np.isfinite(P.coeffs).all() for P in polys):
         raise NumericalFailure(_OVERFLOW.format(n, d**n))
     scale = max(P.max_modulus() for P in polys)
     if scale == 0.0:
         raise NumericalFailure(_UNDERFLOW.format(n, d**n))
-    return [HPoly(P.degree, P.coeffs / scale) for P in polys]
+    return [HPoly(P.degree, P.coeffs / scale) for P in polys], math.log(scale)
 
 
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     """The pair (H_n, phi^n) of the product formula, f^n = H_n * phi^n, each
-    composition and partial product checked and renormalized by _unit_scaled.
-    H_n has degree d^n - e^n, and its vanishing orders are the hole depths of
-    f^n.  The factors (phi^k* H)^(d^(n-k-1)) are powered as phi^k is composed,
-    the largest (k = 0) last, each stopped at its first non-finite square; then
-    multiplied from k = 0 on."""
+    composition and partial product checked and renormalized by _unit_scaled,
+    and the logs of the scales s_1..s_n divided out of phi's compositions:
+    phi^k = phi o phi^(k-1) / s_k.  H_n has degree d^n - e^n, and its vanishing
+    orders are the hole depths of f^n.  The factors (phi^k* H)^(d^(n-k-1)) are
+    powered as phi^k is composed, the largest (k = 0) last, each stopped at its
+    first non-finite square; then multiplied from k = 0 on."""
     d = f.d
     H = dec.H
     p, q = dec.phi
@@ -197,30 +200,64 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
             raise NumericalFailure(_OVERFLOW.format(n, d**n)) from None
 
     Phi = (HPoly.z(), HPoly.w())
-    first, powers = substitute(H, *Phi), []
+    first, powers, log_scales = substitute(H, *Phi), [], []
     for k in range(1, n + 1):
-        Phi = _unit_scaled(n, d, *compose_pair((p, q), Phi))
+        Phi, log_s = _unit_scaled(n, d, *compose_pair((p, q), Phi))
+        log_scales.append(log_s)
         if k < n:
             powers.append(power(substitute(H, *Phi), k))
     prod = HPoly.constant(1.0)
     for factor in [power(first, 0), *powers]:
-        [prod] = _unit_scaled(n, d, prod * factor)
-    return prod, Phi
+        [prod], _ = _unit_scaled(n, d, prod * factor)
+    return prod, Phi, log_scales
 
 
-def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
-                    dec: Decomposition | None = None) -> BoundaryMap:
-    """The n-th iterate assembled from the product formula; IndeterminateMapError
-    only on decompose's I(d) verdict, NumericalFailure on overflow or underflow."""
+def _iterate(f: BoundaryMap, n: int, tol: float, dec: Decomposition | None):
+    """(f^n, phi^n, the log scales of _iterate_parts), or (f, phi, [log 1]) at
+    n = 1; iterate_formula's refusals and failures are raised here."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if dec is None:
         dec = decompose(f, tol)
     dec.off_locus("iterate")
     if n == 1:
-        return f
-    prod, Phi = _iterate_parts(f, n, dec)
-    return BoundaryMap(f.d**n, prod * Phi[0], prod * Phi[1])
+        return f, dec.phi, [0.0]
+    prod, Phi, log_scales = _iterate_parts(f, n, dec)
+    return BoundaryMap(f.d**n, prod * Phi[0], prod * Phi[1]), Phi, log_scales
+
+
+def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
+                    dec: Decomposition | None = None) -> BoundaryMap:
+    """The n-th iterate assembled from the product formula; IndeterminateMapError
+    only on decompose's I(d) verdict, NumericalFailure on overflow or underflow."""
+    return _iterate(f, n, tol, dec)[0]
+
+
+def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
+                          dec: Decomposition | None = None) -> float:
+    """|Res(P, Q)| of the pair iterate_formula(f, n) returns, with its refusals,
+    by the composition rule |Res(F o G)| = |Res F|^(deg G) |Res G|^((deg F)^2).
+
+    In log space, with one 2d x 2d determinant: L_0 = 0 for the identity (z, w),
+    L_k = d^(k-1) log|Res phi| + d^2 L_(k-1) - 2 d^k log s_k for the scaled
+    compositions phi^k, plus 2 d^n log|c| for the constant c of f^n = c phi^n.
+    0.0 when decompose's verdict is degenerate (H_n divides both components)
+    and for a value below float64's range, |Res phi| itself included.
+    """
+    if dec is None:
+        dec = decompose(f, tol)
+    fn, Phi, log_scales = _iterate(f, n, tol, dec)
+    if dec.degenerate:
+        return 0.0
+    d = f.d
+    res = abs(resultant(*dec.phi))
+    log_res = math.log(res) if res else -math.inf
+    log_abs = 0.0
+    for k, log_s in enumerate(log_scales, 1):
+        log_abs = d ** (k - 1) * log_res + d * d * log_abs - 2 * d**k * log_s
+    lift_scale = max(P.max_modulus() for P in fn.pair()) / max(P.max_modulus() for P in Phi)
+    log_abs += 2 * d**n * math.log(lift_scale)
+    return math.exp(log_abs)
 
 
 def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:

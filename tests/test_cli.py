@@ -193,19 +193,43 @@ def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, 
         assert not out.exists()
 
 
-def test_properness_past_the_sylvester_limit_exits_4_at_once(tmp_path, capsys):
-    # F_T's sixth iterate has degree 4,096: its 8,192-row Sylvester matrix (1.07 GB)
-    # is refused before allocation, where it once took 26 s to build; the fifth's
-    # 2,048 rows are still built and read 0
-    out = tmp_path / "res.csv"
+def test_properness_past_the_old_sylvester_limit_prints_a_value(tmp_path, capsys):
+    # F_T's sixth iterate has degree 4,096, whose 8,192-row Sylvester matrix (1.07 GB)
+    # once took 26 s to build: F_T is degenerate, so its row reads 0 at once.
+    # example1's 11th iterate (degree 2,048) gets a value and a file
     start = time.perf_counter()
-    code, err = _exit(["properness", *FT, "--param", "T=1", "--param", "n=6", "--out", str(out)],
-                      capsys)
+    code, out = run(capsys, "properness", *FT, "--param", "T=1", "--param", "n=6")
     assert time.perf_counter() - start < 5
-    assert code == 4 and not out.exists()
-    assert err == "ratbound: resultant: a 8192 x 8192 Sylvester matrix exceeds 2048 rows\n"
-    code, out = run(capsys, "properness", *FT, "--param", "T=1", "--param", "n=5")
     assert code == 0 and out.splitlines()[-1] == "-,0"
+    path = tmp_path / "res.csv"
+    assert main(["properness", *E1, "--param", "a=0.5", "--param", "t=0.1", "--param", "n=11",
+                 "--out", str(path)]) == 0
+    *_, header, row = path.read_text().splitlines()
+    assert header == "t,abs_resultant" and row.startswith("-,")
+
+
+@pytest.mark.parametrize("family, params, d", [
+    ("epstein_FT", ["T=1", "n=6"], 2),
+    ("example1", ["d=2", "a=0.5", "t=0.1", "n=11"], 2),
+    ("example1", ["d=4", "a=0.3", "t=0.01"], 4),
+    ("inversion", ["sweep=k", "values=2,10", "n=3"], 1),
+])
+def test_properness_asks_for_no_sylvester_matrix_past_2d_rows(family, params, d, capsys,
+                                                              monkeypatch):
+    # |Res| of the iterate comes from the composition rule: one 2d x 2d determinant
+    # of the map's cofactors, never the iterate's (2 d^n)^2 matrix
+    rows, real = [], hpoly.resultant
+
+    def spy(P, Q):
+        rows.append(P.degree + Q.degree)
+        return real(P, Q)
+
+    monkeypatch.setattr(ratbound.ratmap, "resultant", spy)
+    monkeypatch.setattr(hpoly, "resultant", spy)
+    monkeypatch.setattr(cli, "resultant", spy, raising=False)
+    argv = [arg for param in params for arg in ("--param", param)]
+    assert run(capsys, "properness", "--family", family, *argv)[0] == 0
+    assert max(rows, default=0) <= 2 * d
 
 
 def test_decompose_of_a_split_gcd_exits_4(tmp_path, capsys):
@@ -481,6 +505,14 @@ def test_properness_of_one_map(capsys):
     _, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
     assert row[0] == "-" and float(row[1]) > 0.0
     assert "# n=3" in out.splitlines()
+
+
+def test_properness_reads_0_where_the_cofactors_resultant_underflows(capsys):
+    # example1 at d = 24 is nondegenerate, but |Res(p, q)| of its cofactors is below
+    # float64's range: its log is -inf, and the row reads 0 rather than failing
+    code, out = run(capsys, "properness", "--family", "example1", "--param", "d=24",
+                    "--param", "a=0.5", "--param", "t=0.001")
+    assert code == 0 and out.splitlines()[-1] == "-,0"
 
 
 def test_single_root_where_a_root_list_belongs(tmp_path, capsys):
@@ -1221,6 +1253,22 @@ def test_readme_key_tables_are_the_declared_keys_and_defaults():
     rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", family_table, re.M)
     assert {name: documented(cell) for name, cell in rows} == {
         name: declared(family.keys) for name, family in fam._FAMILIES.items()}
+    # the prose's integer and real keys are those their readers make so; a key that
+    # another family or verb reads otherwise is named with its family ("example2's `k`")
+    readers = [(owner, key, read) for owner, entry in [*cli.COMMANDS.items(),
+                                                        *fam._FAMILIES.items()]
+               for key, (read, _) in entry.keys.items()]
+
+    def kind(reads):
+        return {key if all(r in reads for _, k, r in readers if k == key) else f"{owner}'s {key}"
+                for owner, key, read in readers if read in reads}
+
+    integers, reals = re.search(r"wrong kind: (.*?)\s+must be integers \(.*?\);\s+(.*?)\s+real "
+                                r"numbers", readme, re.S).groups()
+    assert {f"{owner}{key}" for owner, key in re.findall(r"(\w+'s )?`(\w+)`", integers)} == kind(
+        {fam.int_param})
+    assert {f"{owner}{key}" for owner, key in re.findall(r"(\w+'s )?`(\w+)`", reals)} == kind(
+        {fam.real_param, cli._positive_real})
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -1264,6 +1312,7 @@ def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypa
     monkeypatch.setattr(fam.FamilySpec, "limit", lambda *a: limits.append(a))
     monkeypatch.setattr(cli, "sample_max_entropy", lambda *a, **k: pytest.fail("sampled"))
     monkeypatch.setattr(cli, "iterate_formula", lambda *a, **k: pytest.fail("iterated"))
+    monkeypatch.setattr(cli, "iterate_abs_resultant", lambda *a, **k: pytest.fail("iterated"))
     out = tmp_path / "o"
     code, err = _exit(argv + ["--out", str(out)], capsys)
     assert code == 2

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratbound import (
@@ -24,11 +25,12 @@ from ratbound import (
     local_degree,
     map_residual,
     point_mass,
+    resultant,
     vanishing_order,
 )
 from ratbound import families as fam
 from ratbound import ratmap
-from ratbound.hpoly import count_zeros_in_disk, numeric_gcd
+from ratbound.hpoly import _sylvester, count_zeros_in_disk, numeric_gcd
 
 from helpers import hp, multiplicity_at, random_rat2
 
@@ -352,6 +354,98 @@ def test_iterate_decompose_bookkeeping():
     dec3 = decompose(g3, 1e-6)
     assert dec3.e == 1
     assert sum(m for _, m in dec3.holes) == 8 - 1
+
+
+# -- |Res| of the iterate by the composition rule ------------------------------
+
+
+_COEFF = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False,
+                            allow_subnormal=False)
+
+
+@st.composite
+def _pairs(draw, degree):
+    return tuple(HPoly.from_coeffs(draw(st.lists(_COEFF, min_size=degree + 1,
+                                                 max_size=degree + 1)))
+                 for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(_pairs), st.integers(1, 4).flatmap(_pairs))
+def test_composition_rule_for_resultants(F, G):
+    # log|Res(F o G)| = deg G log|Res F| + (deg F)^2 log|Res G|.  Each determinant's
+    # relative error is about eps times its Sylvester matrix's condition number, so
+    # the logs agree within 16 eps times the weighted sum of the three; the largest
+    # ratio seen on 20,000 seeded draws of degree <= 4 was 3.1
+    d, e = F[0].degree, G[0].degree
+    FG = compose_pair(F, G)
+    cond = [np.linalg.cond(_sylvester(*pair)) for pair in (F, G, FG)]
+    res = [abs(resultant(*pair)) for pair in (F, G, FG)]
+    assume(all(np.isfinite(cond)) and all(r > 0 for r in res))
+    gap = abs(np.log(res[2]) - e * np.log(res[0]) - d * d * np.log(res[1]))
+    assert gap <= 16 * np.finfo(float).eps * (e * cond[0] + d * d * cond[1] + cond[2])
+
+
+def _mp_iterate_abs_resultant(f, n):
+    """|Res| of f^n composed at 60 digits from f's coefficients, scaled to max
+    coefficient modulus 1 as iterate_formula scales it."""
+    with mpmath.workdps(60):
+        F = [[mpmath.mpc(complex(c)) for c in P.coeffs] for P in f.pair()]
+
+        def times(a, b):
+            out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        pair = F
+        for _ in range(n - 1):  # F o pair, coefficients ascending in z
+            p_pows, q_pows = [[mpmath.mpc(1)]], [[mpmath.mpc(1)]]
+            for _ in range(f.d):
+                p_pows.append(times(p_pows[-1], pair[0]))
+                q_pows.append(times(q_pows[-1], pair[1]))
+            pair = [[sum(col) for col in zip(*(
+                [c * t for t in times(p_pows[i], q_pows[f.d - i])] for i, c in enumerate(P)))]
+                for P in F]
+        scale = max(abs(c) for P in pair for c in P)
+        a, b = ([c / scale for c in P[::-1]] for P in pair)
+        m = len(a) - 1
+        S = mpmath.zeros(2 * m, 2 * m)
+        for r in range(m):
+            for i in range(m + 1):
+                S[r, r + i], S[m + r, r + i] = a[i], b[i]
+        return abs(mpmath.det(S))
+
+
+@pytest.mark.parametrize("f, n", [
+    *[(fam.make_example1(2, 0.5, t), n) for t in (1e-1, 1e-2, 1e-3) for n in (2, 3, 4)],
+    (fam.make_example1(4, 0.3, 0.01), 2),
+    (fam.make_example2(3, 2, 0.5, 0.1), 2),
+    (fam.make_example2(3, 2, 0.5, 0.1), 3),
+])
+def test_iterate_abs_resultant_against_a_60_digit_determinant(f, n):
+    # the README sweep and two family maps at d^n <= 27.  The rule agrees with the
+    # exact iterate's determinant to 1e-9 (the 60-digit value itself moves by 1.4e-10
+    # at 100 digits for t = 1e-3, n = 4) and better than the float determinant of the
+    # rounded iterate, which reads 49 times too large at t = 0.1, n = 4; 0.0 below
+    # float64's range (here 6.2e-381 at example2's n = 3)
+    exact = _mp_iterate_abs_resultant(f, n)
+    new = ratmap.iterate_abs_resultant(f, n)
+    if exact < np.finfo(float).tiny:
+        assert new == 0.0
+        return
+    fn = iterate_formula(f, n)
+    old = abs(resultant(fn.P, fn.Q))
+    assert abs(new - exact) <= 1e-9 * exact
+    assert abs(new - exact) <= abs(old - exact)
+
+
+def test_iterate_abs_resultant_of_the_benchmarks_seed_1_map():
+    # example1 at d = 4, a = 0.3, t = 0.01: |Res f^2| is 2.8257e-191 at 60 digits,
+    # where the float determinant of the iterate read 4.18e-186
+    value = ratmap.iterate_abs_resultant(fam.make_example1(4, 0.3, 0.01), 2)
+    assert value == pytest.approx(2.824e-191, rel=1e-3)
 
 
 # -- theorem-2 equivalence at desk scale --------------------------------------
