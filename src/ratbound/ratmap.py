@@ -233,19 +233,18 @@ def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
     return _iterate(f, n, tol, dec)[0]
 
 
-def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
-                          dec: Decomposition | None = None) -> float:
+def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> float:
     """|Res(P, Q)| of the pair iterate_formula(f, n) returns, with its refusals,
     by the composition rule |Res(F o G)| = |Res F|^(deg G) |Res G|^((deg F)^2).
 
     In log space, with one 2d x 2d determinant: L_0 = 0 for the identity (z, w),
     L_k = d^(k-1) log|Res phi| + d^2 L_(k-1) - 2 d^k log s_k for the scaled
-    compositions phi^k, plus 2 d^n log|c| for the constant c of f^n = c phi^n.
+    compositions phi^k, plus 2 d^n log|c| for the constant c of f^n = c phi^n:
+    |c| = 1 for n >= 2, where _iterate_parts scales it, and f's own at n = 1.
     0.0 when decompose's verdict is degenerate (H_n divides both components)
     and for a value below float64's range, |Res phi| itself included.
     """
-    if dec is None:
-        dec = decompose(f, tol)
+    dec = decompose(f, tol)
     fn, Phi, log_scales = _iterate(f, n, tol, dec)
     if dec.degenerate:
         return 0.0

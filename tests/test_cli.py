@@ -226,7 +226,6 @@ def test_properness_asks_for_no_sylvester_matrix_past_2d_rows(family, params, d,
 
     monkeypatch.setattr(ratbound.ratmap, "resultant", spy)
     monkeypatch.setattr(hpoly, "resultant", spy)
-    monkeypatch.setattr(cli, "resultant", spy, raising=False)
     argv = [arg for param in params for arg in ("--param", param)]
     assert run(capsys, "properness", "--family", family, *argv)[0] == 0
     assert max(rows, default=0) <= 2 * d
