@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
@@ -101,10 +100,10 @@ def _load_map(args, params):
     raise ValueError("provide a map via --input <json> or --family <name>")
 
 
-def _seed(text, name=""):
-    """A seed: a non-negative integer's text, else an ArgumentTypeError opening with `name`."""
+def _seed(text):
+    """A seed: a non-negative integer's text, else an ArgumentTypeError."""
     if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"{name}must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -242,9 +241,9 @@ def _json_pieces(value, level=0, items=None):
 
 def _emit_csv(args, header_fields, columns, extra_header=None):
     """Stream the CSV table of `columns`, one sequence per header field, all of one length,
-    under the comment header.  A float64 ndarray, or a list of floats only, is formatted
-    as _fmt does, once per distinct float; any other column, an ndarray of another dtype
-    too, goes through _fmt value by value."""
+    under the comment header.  A float64 ndarray is formatted as _fmt does, once per
+    distinct float; any other column, a list or an ndarray of another dtype, goes through
+    _fmt value by value."""
     lines = [f"# command={args.command}",
              *(f"# tol.{key}={val:.17g}" for key, val in _tolerances(args).items()),
              *(f"# {key}={val}" for key, val in (extra_header or {}).items()),
@@ -255,9 +254,9 @@ def _emit_csv(args, header_fields, columns, extra_header=None):
 
 
 def _csv_texts(column):
-    """An object array of a CSV column's fields; the float test is made once per column."""
+    """An object array of a CSV column's fields, by _emit_csv's two rules."""
     ndarray = isinstance(column, np.ndarray)
-    if column.dtype == np.float64 if ndarray else all(isinstance(v, float) for v in column):
+    if ndarray and column.dtype == np.float64:
         return _item_texts(column, lambda values: [f"{v:.17g}" for v in values])
     return np.array(list(map(_fmt, column.tolist() if ndarray else column)), dtype=object)
 
@@ -352,9 +351,9 @@ def cmd_sample(args, params, a0):
 def cmd_converge(args, params, sweep, values, center, radius, a0, tail_tol):
     family = fam.FamilySpec(args.family, params)
     family.check_limit()
-    # the specs check their keys before any work; the target (its integrals, or the mass
-    # check that exits 2) and the rows (integrals and disk mass, or an error flag) share the pool
-    specs = [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
+    # the target (its integrals, or the mass check that exits 2) and the rows (integrals and
+    # disk mass, or an error flag) share the pool
+    specs = _sweep_specs(args, params, sweep, values)
 
     def run(spec):
         if spec is None:
@@ -383,24 +382,30 @@ def cmd_converge(args, params, sweep, values, center, radius, a0, tail_tol):
 
 def cmd_properness(args, params, n, sweep, values):
     if values is None:
-        maps = [("-", _load_map(args, params))]
+        values, maps = ["-"], [_load_map(args, params)]
     else:
-        _require_family(args)
-        maps = [(v, fam.FamilySpec(args.family, {**params, sweep: v}).build())
-                for v in values]
-    resultants = [iterate_abs_resultant(f, n, args.tol) for _, f in maps]
-    _emit_csv(args, [sweep, "abs_resultant"], [[v for v, _ in maps], resultants], {"n": n})
+        maps = [spec.build() for spec in _sweep_specs(args, params, sweep, values)]
+    resultants = [iterate_abs_resultant(f, n, args.tol) for f in maps]
+    _emit_csv(args, [sweep, "abs_resultant"], [values, resultants], {"n": n})
 
 
 def cmd_escape(args, params, re, im, n_max):
     f = _load_map(args, params)
-    columns = escape_grid(f, re, im, re[2], im[2], n_max=n_max, dec=decompose(f, args.tol))
-    _emit_csv(args, ["re", "im", "G"], columns)
+    _emit_csv(args, ["re", "im", "G"], escape_grid(f, re, im, n_max, decompose(f, args.tol)))
 
 
 def _require_family(args):
     if not args.family:
         raise ValueError("a sweep builds its maps from --family <name> and does not read --input")
+
+
+def _sweep_specs(args, params, sweep, values):
+    """A sweep's family specs, one per value, each checked before any is built; the swept
+    key takes its values from `values` alone."""
+    _require_family(args)
+    if sweep in params:
+        raise ValueError(f"--param {sweep} is swept: give its values as --param values=...")
+    return [fam.FamilySpec(args.family, {**params, sweep: v}) for v in values]
 
 
 # the readers of the verbs' own keys, (key, value as parsed or its default) -> value
@@ -491,9 +496,9 @@ def build_parser():
         # chordal distances lie in [0, 1], so a tol of 1 would match every root pair
         p.add_argument("--tol", type=_positive(float, below=1), default=DEFAULTS.gcd,
                        help="gcd tolerance: root-matching radius and residual bound")
+        p.set_defaults(seed=0)  # --seed's default, and the seed a verb that draws nothing records
         if verb.samples:
-            p.add_argument("--seed", type=_seed, default=None,
-                           help="falls back to RATBOUND_SEED, then 0")
+            p.add_argument("--seed", type=_seed, help="sampler seed (default 0)")
             p.add_argument("--depth", type=_positive(int), default=20)
             p.add_argument("--count", type=_positive(int), default=10_000)
             p.add_argument("--workers", type=_positive(int), default=1,
@@ -516,8 +521,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         verb = COMMANDS[args.command]
-        if (verb.samples or "json" in verb.formats) and getattr(args, "seed", None) is None:
-            args.seed = _seed(os.environ.get("RATBOUND_SEED", "0"), "RATBOUND_SEED ")
         params = _parse_params(args.param)
         if verb.family_only:
             _require_family(args)

@@ -181,17 +181,16 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
     return abs(value[1] - f.d * value[0])
 
 
-def escape_grid(f: BoundaryMap, re_range, im_range, n_re: int, n_im: int,
-                n_max: int = 50, dec: Decomposition | None = None):
+def escape_grid(f: BoundaryMap, re_axis, im_axis, n_max: int = 50,
+                dec: Decomposition | None = None):
     """The columns [re z, im z, G(z, 1)] over a rectangle, as float64 arrays, for CSV export.
 
-    Points run over re within im, as one batch with per-point stopping at
-    residual 1e-12.  dec is f's decomposition, taken at the default gcd
-    tolerance when not given.
+    Each axis is (lo, hi, count).  Points run over re within im, as one
+    batch with per-point stopping at residual 1e-12.  dec is f's
+    decomposition, taken at the default gcd tolerance when not given.
     """
-    res = np.linspace(re_range[0], re_range[1], n_re)
-    ims = np.linspace(im_range[0], im_range[1], n_im)
-    re, im = np.tile(res, n_im), np.repeat(ims, n_re)
+    res, ims = np.linspace(*re_axis), np.linspace(*im_axis)
+    re, im = np.tile(res, len(ims)), np.repeat(ims, len(res))
     return [re, im, _escape_rows(f, re + 1j * im, np.ones(len(re)), n_max, 1e-12, dec)[0]]
 
 

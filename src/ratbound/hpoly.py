@@ -200,7 +200,9 @@ class HPoly:
             if not (isinstance(pair, list) and len(pair) == 2 and all(
                     type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair)):
                 raise ValueError(f"coeffs[{i}] must be [re, im], two finite numbers, got {pair!r}")
-        return HPoly.from_coeffs([complex(re, im) for re, im in c])
+        coeffs = np.empty(len(c), dtype=complex)
+        re_im(coeffs)[:] = c
+        return HPoly(degree, coeffs)
 
     def __repr__(self):
         terms = []

@@ -16,6 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .config import DEFAULTS
+from .errors import NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,10 @@ def _merge_close(points, weights, eps):
     members, phase-aligned to that first member, with the summed weight.
     Other rows come back unchanged; with no group, so do the inputs.  On the
     unit sphere chordal distance is half the Euclidean one, so only pairs
-    whose projections on a sweep axis lie within 2 eps are compared.
+    whose projections on a sweep axis lie within 2 eps are compared.  More
+    than max(64 n, 2^20) pairs within eps is a NumericalFailure, raised as the
+    count passes it: rows that each lie close to many others form no
+    meaningful groups, and their pair lists grow quadratically.
 
     A group's sum adds its members in index order from +0.0, one np.bincount
     per real and imaginary part of each column (np.add.at adds in the same
@@ -182,12 +186,17 @@ def _merge_close(points, weights, eps):
     none = np.zeros(0, dtype=np.intp)
     near_a, near_b = [none], [none]
     active = np.nonzero(span > 0)[0]
-    k = 1
+    n = len(points)
+    k, pairs, max_pairs = 1, 0, max(64 * n, 2**20)
     while len(active):
         a, b = order[active], order[active + k]
         close = np.abs(z[a] * w[b] - z[b] * w[a]) <= eps
         near_a.append(a[close])
         near_b.append(b[close])
+        pairs += len(near_a[-1])
+        if pairs > max_pairs:
+            raise NumericalFailure(f"merge: more than {max_pairs} pairs of {n} points lie "
+                                   f"within chordal {eps:g}; the clustering is ambiguous")
         k += 1
         active = active[span[active] >= k]
     a, b = np.concatenate(near_a), np.concatenate(near_b)
@@ -196,7 +205,6 @@ def _merge_close(points, weights, eps):
         return points, weights
 
     # min-label propagation: every row ends labelled by the first row of its group
-    n = len(points)
     label = np.arange(n)
     while True:
         low = np.minimum(label[a], label[b])

@@ -292,14 +292,16 @@ def test_sample_command_deterministic(tmp_path, capsys):
     assert rep["count"] == 50 and rep["seed"] == 5
 
 
-def test_sample_env_seed(tmp_path, capsys, monkeypatch):
-    fa = fam.make_polylimit([1.0, -1.0], 5.0)
-    path = write_map(tmp_path, fa)
-    monkeypatch.setenv("RATBOUND_SEED", "77")
-    code, out = run(capsys, "sample", "--input", path,
-                    "--depth", "4", "--count", "10", "--param", "a0=0.3+0.2j")
-    assert code == 0
-    assert json.loads(out)["result"]["seed"] == 77
+def test_seed_defaults_to_0(tmp_path, capsys):
+    # --seed is the one seed: without it the sampler draws as with --seed 0, and a
+    # verb that draws nothing records 0
+    path = write_map(tmp_path, fam.make_polylimit([1.0, -1.0], 5.0))
+    argv = ["sample", "--input", path, "--depth", "4", "--count", "10", "--param", "a0=0.3+0.2j"]
+    code, out = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--seed", "0")
+    assert code == 0 and json.loads(out)["result"]["seed"] == 0
+    code, out = run(capsys, "decompose", "--input", path)
+    assert code == 0 and json.loads(out)["seed"] == 0
 
 
 def test_sample_exceptional_exit_code(tmp_path, capsys):
@@ -1034,7 +1036,7 @@ def test_escape_csv_is_escape_grid_columns(tmp_path):
     argv = ["escape", "--family", "epstein_FT", "--param", "re=-1:1:5", "--param", "im=-1:0.5:4"]
     assert main(argv + ["--out", str(tmp_path / "g.csv")]) == 0
     body = (tmp_path / "g.csv").read_text().split("\nre,im,G\n")[1]
-    re, im, g = escape_grid(fam.FamilySpec("epstein_FT", {}).build(), (-1, 1), (-1, 0.5), 5, 4)
+    re, im, g = escape_grid(fam.FamilySpec("epstein_FT", {}).build(), (-1, 1, 5), (-1, 0.5, 4))
     assert re.dtype == im.dtype == g.dtype == np.float64
     assert re.tolist() == [-1, -0.5, 0, 0.5, 1] * 4
     assert im.tolist() == [v for v in (-1, -0.5, 0, 0.5) for _ in range(5)]
@@ -1075,8 +1077,7 @@ def test_encoder_rejects_array_items_json_rejects(value):
      fam.make_polylimit([1, 2], math.inf), DEFAULTS.gcd, 1e-9),
 ])
 def test_measure_json_is_the_measure_and_its_cone_angles(source, f, tol, tail_tol, tmp_path,
-                                                         capsys, monkeypatch):
-    monkeypatch.delenv("RATBOUND_SEED", raising=False)
+                                                         capsys):
     code, out = run(capsys, "measure", *(source or ["--input", write_map(tmp_path, f)]),
                     "--tol", repr(tol), "--param", f"tail_tol={tail_tol!r}")
     mu = boundary_measure(decompose(f, tol), tail_tol)
@@ -1149,34 +1150,24 @@ def test_only_sample_and_converge_take_sampler_flags(capsys):
             assert code == 2 and f"unrecognized arguments: {flag} 1" in err, (verb, flag)
 
 
-@pytest.mark.parametrize("argv", [
-    ["decompose", *FT], ["indeterminate", *FT], ["iterate", *FT],
-    ["measure", *FT, "--param", "tail_tol=0.1"], ["pointmass", *FT],
-    ["sample", *E1, "--param", "t=0.1", *SAMPLER],
-    ["converge", *E1, "--param", "values=0.1", *SAMPLER],
+@pytest.mark.parametrize("argv, key", [
+    (["converge", *E1, "--param", "t=0.1", "--param", "values=0.1,0.01", *SAMPLER], "t"),
+    (["properness", *E1, "--param", "t=0.1", "--param", "values=0.1,0.01"], "t"),
+    (["properness", "--family", "inversion", "--param", "k=2", "--param", "sweep=k",
+      "--param", "values=2,10"], "k"),
 ])
-@pytest.mark.parametrize("value", ["abc", "-1", "", "2.0"])
-def test_bad_env_seed_exits_2_before_any_work(argv, value, tmp_path, capsys, monkeypatch):
-    # every verb that records or uses a seed reads RATBOUND_SEED once, first
+def test_a_swept_key_given_as_its_own_param_exits_2_before_any_work(argv, key, tmp_path, capsys,
+                                                                    monkeypatch):
+    # the swept key's values come from `values` alone: a --param of its own would go unread
     def built(*args, **kwargs):
         raise AssertionError("work began")
 
-    monkeypatch.setenv("RATBOUND_SEED", value)
     monkeypatch.setattr(fam.FamilySpec, "build", built)
     monkeypatch.setattr(fam.FamilySpec, "limit", built)
     out = tmp_path / "o"
     code, err = _exit(argv + ["--out", str(out)], capsys)
-    assert code == 2
-    assert err == f"ratbound: RATBOUND_SEED must be a non-negative integer, got {value!r}\n"
-    assert not out.exists()
-
-
-def test_verbs_without_a_seed_ignore_env_seed(capsys, monkeypatch):
-    # --seed wins over RATBOUND_SEED, and properness and escape never read it
-    monkeypatch.setenv("RATBOUND_SEED", "abc")
-    for argv in (["properness", *FT], ["escape", *FT, "--param", "re=0:1:2"],
-                 ["sample", *E1, "--param", "t=0.1", "--seed", "3", *SAMPLER]):
-        assert run(capsys, *argv)[0] == 0
+    assert code == 2 and not out.exists()
+    assert err == f"ratbound: --param {key} is swept: give its values as --param values=...\n"
 
 
 def test_converge_row_the_family_rejects_stays_an_error_row(capsys):

@@ -146,7 +146,7 @@ def test_escape_indeterminate_rejected():
     with pytest.raises(IndeterminateMapError):
         escape_rate(g, (1.0, 1.0))
     with pytest.raises(IndeterminateMapError):
-        escape_grid(g, (-1, 1), (-1, 1), 3, 3)
+        escape_grid(g, (-1, 1, 3), (-1, 1, 3))
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -156,7 +156,7 @@ def test_escape_needs_a_positive_step_count(n_max):
     with pytest.raises(ValueError, match=f"n_max must be positive, got {n_max}"):
         escape_rate(f, (0.0, 1.0), n_max=n_max)
     with pytest.raises(ValueError, match="n_max must be positive"):
-        escape_grid(f, (-2, 2), (0, 0), 3, 1, n_max=n_max)
+        escape_grid(f, (-2, 2, 3), (0, 0, 1), n_max=n_max)
 
 
 def test_constant_case_minus_infinity_loci_match_atoms():
@@ -311,7 +311,7 @@ def test_batched_homogeneity(f, coords, r, theta):
 
 
 def test_escape_grid_rows():
-    columns = escape_grid(SQUARING, (-1, 1), (-1, 1), 3, 3, n_max=30)
+    columns = escape_grid(SQUARING, (-1, 1, 3), (-1, 1, 3), n_max=30)
     rows = list(zip(*(column.tolist() for column in columns)))
     assert len(rows) == 9
     center = [r for r in rows if r[0] == 0 and r[1] == 0]
@@ -374,7 +374,7 @@ def test_cone_angles_match_per_atom_formula():
 ])
 def test_escape_rate_refuses_degree_below_two(f):
     # d^-n log||F^n x|| has no limit below d = 2, so no value is returned
-    for call in (lambda: escape_rate(f, (0.3, 1)), lambda: escape_grid(f, (0, 1), (0, 0), 2, 1),
+    for call in (lambda: escape_rate(f, (0.3, 1)), lambda: escape_grid(f, (0, 1, 2), (0, 0, 1)),
                  lambda: functional_equation_residual(f, (0.3, 1))):
         with pytest.raises(MathDomainError, match="escape rate needs degree d >= 2"):
             call()

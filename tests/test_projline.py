@@ -12,6 +12,7 @@ from ratbound import (
     chordal_distance,
 )
 from ratbound.config import DEFAULTS
+from ratbound.errors import NumericalFailure
 from ratbound.hpoly import HPoly, _companion_roots
 from ratbound.measure import _exact_slots, batched_preimage_slots
 from ratbound.projline import (_CROSS_BLOCK, _SWEEP_AXIS, _merge_close, canonicalize_rows,
@@ -235,6 +236,25 @@ def test_merge_close_joins_a_chain_and_aligns_phases():
     mid = canonicalize_rows([[np.mean(pair[:, 0] / pair[:, 1]), 1.0]])
     assert chordal_cross(out_p[1:], mid)[0, 0] < 0.3 * EPS
 
+
+
+@pytest.mark.parametrize("groups, size, merges", [
+    (1, 1448, True),     # 1,047,628 pairs, under the floor 2^20 = 1,048,576
+    (1, 1449, False),    # 1,049,076
+    (128, 129, True),    # 64 pairs a row: exactly the bound 64 n, n = 16,512
+    (128, 130, False),   # 64.5 pairs a row
+])
+def test_merge_close_refuses_more_close_pairs_than_its_linear_bound(groups, size, merges):
+    # cliques of rows (1 : w), w spread over 0.9 eps, each 1e-3 from the next
+    w = (np.arange(groups)[:, None] * 1e-3 + np.linspace(0, 0.9 * EPS, size)).ravel()
+    rows = canonicalize_rows(np.column_stack([np.ones_like(w), w]))
+    n = len(rows)
+    if merges:
+        assert _merge_close(rows, np.ones(n), EPS)[1].tolist() == [float(size)] * groups
+    else:
+        with pytest.raises(NumericalFailure, match=f"more than {max(64 * n, 2**20)} pairs of "
+                                                   f"{n} points lie within chordal 1e-09"):
+            _merge_close(rows, np.ones(n), EPS)
 
 # -- the row kernels, bit for bit against their first formulas -------------------
 # canonicalize_rows, _merge_close and batched_preimage_slots reduce each row
