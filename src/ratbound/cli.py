@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -120,23 +119,25 @@ def _emit_json(args, result):
 
 # The JSON encoder yields json.dumps(value, indent=2) in pieces, byte for byte,
 # for _write to stream; a verb's result is complete first, so only a crash in
-# the encoder or a signal can truncate --out.  Numpy arrays are its one fast
-# path: an (n, ...) array renders as the list of its rows, _Rows(key=column,
-# ...) as the list of dicts {key: column[i], ...}, through _table_rows (shared
-# with CSV), which joins _BLOCK rows at a time.  A float64 array renders each
-# distinct magnitude once (np.unique of the int64 view with the sign bit
-# cleared), a negative value as "-" and its magnitude's text, and keeps its
-# item texts, by id, to their second use: the `measure` points of atom and
-# cone rows render once.
+# the encoder or a signal can truncate --out.  json.dumps writes all but the
+# numpy arrays and _Rows, whose lists the encoder splices in at their slots: an
+# (n, ...) array as the list of its rows, _Rows(key=column, ...) as the list of
+# dicts {key: column[i], ...}, _BLOCK rows a piece by _table_rows (shared with
+# CSV).  A float64 array renders each distinct magnitude once (np.unique of the
+# int64 view with the sign bit cleared), a negative value as "-" and its
+# magnitude's text, and keeps its item texts, by id, to their second use: the
+# `measure` points of atom and cone rows render once.
 
 _BLOCK = 4096  # rows per piece of an array or a CSV table
-_ITEM = object()  # an item in a row rendered for its fragments: "\0", which json escapes in a str
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONSTANTS = {None: "null", True: "true", False: "false", _ITEM: "\0"}
 
 
-class _Rows(dict):
-    """Same-keyed rows given as columns: key -> array with one item per row."""
+class _Rows:
+    """Same-keyed rows given as columns: key -> array with one item per row.  Not a dict,
+    which json.dumps would write itself."""
+
+    def __init__(self, **columns):
+        self.columns = columns
 
 
 def _float_texts(magnitudes):
@@ -151,8 +152,7 @@ def _float_texts(magnitudes):
 def _item_texts(array, render):
     """An object array of an array's item texts in C order: float64 ones from `render`
     (ascending magnitudes to texts) once per magnitude, with "-" before a negative value's,
-    none before NaN's, as json.dumps and %.17g write them; only bools use _CONSTANTS, which
-    reads 1 as true."""
+    none before NaN's, as json.dumps and %.17g write them; bools by a map, others by json.dumps."""
     flat = np.ascontiguousarray(array).ravel()
     if flat.dtype == np.float64:
         bits = flat.view(np.int64)
@@ -165,7 +165,7 @@ def _item_texts(array, render):
         texts[signed] = "-" + texts[signed]
         items[negative] = texts[inverse[negative]]
         return items
-    render = _CONSTANTS.__getitem__ if flat.dtype == bool else lambda v: "".join(_json_pieces(v))
+    render = {True: "true", False: "false"}.__getitem__ if flat.dtype == bool else json.dumps
     return np.array(list(map(render, flat.tolist())), dtype=object)
 
 
@@ -182,61 +182,53 @@ def _table_rows(first, fragments, columns):
         yield "".join(rows.ravel().tolist())
 
 
-def _array_pieces(value, level, items):
-    """The list of an array or a _Rows at `level`, in pieces."""
-    columns = list(value.values()) if isinstance(value, _Rows) else [value]
+def _split_dumps(value):
+    """(json.dumps(value, indent=2) split at each array and _Rows in it, those values in
+    order).  json.dumps writes each as a run of NULs that no str in `value` is."""
+    for width in itertools.count(1):
+        mark, slots = "\0" * width, []
+
+        def slot(o):
+            if not isinstance(o, (np.ndarray, _Rows)):
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            slots.append(o)
+            return mark
+
+        pieces = json.dumps(value, indent=2, default=slot).split(json.dumps(mark))
+        if len(pieces) == len(slots) + 1:
+            return pieces, slots
+
+
+def _array_pieces(value, before, items):
+    """`before`, the JSON text up to an array or a _Rows, then that value's list, in pieces;
+    `items` holds one _json_pieces call's item texts by column id."""
+    columns = list(value.columns.values()) if isinstance(value, _Rows) else [value]
     if not (n := len(columns[0])):
-        yield "[]"
+        yield before + "[]"
         return
     texts = [items.pop(id(column)) if id(column) in items
              else items.setdefault(id(column), _item_texts(column, _float_texts).reshape(n, -1))
              for column in columns]
-    row = [np.full(column.shape[1:], _ITEM, dtype=object).tolist() for column in columns]
-    row = dict(zip(value, row)) if isinstance(value, _Rows) else row[0]
-    head, *rest = "".join(_json_pieces(row, level + 1)).split("\0")
-    inner = "\n" + "  " * (level + 1)
-    yield from _table_rows("[" + inner + head, ["," + inner + head, *rest], texts)
-    yield "\n" + "  " * level + "]"
+    # the row template, each item an empty array, at which _split_dumps splits it
+    row = [functools.reduce(lambda cell, k: [cell] * k, column.shape[:0:-1], np.empty(0))
+           for column in columns]
+    row = dict(zip(value.columns, row)) if isinstance(value, _Rows) else row[0]
+    line = before[before.rfind("\n") + 1:]
+    close = "\n" + line[:len(line) - len(line.lstrip(" "))]  # a newline and the slot's indent
+    inner = close + "  "
+    head, *rest = (piece.replace("\n", inner) for piece in _split_dumps(row)[0])
+    yield from _table_rows(before + "[" + inner + head, ["," + inner + head, *rest], texts)
+    yield close + "]"
 
 
-def _scalar_text(value):
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False or value is _ITEM:
-        return _CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _NONFINITE.get(text := float.__repr__(value), text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_pieces(value, level=0, items=None):
-    """json.dumps(value, indent=2) in pieces, byte for byte, opening at nesting `level`, with
-    str keys only; arrays and _Rows render as lists; `items` holds one top-level call's item
-    texts.  A container's scalars join into the piece before its next container child."""
-    items = {} if items is None else items
-    if isinstance(value, (np.ndarray, _Rows)):
-        yield from _array_pieces(value, level, items)
-        return
-    if isinstance(value, dict):
-        children = [(encode_basestring_ascii(k) + ": ", v) for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        children = [("", v) for v in value]
-    else:
-        yield _scalar_text(value)
-        return
-    open_, close = "{}" if isinstance(value, dict) else "[]"
-    inner, run = "\n" + "  " * (level + 1), [open_]
-    for i, (key, child) in enumerate(children):
-        run += ["," if i else "", inner, key]
-        if isinstance(child, (dict, list, tuple, np.ndarray)):
-            yield "".join(run)
-            run = []
-            yield from _json_pieces(child, level + 1, items)
-        else:
-            run.append(_scalar_text(child))
-    yield "".join(run) + ("\n" + "  " * level + close if children else close)
+def _json_pieces(value):
+    """json.dumps(value, indent=2) in pieces, byte for byte, with arrays and _Rows as lists."""
+    pieces, slots = _split_dumps(value)
+    items = {}
+    for before, array in zip(pieces, slots):
+        yield from _array_pieces(array, before, items)
+    if pieces[-1]:  # empty after a top-level array
+        yield pieces[-1]
 
 
 def _emit_csv(args, header_fields, columns, extra_header=None):

@@ -62,9 +62,8 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
     series.  A row stops at its first step whose residual (last increment,
     resp. last change of G_n) is below tol, or at n_max, and then leaves
     the batch; a row whose sup norm or H value is exactly 0 stops at -inf
-    with residual 0 and hit_hole set.  Returns the arrays (value, hterm,
-    n_used, residual, hit_hole); hterm is the H-term partial sum of the
-    series (the value itself under the direct rule).
+    with residual 0 and hit_hole set.  Returns the arrays (value, n_used,
+    residual, hit_hole).
     """
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     if np.any((z == 0) & (w == 0)):
@@ -76,7 +75,7 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
     lam = np.log(sup)
     vz, vw = z / sup, w / sup
     g = lam if H is None else np.zeros_like(lam)
-    value, hterm = lam.copy(), g.copy()
+    value = lam.copy()
     n_used = np.zeros(len(z), dtype=int)
     residual = np.full(len(z), np.inf)
     hit_hole = np.zeros(len(z), dtype=bool)
@@ -108,7 +107,6 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
                 continue
             out, h = idx[done], hole[done]
             value[out] = np.where(h, -np.inf, val[done])
-            hterm[out] = np.where(h, -np.inf, g[done])
             residual[out] = np.where(h, 0.0, res[done])
             n_used[out] = n
             hit_hole[out] = h
@@ -116,7 +114,7 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
             if not np.count_nonzero(keep):
                 break
             idx, vz, vw, g, lam, prev = (a[keep] for a in (idx, vz, vw, g, lam, prev))
-    return value, hterm, n_used, residual, hit_hole
+    return value, n_used, residual, hit_hole
 
 
 def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
@@ -141,7 +139,7 @@ def escape_rate(f: BoundaryMap, x, n_max: int = 60, tol: float = 1e-13,
     maps off I(d) evaluate the telescoped H-series of the decomposition.
     Stops when the step-to-step change drops below tol or at n_max.
     """
-    value, _, n_used, residual, hit_hole = _escape_rows(
+    value, n_used, residual, hit_hole = _escape_rows(
         f, [complex(x[0])], [complex(x[1])], n_max, tol, dec)
     return EscapeValue(float(value[0]), int(n_used[0]), float(residual[0]),
                        bool(hit_hole[0]))
@@ -175,7 +173,7 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
     rate stops at residual 1e-13."""
     z, w = complex(x[0]), complex(x[1])
     fz, fw = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
-    value, _, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)
+    value, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)
     if hit_hole.any():
         raise MathDomainError("orbit hit a hole line; functional equation undefined")
     return abs(value[1] - f.d * value[0])

@@ -316,7 +316,8 @@ class FamilySpec:
 
     def build(self) -> BoundaryMap:
         """The map; a value the family cannot take is a ValueError naming its key."""
-        return _FAMILIES[self.name].make(self._get)
+        with np.errstate(over="ignore", invalid="ignore"):  # BoundaryMap names what overflows
+            return _FAMILIES[self.name].make(self._get)
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""

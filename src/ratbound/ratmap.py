@@ -51,6 +51,11 @@ class BoundaryMap:
     def __post_init__(self):
         if self.P.degree != self.d or self.Q.degree != self.d:
             raise ValueError("P and Q must both have the declared degree")
+        for name, poly in (("P", self.P), ("Q", self.Q)):
+            bad = np.flatnonzero(~np.isfinite(np.abs(poly.coeffs)))  # inf, NaN or past float64
+            if len(bad):
+                c = poly.coeffs[bad[0]]
+                raise ValueError(f"{name}.coeffs[{bad[0]}] = {c} has no finite modulus")
         scale = max(self.P.max_modulus(), self.Q.max_modulus())
         if scale == 0.0:
             raise ValueError("the zero pair is not a point of Ratbar_d")
@@ -222,6 +227,9 @@ def _iterate(f: BoundaryMap, n: int, tol: float, dec: Decomposition | None):
     dec.off_locus("iterate")
     if n == 1:
         return f, dec.phi, [0.0]
+    if n * math.log2(max(f.d, 1)) > 1024:  # d^n past 2^1024, without computing d^n
+        raise NumericalFailure(f"iterate n={n}: the product formula's degree {f.d}^{n} is "
+                               "past 2^1024")
     prod, Phi, log_scales = _iterate_parts(f, n, dec)
     return BoundaryMap(f.d**n, prod * Phi[0], prod * Phi[1]), Phi, log_scales
 

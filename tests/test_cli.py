@@ -193,6 +193,46 @@ def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [10**5, 2 * 10**10])
+def test_an_iterate_of_degree_past_2_1024_exits_4_at_once(tmp_path, capsys, n):
+    # F_T's n-th iterate has degree 4^n; past 2^1024 it is refused before any
+    # power is taken and before 4^n is computed, whose digits once overran
+    # int-to-str's limit (exit 2) and whose power at n = 2e10 ran out of memory
+    message = f"iterate n={n}: the product formula's degree 4^{n} is past 2^1024"
+    start = time.perf_counter()
+    with pytest.raises(ratbound.NumericalFailure, match=f"^{re.escape(message)}$"):
+        iterate_formula(fam.make_epstein_FT(1.0), n)
+    for verb in ("iterate", "properness"):
+        out = tmp_path / f"{verb}.out"
+        code, err = _exit([verb, "--family", "epstein_FT", "--param", "T=1", "--param", f"n={n}",
+                           "--out", str(out)], capsys)
+        assert code == 4 and err == f"ratbound: {message}\n" and not out.exists()
+    assert time.perf_counter() - start < 1.0
+
+
+_BIG = {"d": 2, "P": {"degree": 2, "coeffs": [[1.7e308, 1.7e308], [0, 0], [1, 0]]},
+        "Q": {"degree": 2, "coeffs": [[0, 0], [1, 0], [0, 0]]}}
+
+
+@pytest.mark.parametrize("source, message", [
+    (["--family", "polylimit", "--param", "roots=1,2", "--param", "k=1e-310"],
+     "Q.coeffs[0] = (inf+nanj) has no finite modulus"),  # 1/k overflows
+    (["--family", "example1", "--param", "d=2", "--param", "t=1e300", "--param", "a=1e300"],
+     "P.coeffs[0] = (nan+nanj) has no finite modulus"),  # a t overflows
+    (None, "P.coeffs[0] = (1.7e+308+1.7e+308j) has no finite modulus"),  # |c| is 2.4e308
+], ids=["polylimit", "example1", "input"])
+def test_a_map_without_finite_moduli_exits_2_naming_the_coefficient(tmp_path, capsys, source,
+                                                                    message):
+    # BoundaryMap divides by its largest modulus: not finite, that once made
+    # NaNs or the zero pair, after numpy warnings (errors under this suite's
+    # filter) and with numpy's or the gcd's message
+    if source is None:
+        (tmp_path / "big.json").write_text(json.dumps(_BIG))
+        source = ["--input", str(tmp_path / "big.json")]
+    code, err = _exit(["decompose", *source], capsys)
+    assert (code, err) == (2, f"ratbound: {message}\n")
+
+
 def test_properness_past_the_old_sylvester_limit_prints_a_value(tmp_path, capsys):
     # F_T's sixth iterate has degree 4,096, whose 8,192-row Sylvester matrix (1.07 GB)
     # once took 26 s to build: F_T is degenerate, so its row reads 0 at once.
@@ -831,9 +871,9 @@ def test_encoder_rejects_what_json_rejects(value):
 
 
 @pytest.mark.parametrize("value", [{1: "x"}, [{"a": 1}, {"a": 2, 3: 4}], {None: 1}])
-def test_encoder_rejects_non_str_keys(value):
-    with pytest.raises(TypeError):
-        _encode(value)
+def test_encoder_writes_non_str_keys_as_json_dumps_does(value):
+    # json.dumps writes the envelope, so int and None keys read as their str
+    assert _encode(value) == json.dumps(value, indent=2)
 
 
 def test_cli_json_is_json_dumps_indent_2(tmp_path):
@@ -879,7 +919,7 @@ def test_measure_renders_each_distinct_float_once(ft_measure_envelope, monkeypat
                         lambda values, *rest: rendered.extend(values) or float_texts(values, *rest))
     _encode(ft_measure_envelope)
     result = ft_measure_envelope["result"]
-    atoms, cones = result["measure"]["atoms"], result["cone_angles"]
+    atoms, cones = result["measure"]["atoms"].columns, result["cone_angles"].columns
     floats = np.concatenate([atoms["point"].ravel(), atoms["mass"], cones["angle"]])
     assert len(floats) == 6 * 2 ** 14 and cones["point"] is atoms["point"]
     bits = np.array(rendered).view(np.int64)
@@ -915,14 +955,15 @@ def _columns(n):
 def _array_trees(pool):
     tables = st.lists(KEYS, min_size=1, max_size=3, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: st.sampled_from(pool) for k in keys}))
-    return st.recursive(LEAVES | st.sampled_from(pool) | tables.map(cli._Rows), _json_values,
-                        max_leaves=8)
+    rows = tables.map(lambda columns: cli._Rows(**columns))
+    return st.recursive(LEAVES | st.sampled_from(pool) | rows, _json_values, max_leaves=8)
 
 
 def _as_lists(value):
     """`value` with arrays as nested lists and _Rows as lists of dicts."""
     if isinstance(value, cli._Rows):
-        return [dict(zip(value, row)) for row in zip(*map(_as_lists, value.values()))]
+        columns = value.columns
+        return [dict(zip(columns, row)) for row in zip(*map(_as_lists, columns.values()))]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
@@ -947,6 +988,9 @@ def test_encoder_renders_arrays_as_their_lists(value):
     np.array([0, 1, 2 ** 40]), np.array([[1, 0], [0, 1]], np.int8),
     cli._Rows(n=np.array([0, 1]), b=np.array([1, 0], bool)),
     np.array([0.1, np.nan], np.float32), np.array([2.5, -np.inf], ">f8"), np.array(["a", "%s"]),
+    # strs and keys that are, or end in, a run of NULs, as json.dumps writes an array's slot
+    ["\0", np.array([1.0]), {"\0\0": "\0"}],
+    cli._Rows(**{"\0": np.array([0.5]), '"\0': np.ones(1)}),
 ])
 def test_encoder_array_explicit_cases(value):
     assert _encode(value) == json.dumps(_as_lists(value), indent=2)

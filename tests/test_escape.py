@@ -96,13 +96,15 @@ def test_functional_equation_scale_invariant():
 
 def test_degenerate_series_consistency():
     # e/d = 2/3: the H-term partial sum and the direct G_n differ by the
-    # d^-n log||Phi^n|| correction, which vanishes
+    # d^-n log||Phi^n|| correction, which vanishes.  The series is the H-term
+    # sum plus that correction, (e/d)^n times phi's own degree-e partial sum
     H = hp(-1, 1)
     F = BoundaryMap(3, H * hp(0, 0, 1), H * hp(1, 0, 0))
     dec = decompose(F, 1e-8)
     z = np.array([0.45 + 0.11j, 1.0, 1.3, 1.0])
     w = np.array([1.0, 0.7 + 0.7j, 0.7 + 0.7j, 1.0])
-    g30 = _escape_batch(3, dec.phi, dec.H, z, w, 30, 0.0)[1]  # H-term partial sums
+    series = _escape_batch(3, dec.phi, dec.H, z, w, 30, 0.0)[0]
+    g30 = series - (2 / 3) ** 30 * _escape_batch(2, dec.phi, None, z, w, 30, 0.0)[0]
     G30 = _escape_batch(3, F.pair(), None, z, w, 30, 0.0)[0]  # direct partial sums
     assert np.all(np.abs(g30[:2] - G30[:2]) < 1e-6)
     # off the unit sphere the gap is exactly the correction (e/d)^n log||x||
@@ -271,7 +273,7 @@ def test_batched_kernel_matches_per_point_loops(f):
     n_max, tol = 50, 1e-12
     axis = np.linspace(-2, 2, 31)
     z = (axis[None, :] + 1j * axis[:, None]).ravel()
-    value, _, n_used, _, hit_hole = _escape_rows(f, z, np.ones(len(z)), n_max, tol)
+    value, n_used, _, hit_hole = _escape_rows(f, z, np.ones(len(z)), n_max, tol)
     dec = decompose(f)
     ref = [
         _reference_direct(f, (complex(zi), 1.0), n_max, tol) if dec.e == f.d
@@ -302,7 +304,7 @@ def test_batched_homogeneity(f, coords, r, theta):
     lam = r * complex(math.cos(theta), math.sin(theta))
     z = np.array([complex(a, b) / 32 for a, b, _, _ in coords])
     w = np.array([complex(c, d) / 32 for _, _, c, d in coords])
-    value, _, _, _, hit_hole = _escape_rows(
+    value, _, _, hit_hole = _escape_rows(
         f, np.concatenate([z, lam * z]), np.concatenate([w, lam * w]), 60, 1e-13)
     g, g_lam = value[: len(z)], value[len(z):]
     assert hit_hole[: len(z)].tolist() == hit_hole[len(z):].tolist()
