@@ -23,6 +23,7 @@ monic with no root at 0 or infinity, so every quoted mass is reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -64,6 +65,17 @@ def _check_P(P: HPoly, degree: int, allow_constant=False):
         raise ValueError("P(0,1) must be nonzero")
 
 
+def _quiet(make):
+    """The family maker `make` with numpy's overflow and invalid-value warnings off: a value
+    its arithmetic takes past float64 reaches BoundaryMap, which names the coefficient in its
+    ValueError."""
+    @functools.wraps(make)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return make(*args, **kwargs)
+    return quiet
+
+
 def _zpow(i: int, d: int) -> HPoly:
     c = np.zeros(d + 1, dtype=complex)
     c[i] = 1.0
@@ -74,6 +86,7 @@ def _zpow(i: int, d: int) -> HPoly:
 # Example 1: hole of depth 1 at infinity
 
 
+@_quiet
 def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> BoundaryMap:
     """g_{a,t} = (a t z^d + w P(z,w) : t z^d) with P monic of degree d-1."""
     if t == 0:
@@ -94,6 +107,7 @@ def example1_limit(d: int) -> BoundaryMap:
     return BoundaryMap(d, HPoly.w() * P, HPoly.zero(d))
 
 
+@_quiet
 def example1_second_limit(d: int, a: complex, P: HPoly | None = None) -> BoundaryMap:
     """f_a = (w^(d-1) P^(d-1) (a w P + z^d) : w^d P^d), the limit of the
     second iterates of g_{a,t}; degree d^2, holes of depth d-1 at infinity
@@ -121,6 +135,7 @@ def example1_phi(d: int, a: complex):
 # Example 2: hole of depth k >= 2 at infinity
 
 
+@_quiet
 def make_example2(d: int, k: int, a: complex, t: complex,
                   P: HPoly | None = None) -> BoundaryMap:
     """g_{a,t} = (a t^k z^d + w^k P : t z^(d-k+1) w^(k-1)), P monic deg d-k."""
@@ -131,7 +146,11 @@ def make_example2(d: int, k: int, a: complex, t: complex,
     P = default_P(d - k) if P is None else P
     _check_P(P, d - k, allow_constant=(k == d))
     a, t = complex(a), complex(t)
-    top = a * t**k * _zpow(d, d) + (HPoly.w() ** k) * P
+    try:
+        tk = t**k
+    except OverflowError:  # |t|^k past float64, which BoundaryMap names
+        tk = complex(cmath.inf)
+    top = a * tk * _zpow(d, d) + (HPoly.w() ** k) * P
     bottom = t * _zpow(d - k + 1, d - k + 1) * (HPoly.w() ** (k - 1))
     return BoundaryMap(d, top, bottom)
 
@@ -144,6 +163,7 @@ def example2_limit(d: int, k: int) -> BoundaryMap:
     return BoundaryMap(d, (HPoly.w() ** k) * P, HPoly.zero(d))
 
 
+@_quiet
 def example2_second_limit(d: int, k: int, a: complex,
                           P: HPoly | None = None) -> BoundaryMap:
     """f_a = (w^(k(d-1)) P^(d-k) (a w^k P^k + z^(k(d-k+1))) :
@@ -179,6 +199,7 @@ def example2_companion_limit(d: int, k: int, a: complex) -> BoundaryMap:
 # Epstein's limit maps and polynomial-boundary families
 
 
+@_quiet
 def make_epstein_FT(T: complex) -> BoundaryMap:
     """F_T = (zw(z^2 + T zw + w^2) : z^2 w^2) in Ratbar_4; not on I(4)."""
     T = complex(T)
@@ -188,6 +209,7 @@ def make_epstein_FT(T: complex) -> BoundaryMap:
     return BoundaryMap(4, top, bottom)
 
 
+@_quiet
 def make_cubic_eps(eps: complex) -> BoundaryMap:
     """Lift of p_eps(z) = eps z^3 + z^2: (eps z^3 + z^2 w : w^3)."""
     if eps == 0:
@@ -201,6 +223,7 @@ def cubic_limit() -> BoundaryMap:
     return BoundaryMap(3, _zpow(2, 2) * HPoly.w(), HPoly.w() ** 3)
 
 
+@_quiet
 def make_polylimit(root_list, k: float) -> BoundaryMap:
     """p_k = (P : w^d / k) for P = prod (z - r_i w); k -> oo gives (P : 0)."""
     if not k > 0:
@@ -211,12 +234,14 @@ def make_polylimit(root_list, k: float) -> BoundaryMap:
     return BoundaryMap(d, _p_from_roots(root_list), (1.0 / k) * (HPoly.w() ** d))
 
 
+@_quiet
 def polylimit_limit(root_list) -> BoundaryMap:
     """(P : 0): the constant-infinity map with holes at the roots of P."""
     d = len(root_list)
     return BoundaryMap(d, _p_from_roots(root_list), HPoly.zero(d))
 
 
+@_quiet
 def make_inversion(k: complex) -> BoundaryMap:
     """(k w : z) at d = 1.  Its second iterate (k z : k w) is the identity for
     every k, so f -> f^2 is not proper along k -> 0 or k -> oo."""
@@ -316,8 +341,7 @@ class FamilySpec:
 
     def build(self) -> BoundaryMap:
         """The map; a value the family cannot take is a ValueError naming its key."""
-        with np.errstate(over="ignore", invalid="ignore"):  # BoundaryMap names what overflows
-            return _FAMILIES[self.name].make(self._get)
+        return _FAMILIES[self.name].make(self._get)
 
     def check_limit(self):
         """A ValueError unless limit() is defined for this family."""

@@ -169,8 +169,9 @@ def is_indeterminate(f: BoundaryMap) -> bool:
 # iteration
 
 
-_OVERFLOW = "iterate n={}: the degree-{} product formula overflowed to non-finite coefficients"
-_UNDERFLOW = "iterate n={}: the degree-{} product formula underflowed to 0"
+_OVERFLOW = ("iterate n={n}: the degree-{d}^{n} product formula overflowed to non-finite "
+             "coefficients")
+_UNDERFLOW = "iterate n={n}: the degree-{d}^{n} product formula underflowed to 0"
 
 
 def _unit_scaled(n: int, d: int, *polys):
@@ -179,10 +180,10 @@ def _unit_scaled(n: int, d: int, *polys):
     on a non-finite coefficient or an all-zero result of the n-th iterate of a
     degree-d map."""
     if not all(np.isfinite(P.coeffs).all() for P in polys):
-        raise NumericalFailure(_OVERFLOW.format(n, d**n))
+        raise NumericalFailure(_OVERFLOW.format(n=n, d=d))
     scale = max(P.max_modulus() for P in polys)
     if scale == 0.0:
-        raise NumericalFailure(_UNDERFLOW.format(n, d**n))
+        raise NumericalFailure(_UNDERFLOW.format(n=n, d=d))
     return [HPoly(P.degree, P.coeffs / scale) for P in polys], math.log(scale)
 
 
@@ -202,7 +203,7 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
         try:
             return P ** (d ** (n - k - 1))
         except NumericalFailure:  # a non-finite square, which the power would carry
-            raise NumericalFailure(_OVERFLOW.format(n, d**n)) from None
+            raise NumericalFailure(_OVERFLOW.format(n=n, d=d)) from None
 
     Phi = (HPoly.z(), HPoly.w())
     first, powers, log_scales = substitute(H, *Phi), [], []

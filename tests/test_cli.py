@@ -7,6 +7,7 @@ import json
 import math
 import re
 import signal
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -144,7 +145,7 @@ def test_iterate_overflow_exits_numerical_failure(tmp_path, capsys):
                      "--out", str(out)])
         assert code == 4
         assert capsys.readouterr().err == (
-            "ratbound: iterate n=3: the degree-4096 product formula overflowed "
+            "ratbound: iterate n=3: the degree-16^3 product formula overflowed "
             "to non-finite coefficients\n")
         assert not out.exists()
 
@@ -161,14 +162,14 @@ def test_an_underflowing_iterate_exits_4_off_the_indeterminacy_locus(tmp_path, c
         out = tmp_path / f"{verb}.out"
         code, err = _exit([verb, "--input", path, "--param", "n=10", "--out", str(out)], capsys)
         assert code == 4 and not out.exists()
-        assert err == "ratbound: iterate n=10: the degree-1024 product formula underflowed to 0\n"
+        assert err == "ratbound: iterate n=10: the degree-2^10 product formula underflowed to 0\n"
     code, out = run(capsys, "iterate", "--input", path, "--param", "n=8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "87bbd75ce7bc0af2815fb2b518081221c47bb63295e439030413b9ea43b05eb7")
 
 
-@pytest.mark.parametrize("n", [10, 12, 40])
+@pytest.mark.parametrize("n", [10, 12, 40, 511])
 def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, monkeypatch, n):
     # F_T's factor (phi* H)^(4^(n-2)) overflows by degree 2,048; H^(4^(n-1)) is
     # a finite monomial of degree 2 * 4^(n-1), whose squaring once took minutes.
@@ -182,8 +183,8 @@ def test_large_n_iterate_stops_at_the_first_non_finite_square(tmp_path, capsys, 
 
     monkeypatch.setattr(HPoly, "__mul__", bounded)
     f = fam.make_epstein_FT(1.0)
-    message = f"iterate n={n}: the degree-{4**n} product formula overflowed"
-    with pytest.raises(ratbound.NumericalFailure, match=message):
+    message = f"iterate n={n}: the degree-4^{n} product formula overflowed"
+    with pytest.raises(ratbound.NumericalFailure, match=re.escape(message)):
         iterate_formula(f, n)
     for verb in ("iterate", "properness"):
         out = tmp_path / f"{verb}.out"
@@ -219,8 +220,10 @@ _BIG = {"d": 2, "P": {"degree": 2, "coeffs": [[1.7e308, 1.7e308], [0, 0], [1, 0]
      "Q.coeffs[0] = (inf+nanj) has no finite modulus"),  # 1/k overflows
     (["--family", "example1", "--param", "d=2", "--param", "t=1e300", "--param", "a=1e300"],
      "P.coeffs[0] = (nan+nanj) has no finite modulus"),  # a t overflows
+    (["--family", "example2", "--param", "d=3", "--param", "k=2", "--param", "t=1e300"],
+     "P.coeffs[0] = (nan+nanj) has no finite modulus"),  # t^k overflows, once a traceback
     (None, "P.coeffs[0] = (1.7e+308+1.7e+308j) has no finite modulus"),  # |c| is 2.4e308
-], ids=["polylimit", "example1", "input"])
+], ids=["polylimit", "example1", "example2", "input"])
 def test_a_map_without_finite_moduli_exits_2_naming_the_coefficient(tmp_path, capsys, source,
                                                                     message):
     # BoundaryMap divides by its largest modulus: not finite, that once made
@@ -1103,6 +1106,77 @@ def test_signed_floats_render_as_their_magnitude_after_a_sign():
     csv_texts = cli._item_texts(values, lambda v: [f"{x:.17g}" for x in v])
     assert list(csv_texts) == ["%.17g" % v for v in values.tolist()]
     assert list(csv_texts) == list(map(cli._fmt, values.tolist()))
+
+
+# From _BLOCK magnitudes on, _float_texts renders with the Schubfach kernel: its
+# texts must be float.__repr__'s bytes on the families where shortest digits go
+# wrong: every exponent's extreme significands, the neighbours of each power of
+# ten (where the digit count and the notation change), the m/4 ties (two
+# one-decimal candidates equally close, repr takes the even one) and the ends of
+# the range, which the fallback (zero, subnormals, powers of two) shares
+_FINITE_BITS = 0x7FF0_0000_0000_0000  # the bits of inf: every finite non-negative float is below
+
+
+def _every_exponent(rng):
+    fractions = np.stack([np.ones(2046, np.uint64), np.full(2046, 2**52 - 1, np.uint64),
+                          rng.integers(1, 2**52, 2046, dtype=np.uint64)], axis=1)
+    exponents = np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
+    return (exponents | fractions).ravel().view(np.float64)
+
+
+def _next_to_powers_of_ten(rng):
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)]).view(np.int64)
+    bits = (powers[:, None] + np.arange(-3, 4)).ravel()  # the power and 3 ulps a side
+    return bits[bits >= 0].view(np.float64)  # 1e-323 has only two floats below it
+
+
+_FLOAT_FAMILIES = {
+    "random_bits": lambda rng: rng.integers(0, _FINITE_BITS, 200_000, np.uint64).view(np.float64),
+    "every_exponent": _every_exponent,
+    "powers_of_ten": _next_to_powers_of_ten,
+    "ties": lambda rng: (2.0 * rng.integers(2**50, 2**51, 10_000) + 1) / 4,  # odd m/4, m < 2^52
+    "extremes": lambda rng: np.array([sys.float_info.min, sys.float_info.max, 5e-324,
+                                      np.nextafter(sys.float_info.min, 1), 2**52 + 1.0]),
+}
+
+
+@pytest.mark.parametrize("family", _FLOAT_FAMILIES)
+def test_float_texts_of_a_block_are_float_repr(family):
+    values = _FLOAT_FAMILIES[family](np.random.default_rng(41))
+    want = list(map(float.__repr__, values.tolist()))
+    assert cli._repr_texts(values) == want
+    # and the kernel's own texts, on the floats it takes: normal, not powers of two
+    bits = values.view(np.uint64)
+    exponent = bits >> np.uint64(52)
+    kernel = (exponent > 0) & (exponent < 2047) & ((bits & np.uint64(2**52 - 1)) > 0)
+    assert kernel.mean() > 0.5
+    assert cli._schubfach(bits[kernel]) == [t for t, k in zip(want, kernel.tolist()) if k]
+
+
+def test_float_texts_switch_notation_where_repr_does():
+    # fixed notation for 1e-4 <= x < 1e16, else d.ddde+XX with two exponent digits or more
+    values = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+              np.nextafter(1e16, math.inf), 0.1, 123456789.125, 1e22, 1.7976931348623157e308]
+    assert cli._repr_texts(np.array(values)) == [
+        "9.999999999999999e-05", "0.0001", "0.00010000000000000002", "9999999999999998.0",
+        "1e+16", "1.0000000000000002e+16", "0.1", "123456789.125", "1e+22",
+        "1.7976931348623157e+308"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 2**16), SPECIAL | st.floats()),
+                                           max_size=64))
+def test_item_texts_past_a_block_are_json_dumps(seed, planted):
+    # normals of both signs across both notations, more distinct magnitudes than
+    # _BLOCK, with the SPECIAL values and hypothesis's floats planted among them
+    rng = np.random.default_rng(seed)
+    n = cli._BLOCK + 64 + seed % cli._BLOCK
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+    for i, value in planted:
+        values[i % n] = value
+    assert len(np.unique(np.abs(values))) >= cli._BLOCK
+    texts = cli._item_texts(values, cli._float_texts)
+    assert texts.tolist() == [json.dumps(v) for v in values.tolist()]
 
 
 @pytest.mark.parametrize("value", [np.array([1j]), cli._Rows(z=np.array([0.5 + 1j]))])

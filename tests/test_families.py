@@ -215,6 +215,33 @@ def test_family_parameter_validation():
         fam.make_example1(2, a=1.0, t=0.1, P=bad_P)
 
 
+_WIDE = 1.7e308 + 1.7e308j  # finite parts, a modulus past float64
+
+
+_PAST_FLOAT64 = [
+    (fam.make_example1, (2, 1e300, 1e300)),  # a t overflows
+    (fam.make_example2, (3, 2, 1e300, 1e300)),  # t^k overflows
+    (fam.make_epstein_FT, (_WIDE,)),
+    (fam.make_cubic_eps, (_WIDE,)),
+    (fam.make_polylimit, ([1, 2], 1e-310)),  # 1/k overflows
+    (fam.make_inversion, (_WIDE,)),
+    (fam.example1_second_limit, (2, 1e308)),
+    (fam.example2_second_limit, (3, 2, 1e308)),
+    (fam.polylimit_limit, ([1e200, 1e200],)),
+]
+
+
+@pytest.mark.parametrize("make, args", _PAST_FLOAT64,
+                         ids=[make.__name__ for make, _ in _PAST_FLOAT64])
+def test_a_maker_called_directly_past_float64_raises_the_value_error_alone(make, args):
+    # each maker, and not only FamilySpec.build, keeps numpy quiet while its
+    # arithmetic overflows (a RuntimeWarning is an error in this suite), so
+    # BoundaryMap's ValueError names the coefficient.  make_example2 once
+    # raised Python's OverflowError from t**k
+    with pytest.raises(ValueError, match="has no finite modulus"):
+        make(*args)
+
+
 def test_family_spec_builds():
     f = fam.FamilySpec("example1", {"d": 2, "a": 0.5, "t": 0.01}).build()
     assert f.d == 2
