@@ -127,11 +127,15 @@ def _emit_json(args, result):
 # int64 view with the sign bit cleared), a negative value as "-" and its
 # magnitude's text, and keeps its item texts, by id, to their second use: the
 # `measure` points of atom and cone rows render once.  A magnitude's text is
-# float.__repr__'s: from _BLOCK magnitudes on, _repr_texts computes the same
-# bytes for each block with Schubfach's shortest digits; below that, and for
-# zero, subnormals, powers of two, inf and NaN, float.__repr__ writes them.
+# float.__repr__'s: _repr computes the same bytes with Schubfach's shortest digits
+# for an array of many magnitudes, float.__repr__ writes them for a smaller one.
+# _repr's first use in a process imports it and builds its tables, which takes as
+# long as float.__repr__ on about 10,000 magnitudes without bytecode and 5,000 with
+# it; after that it is the faster from about 300 on.  So it renders an array of
+# _COLD_FROM magnitudes or more until it is loaded, and of _WARM_FROM after.
 
 _BLOCK = 4096  # rows per piece of an array or a CSV table
+_COLD_FROM, _WARM_FROM = 12_288, 512
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -144,204 +148,16 @@ class _Rows:
 
 
 def _float_texts(magnitudes):
-    """JSON texts of ascending non-negative floats, whose largest is the one that can be
-    inf or NaN; float.__repr__'s bytes, by _repr_texts once there is a whole _BLOCK."""
-    if len(magnitudes) < _BLOCK:
-        texts = list(map(float.__repr__, magnitudes))
+    """JSON texts of a float64 array of ascending non-negative values, whose largest is
+    the one that can be inf or NaN: float.__repr__'s bytes, by _repr for a large array."""
+    if len(magnitudes) < (_WARM_FROM if "ratbound._repr" in sys.modules else _COLD_FROM):
+        texts = list(map(float.__repr__, magnitudes.tolist()))
     else:
-        texts = _repr_texts(np.array(magnitudes))
-    if magnitudes and not math.isfinite(magnitudes[-1]):
+        from . import _repr
+
+        texts = _repr.texts(magnitudes)
+    if len(magnitudes) and not math.isfinite(magnitudes[-1]):
         texts = [_NONFINITE.get(t, t) for t in texts]
-    return texts
-
-
-def _repr_texts(values):
-    """float.__repr__ of each of a float64 array's non-negative values: _schubfach's texts,
-    and float.__repr__'s own for zero, subnormals, exact powers of two (whose rounding
-    interval is lopsided), inf and NaN."""
-    bits = values.view(np.uint64)
-    exponent = bits >> np.uint64(52)
-    other = (exponent == 0) | (exponent == 2047) | ((bits & _FRACTION) == 0)
-    texts = _schubfach(np.where(other, _ONE_AND_A_HALF, bits))
-    index = np.flatnonzero(other)
-    for i, text in zip(index.tolist(), map(float.__repr__, values[index].tolist())):
-        texts[i] = text
-    return texts
-
-
-# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) on uint64 arrays.
-# A normal v = c 2^q (c = 2^52 + fraction) rounds from (4c - 2, 4c + 2) 2^(q-2), closed
-# when c is even.  With k = floor(log10 2^q) and g = ceil(10^-k 2^r), 2^127 <= g < 2^128,
-# the 192-bit product of g and cb = 4c 2^h (h = q + 1 + floor(log2 10^-k), 1..4) reads
-# 4 v 10^-k at bit 128, and cb g -+ g 2^(h+1) read the interval's ends.  Each is rounded to
-# odd: bits 128..191, ORed with a sticky bit when bits 64..127 read above 1.  g's excess,
-# below cb < 2^59 at bit 0, carries at most 1 into bit 64, and the paper shows that the
-# exact value's fraction is 0 or stays clear of 0 and 1 by more than that: bits 128..191
-# are the exact floor, bits 64..127 read 0 or 1 just when the exact value is an integer,
-# and the low 64 bits are dropped.  A value rounded to odd compares with every even
-# integer as the exact value does, and every comparison below is with one (4s, 4s + 2,
-# 4s + 4, 40 sp, 40 sp + 40): the choice is exact.  It is the one multiple of 10 in the
-# interval (one digit shorter), else the one of s and s + 1 in it, else the closer, the
-# even one on a tie: float.__repr__'s shortest round-tripping, closest digits, laid out
-# as repr does, in fixed notation for 1e-4 <= v < 1e16, else as d.ddde+XX.  numpy uint64
-# arrays wrap silently; two uint64 scalars would warn, and uint64 with int64 would
-# promote to float64, so every uint64 operand is a uint64 array or an np.uint64.
-
-_FRACTION = np.uint64(2**52 - 1)
-_ONE_AND_A_HALF = np.uint64(0x3FF8_0000_0000_0000)  # a stand-in float.__repr__ overwrites
-_LOW32, _32 = np.uint64(2**32 - 1), np.uint64(32)
-_WIDTH = 24  # the longest repr of a double, 1.2345678901234567e-308, is 23 characters
-_LAYOUT = 512  # rows per layout step
-# a block row's source bytes: 17 digits at 3..19, then ".0e", the exponent's sign, its
-# digits zero-padded to four at 24..27 and NULs, which pad every text to _WIDTH
-_DOT, _ZERO, _E, _SIGN, _NUL = 20, 21, 22, 23, 28
-_EXP_TAIL = np.frombuffer(b".0e+.0e-", "<u4")  # bytes 20..23 for a positive, a negative exponent
-
-
-def _mul64(a, b):
-    """(high, low) 64-bit halves of a * b, for uint64 arrays a and b."""
-    a0, a1 = a & _LOW32, a >> _32
-    b0, b1 = b & _LOW32, b >> _32
-    low = a0 * b0
-    mid = a1 * b0 + (low >> _32)
-    mid2 = a0 * b1 + (mid & _LOW32)
-    return a1 * b1 + (mid >> _32) + (mid2 >> _32), (mid2 << _32) | (low & _LOW32)
-
-
-@functools.cache
-def _powers():
-    """Per biased exponent 1..2046, as uint64 arrays: g's two 64-bit halves, the three of
-    g 2^(h+1) and the shift h + 2 that takes c to cb; then k, as an intp array."""
-    q = np.arange(1, 2047) - 1075
-    k = (q * 1262611) >> 22  # floor(log10 2^q) for |q| <= 1500
-    rows = []
-    for q_e, k_e in zip(q.tolist(), k.tolist()):
-        power = 10 ** abs(k_e)
-        if k_e <= 0:  # 10^-k an integer: g = 10^-k 2^r, r = 127 - floor(log2 10^-k)
-            log2 = power.bit_length() - 1
-            g = power << (127 - log2) if log2 <= 127 else -(-power >> (log2 - 127))
-        else:  # 10^-k = 1 / power, floor(log2 10^-k) = -power.bit_length()
-            log2 = -power.bit_length()
-            g = -(-(1 << (127 - log2)) // power)
-        h = q_e + log2 + 1
-        delta = g << (h + 1)
-        rows.append([g >> 64, g % 2**64, delta % 2**64, (delta >> 64) % 2**64, delta >> 128,
-                     h + 2])
-    table = np.zeros((6, 2047), np.uint64)
-    table[:, 1:] = np.array(rows, np.uint64).T
-    exponent10 = np.zeros(2047, np.intp)
-    exponent10[1:] = k
-    return (*table, exponent10)
-
-
-@functools.cache
-def _layouts():
-    """The 4-digit ASCII groups as '<u4' words, the trailing zeros of each, and the text of
-    each (digit count n, notation) as source byte indices, row (n - 1) * 22 + code: codes
-    0..19 fixed notation for exponents X = -4..15, 20 and 21 e+XX and e+XXX."""
-    groups = [f"{v:04d}" for v in range(10_000)]
-    digits4 = np.frombuffer("".join(groups).encode(), "<u4")
-    zeros4 = np.array([4 - len(v.rstrip("0")) for v in groups], np.intp)
-    layouts = np.full((17, 22, _WIDTH), _NUL, np.intp)
-    digit = [3 + i for i in range(17)]
-    for n in range(1, 18):
-        for code in range(22):
-            if code >= 20:  # d[.ddd]e+XX or e+XXX
-                text = digit[:1] + ([_DOT] + digit[1:n] if n > 1 else []) + [_E, _SIGN]
-                text += [25, 26, 27] if code == 21 else [26, 27]
-            elif code >= 4:  # X = code - 4 >= 0: X + 1 integer digits, at least one after "."
-                text = digit[:code - 3] + [_DOT] + digit[code - 3:max(n, code - 2)]
-            else:  # 0.000ddd
-                text = [_ZERO, _DOT] + [_ZERO] * (3 - code) + digit[:n]
-            layouts[n - 1, code, :len(text)] = text
-    return digits4, zeros4, layouts.reshape(-1, _WIDTH)
-
-
-def _estimates(bits):
-    """(vb, lower, upper): 4 v 10^-k for each float v of a uint64 array of bits, all
-    normal, and the ends of its rounding interval, each rounded to odd; lower and upper
-    are moved one in when the interval is open (c odd)."""
-    g1, g0, d0, d1, d2, shift, _ = _powers()
-    e = bits.view(np.int64) >> 52
-    cb = ((bits & _FRACTION) | np.uint64(2**52)) << shift[e]
-    # p2:p1:p0 = cb g, 192 bits; each estimate is its bits 128..191 with the sticky bit
-    x1, p0 = _mul64(cb, g0[e])
-    p2, p1 = _mul64(cb, g1[e])
-    p1 += x1
-    p2 += p1 < x1
-    e0, e1, e2 = d0[e], d1[e], d2[e]  # g 2^(h+1)
-    t = p1 + e1
-    s1 = t + ((p0 + e0) < e0)
-    vbr = (p2 + e2 + (t < e1) + (s1 < t)) | (s1 > np.uint64(1))
-    t = p1 - e1
-    s1 = t - (p0 < e0)
-    vbl = (p2 - e2 - (p1 < e1) - (t < s1)) | (s1 > np.uint64(1))
-    odd = bits & np.uint64(1)
-    return p2 | (p1 > np.uint64(1)), vbl + odd, vbr - odd
-
-
-def _shortest(bits):
-    """(digits, X) of each float of a uint64 array of bits, all normal, positive and not
-    powers of two: float.__repr__'s digits as a 17-digit int64, trailing zeros padding
-    the shorter ones, and the decimal exponent X of the first digit."""
-    vb, lower, upper = _estimates(bits)
-    s = vb >> np.uint64(2)
-    sp = s // np.uint64(10)
-    sp40 = sp * np.uint64(40)
-    wp = sp40 + np.uint64(40) <= upper
-    shorter = (lower <= sp40) != wp
-    s4 = s << np.uint64(2)
-    w = s4 + np.uint64(4) <= upper
-    closer = vb + (s & np.uint64(1)) > s4 + np.uint64(2)  # s + 1, or as close and s odd
-    # 15 to 17 digits, below 2^63, so int64 from here on, scaled to 17
-    digits = np.where(shorter, sp + wp, s + np.where((lower <= s4) != w, w, closer))
-    digits = digits.view(np.int64)
-    missing = (digits < 10**16).astype(np.intp) + (digits < 10**15)
-    digits *= np.array([1, 10, 100])[missing]
-    k = _powers()[-1][bits.view(np.int64) >> 52]
-    return digits, k + shorter + (16 - missing)
-
-
-def _schubfach(bits):
-    """float.__repr__ of each float of a uint64 array of bits, all normal, positive and
-    not powers of two, _BLOCK at a time: _shortest's digits laid out as repr does."""
-    digits4, zeros4, layouts = _layouts()
-    rows = min(len(bits), _BLOCK)
-    source = np.zeros((rows, 8), "<u4")
-    # the layout runs _LAYOUT rows at a time: a block's (rows, _WIDTH) index, 786 KB, costs
-    # more in fresh pages than the extra calls do
-    sub = min(rows, _LAYOUT)
-    offsets = np.repeat(np.arange(0, 32 * sub, 32), _WIDTH).reshape(sub, _WIDTH)
-    index = np.empty((sub, _WIDTH), np.intp)
-    text = np.empty((sub, _WIDTH), np.uint8)
-    chars = np.empty((sub, _WIDTH), np.uint32)
-    texts = []
-    for start in range(0, len(bits), _BLOCK):
-        digits, x = _shortest(bits[start:start + _BLOCK])
-        n = len(digits)
-        top, rest = np.divmod(digits, 10**16)
-        high, low = np.divmod(rest, 10**8)
-        groups = [top, *np.divmod(high, 10**4), *np.divmod(low, 10**4)]
-        for column, group in enumerate(groups):
-            source[:n, column] = digits4[group]
-        zeros = zeros4[groups[4]]
-        more = groups[4] == 0
-        for group in groups[3:0:-1]:  # the top digit is nonzero
-            zeros += more * zeros4[group]
-            more &= group == 0
-        source[:n, 5] = _EXP_TAIL[(x < 0).astype(np.intp)]
-        source[:n, 6] = digits4[np.abs(x)]
-        fixed = (x >= -4) & (x <= 15)
-        layout = (16 - zeros) * 22 + np.where(fixed, x + 4, 20 + (np.abs(x) >= 100))
-        for first in range(0, n, sub):
-            m = min(sub, n - first)
-            # mode="clip" writes to `out` unbuffered; every index is in range
-            np.take(layouts, layout[first:first + m], axis=0, out=index[:m], mode="clip")
-            index[:m] += offsets[:m]
-            np.take(source[first:first + m].view(np.uint8).ravel(), index[:m], out=text[:m],
-                    mode="clip")
-            chars[:m] = text[:m]
-            texts += chars[:m].view(f"U{_WIDTH}").ravel().tolist()
     return texts
 
 
@@ -353,7 +169,7 @@ def _item_texts(array, render):
     if flat.dtype == np.float64:
         bits = flat.view(np.int64)
         mags, inverse = np.unique(bits & np.int64(2**63 - 1), return_inverse=True)
-        texts = np.array(render(mags.view(np.float64).tolist()), dtype=object)
+        texts = np.array(render(mags.view(np.float64)), dtype=object)
         items = texts[inverse]
         negative = (bits < 0) & (flat == flat)
         signed = np.zeros(len(texts), dtype=bool)  # the magnitudes some negative value has
@@ -445,7 +261,7 @@ def _csv_texts(column):
     """An object array of a CSV column's fields, by _emit_csv's two rules."""
     ndarray = isinstance(column, np.ndarray)
     if ndarray and column.dtype == np.float64:
-        return _item_texts(column, lambda values: [f"{v:.17g}" for v in values])
+        return _item_texts(column, lambda values: [f"{v:.17g}" for v in values.tolist()])
     return np.array(list(map(_fmt, column.tolist() if ndarray else column)), dtype=object)
 
 

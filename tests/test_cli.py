@@ -1099,84 +1099,50 @@ def test_signed_floats_render_as_their_magnitude_after_a_sign():
     mags = [0.0, math.inf, math.nan, 5e-324, 1e16, 1e-5]
     values = np.array([v for m in mags for v in (m, -m)])
     rendered, float_texts = [], cli._float_texts
-    json_texts = list(cli._item_texts(values, lambda v: rendered.extend(v) or float_texts(v)))
+    json_texts = list(cli._item_texts(values,
+                                      lambda v: rendered.extend(v.tolist()) or float_texts(v)))
     assert list(map(repr, rendered)) == ["0.0", "5e-324", "1e-05", "1e+16", "inf", "nan"]
     assert json_texts == [json.dumps(v) for v in values.tolist()]
     assert json_texts[:6] == ["0.0", "-0.0", "Infinity", "-Infinity", "NaN", "NaN"]
-    csv_texts = cli._item_texts(values, lambda v: [f"{x:.17g}" for x in v])
+    csv_texts = cli._item_texts(values, lambda v: [f"{x:.17g}" for x in v.tolist()])
     assert list(csv_texts) == ["%.17g" % v for v in values.tolist()]
     assert list(csv_texts) == list(map(cli._fmt, values.tolist()))
-
-
-# From _BLOCK magnitudes on, _float_texts renders with the Schubfach kernel: its
-# texts must be float.__repr__'s bytes on the families where shortest digits go
-# wrong: every exponent's extreme significands, the neighbours of each power of
-# ten (where the digit count and the notation change), the m/4 ties (two
-# one-decimal candidates equally close, repr takes the even one) and the ends of
-# the range, which the fallback (zero, subnormals, powers of two) shares
-_FINITE_BITS = 0x7FF0_0000_0000_0000  # the bits of inf: every finite non-negative float is below
-
-
-def _every_exponent(rng):
-    fractions = np.stack([np.ones(2046, np.uint64), np.full(2046, 2**52 - 1, np.uint64),
-                          rng.integers(1, 2**52, 2046, dtype=np.uint64)], axis=1)
-    exponents = np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
-    return (exponents | fractions).ravel().view(np.float64)
-
-
-def _next_to_powers_of_ten(rng):
-    powers = np.array([float(f"1e{j}") for j in range(-323, 309)]).view(np.int64)
-    bits = (powers[:, None] + np.arange(-3, 4)).ravel()  # the power and 3 ulps a side
-    return bits[bits >= 0].view(np.float64)  # 1e-323 has only two floats below it
-
-
-_FLOAT_FAMILIES = {
-    "random_bits": lambda rng: rng.integers(0, _FINITE_BITS, 200_000, np.uint64).view(np.float64),
-    "every_exponent": _every_exponent,
-    "powers_of_ten": _next_to_powers_of_ten,
-    "ties": lambda rng: (2.0 * rng.integers(2**50, 2**51, 10_000) + 1) / 4,  # odd m/4, m < 2^52
-    "extremes": lambda rng: np.array([sys.float_info.min, sys.float_info.max, 5e-324,
-                                      np.nextafter(sys.float_info.min, 1), 2**52 + 1.0]),
-}
-
-
-@pytest.mark.parametrize("family", _FLOAT_FAMILIES)
-def test_float_texts_of_a_block_are_float_repr(family):
-    values = _FLOAT_FAMILIES[family](np.random.default_rng(41))
-    want = list(map(float.__repr__, values.tolist()))
-    assert cli._repr_texts(values) == want
-    # and the kernel's own texts, on the floats it takes: normal, not powers of two
-    bits = values.view(np.uint64)
-    exponent = bits >> np.uint64(52)
-    kernel = (exponent > 0) & (exponent < 2047) & ((bits & np.uint64(2**52 - 1)) > 0)
-    assert kernel.mean() > 0.5
-    assert cli._schubfach(bits[kernel]) == [t for t, k in zip(want, kernel.tolist()) if k]
-
-
-def test_float_texts_switch_notation_where_repr_does():
-    # fixed notation for 1e-4 <= x < 1e16, else d.ddde+XX with two exponent digits or more
-    values = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
-              np.nextafter(1e16, math.inf), 0.1, 123456789.125, 1e22, 1.7976931348623157e308]
-    assert cli._repr_texts(np.array(values)) == [
-        "9.999999999999999e-05", "0.0001", "0.00010000000000000002", "9999999999999998.0",
-        "1e+16", "1.0000000000000002e+16", "0.1", "123456789.125", "1e+22",
-        "1.7976931348623157e+308"]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 2**16), SPECIAL | st.floats()),
                                            max_size=64))
-def test_item_texts_past_a_block_are_json_dumps(seed, planted):
-    # normals of both signs across both notations, more distinct magnitudes than
-    # _BLOCK, with the SPECIAL values and hypothesis's floats planted among them
+def test_item_texts_of_a_large_array_are_json_dumps(seed, planted):
+    # normals of both signs across both notations, enough distinct magnitudes for
+    # _repr to render them, with the SPECIAL values and hypothesis's floats planted
     rng = np.random.default_rng(seed)
-    n = cli._BLOCK + 64 + seed % cli._BLOCK
+    n = cli._COLD_FROM + 64 + seed % cli._BLOCK
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
     for i, value in planted:
         values[i % n] = value
-    assert len(np.unique(np.abs(values))) >= cli._BLOCK
+    assert len(np.unique(np.abs(values))) >= cli._COLD_FROM
     texts = cli._item_texts(values, cli._float_texts)
     assert texts.tolist() == [json.dumps(v) for v in values.tolist()]
+
+
+def test_float_texts_load_repr_for_a_large_array_then_use_it_from_warm_from(monkeypatch):
+    # _repr's import and tables cost a one-shot run as much as float.__repr__ on
+    # about 10,000 magnitudes, so a smaller array does not load it; once loaded,
+    # it renders every array of _WARM_FROM magnitudes or more
+    monkeypatch.delitem(sys.modules, "ratbound._repr", raising=False)
+    monkeypatch.delattr(ratbound, "_repr", raising=False)
+    values = np.arange(1, cli._COLD_FROM + 1) / 7
+    want = list(map(float.__repr__, values.tolist()))
+    assert cli._float_texts(values[:-1]) == want[:-1]
+    assert "ratbound._repr" not in sys.modules
+    assert cli._float_texts(values) == want
+    calls = []
+    repr_texts = sys.modules["ratbound._repr"].texts
+    monkeypatch.setattr(sys.modules["ratbound._repr"], "texts",
+                        lambda m: calls.append(len(m)) or repr_texts(m))
+    for n in (cli._WARM_FROM - 1, cli._WARM_FROM):
+        assert cli._float_texts(values[:n]) == want[:n]
+    assert calls == [cli._WARM_FROM]
 
 
 @pytest.mark.parametrize("value", [np.array([1j]), cli._Rows(z=np.array([0.5 + 1j]))])
