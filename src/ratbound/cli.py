@@ -163,8 +163,9 @@ def _float_texts(magnitudes):
 
 def _item_texts(array, render):
     """An object array of an array's item texts in C order: float64 ones from `render`
-    (ascending magnitudes to texts) once per magnitude, with "-" before a negative value's,
-    none before NaN's, as json.dumps and %.17g write them; bools by a map, others by json.dumps."""
+    (a float64 array of ascending magnitudes to their texts) once per magnitude, with "-"
+    before a negative value's, none before NaN's, as json.dumps and %.17g write them;
+    bools by a map, others by json.dumps."""
     flat = np.ascontiguousarray(array).ravel()
     if flat.dtype == np.float64:
         bits = flat.view(np.int64)
