@@ -2,11 +2,13 @@
 
 An HPoly of degree d stores d+1 complex coefficients with the convention
 coeffs[i] * z^i * w^(d-i).  This module provides the algebraic substrate:
-evaluation, products, pair composition, the Sylvester resultant, all-roots
+evaluation, products, composition, the Sylvester resultant, all-roots
 finding on P^1 (companion-matrix eigenvalues with Newton polish and
 chordal clustering for multiplicities), and an approximate gcd computed by
-matching root clusters of the two inputs.  One batched companion kernel,
-_companion_roots, serves both roots and the preimage slots of measure.
+matching root clusters of the two inputs.  Each operation has one
+implementation: substitute composes polynomials with a pair from one table
+of the pair's powers, and one batched companion kernel, _companion_roots,
+serves both roots and the preimage slots of measure.
 
 Independent work shares one fixed pool through _shared_map, an in-order queue
 that the caller's thread and one pool task (separate from BLAS's threads) drain:
@@ -138,18 +140,11 @@ class HPoly:
         return result
 
     def derivative_z(self) -> "HPoly":
-        d = self.degree
-        if d == 0:
-            return HPoly.constant(0.0)
-        c = self.coeffs[1:] * np.arange(1, d + 1)
-        return HPoly(d - 1, c)
+        return HPoly(self.degree - 1, _dz(self.coeffs)) if self.degree else HPoly.constant(0.0)
 
-    def derivative_w(self) -> "HPoly":
-        d = self.degree
-        if d == 0:
-            return HPoly.constant(0.0)
-        c = self.coeffs[:-1] * np.arange(d, 0, -1)
-        return HPoly(d - 1, c)
+    def derivative_w(self) -> "HPoly":  # derivative_z of the reversed coefficients, reversed
+        c = _dz(self.coeffs[::-1])[::-1]
+        return HPoly(self.degree - 1, c) if self.degree else HPoly.constant(0.0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -229,36 +224,37 @@ def _json_count(data, key):
 # composition
 
 
-def substitute(P: HPoly, p: HPoly, q: HPoly) -> HPoly:
-    """P(p(z,w), q(z,w)) where deg p = deg q = e; the result has degree d*e.
+def substitute(polys, p: HPoly, q: HPoly) -> list:
+    """[P(p(z,w), q(z,w)) for P in polys], deg p = deg q = e: the sum over P's
+    nonzero c_i of c_i p^i q^(d-i), of degree d*e for a degree-d P.
 
-    Linear in P's coefficients and degree-d homogeneous in (p, q)'s.
+    The power tables p^i and q^j are built once, up to the largest degree in
+    polys, and every composite reads them.
     """
     if p.degree != q.degree:
         raise ValueError("substituted pair must have equal degrees")
-    d, e = P.degree, p.degree
-    out = np.zeros(d * e + 1, dtype=complex)
-    # cumulative power tables p^i and q^j
-    p_pows = [np.array([1.0 + 0j])]
-    q_pows = [np.array([1.0 + 0j])]
-    for _ in range(d):
+    e, one = p.degree, np.array([1.0 + 0j])
+    p_pows, q_pows = [one], [one]
+    for _ in range(max(P.degree for P in polys)):
         p_pows.append(np.convolve(p_pows[-1], p.coeffs))
         q_pows.append(np.convolve(q_pows[-1], q.coeffs))
-    for i, c in enumerate(P.coeffs):
-        if c == 0:
-            continue
-        term = np.convolve(p_pows[i], q_pows[d - i])
-        out[: len(term)] += c * term
-    return HPoly(d * e, out)
+    out = []
+    for P in polys:
+        d = P.degree
+        acc = np.zeros(d * e + 1, dtype=complex)
+        for i, c in enumerate(P.coeffs):
+            if c != 0:
+                term = np.convolve(p_pows[i], q_pows[d - i])
+                acc[: len(term)] += c * term
+        out.append(HPoly(d * e, acc))
+    return out
 
 
 def compose_pair(F, G):
-    """F o G for pairs of equal-degree homogeneous polynomials."""
-    P, Q = F
-    p, q = G
-    if P.degree != Q.degree:
+    """F o G for pairs of equal-degree homogeneous polynomials, by one substitute."""
+    if F[0].degree != F[1].degree:
         raise ValueError("F components must have equal degree")
-    return substitute(P, p, q), substitute(Q, p, q)
+    return tuple(substitute(F, *G))
 
 
 def wronskian(pair) -> HPoly:
@@ -306,14 +302,15 @@ def projective_residual(a, b) -> float:
     """min over lambda of ||a - lambda b|| / ||a|| for coefficient vectors."""
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0:
-        return 0.0 if nb == 0.0 else 1.0
-    if nb == 0.0:
-        return 1.0
-    lam = np.vdot(b, a) / np.vdot(b, b)
-    return float(np.linalg.norm(a - lam * b) / na)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:  # 0 for two zero vectors, 1 for one
+        return 0.0 if na == nb else 1.0
+    return _relative_residual(a, _fit_scale(b, a) * b)
+
+
+def _relative_residual(target, approx) -> float:
+    """||target - approx|| / ||target||, in the 2-norm, for a nonzero target."""
+    return float(np.linalg.norm(target - approx) / np.linalg.norm(target))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +399,11 @@ def _companion_roots(C):
     return np.concatenate(_shared_map(np.linalg.eigvals, [A[: k // 2], A[k // 2 :]]))
 
 
+def _dz(c):
+    """The z-derivative c[1:] * (1, 2, ...) of the ascending coefficients c."""
+    return c[1:] * np.arange(1, len(c))
+
+
 def _horner_vec(coeffs_asc, x):
     """sum c[i] x^i for a scalar or an array x, shaped as x, from the leading coefficient."""
     if len(coeffs_asc) == 1:
@@ -416,8 +418,8 @@ def _polish_multiple_root(core, z0, mult):
     """Newton-refine a multiplicity-m cluster center on d^(m-1)p/dz^(m-1)."""
     c = np.asarray(core, dtype=complex)
     for _ in range(mult - 1):
-        c = c[1:] * np.arange(1, len(c))
-    dc = c[1:] * np.arange(1, len(c))
+        c = _dz(c)
+    dc = _dz(c)
     z = z0
     for _ in range(6):
         dv = _horner_vec(dc, z)
@@ -461,7 +463,7 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
         k = len(core) - 1  # p's and p''s coefficients side by side, repeated for the k roots
         table = np.zeros((k + 1, 2 * k), dtype=complex)
         table[:, :k] = (monic := core / core[-1])[:, None]
-        table[:-1, k:] = (monic[1:] * np.arange(1, k + 1))[:, None]
+        table[:-1, k:] = _dz(monic)[:, None]
         x = _companion_roots(core[None, :])[0]
         pv = _horner_vec(table, np.concatenate([x, x])).reshape(2, k)
         # three Newton steps, each kept only where it lowers |p|: inside a
@@ -515,7 +517,7 @@ def _rotated(P: HPoly, pt: ProjPoint) -> HPoly:
     is the k-th Taylor coefficient g_k of s -> P(u + s v), v = (-conj w, conj z)."""
     A = HPoly.from_coeffs([pt.z, -np.conj(pt.w)])
     B = HPoly.from_coeffs([pt.w, np.conj(pt.z)])
-    return substitute(P, A, B)
+    return substitute([P], A, B)[0]
 
 
 def vanishing_order(P: HPoly, pt: ProjPoint) -> int:
@@ -607,10 +609,7 @@ def numeric_gcd(P: HPoly, Q: HPoly, tol: float = DEFAULTS.gcd):
     q = _deconvolve(H, Q)
 
     for target, cof, name in ((P, p, "P"), (Q, q, "Q")):
-        recon = (H * cof).coeffs
-        resid = float(
-            np.linalg.norm(target.coeffs - recon) / np.linalg.norm(target.coeffs)
-        )
+        resid = _relative_residual(target.coeffs, (H * cof).coeffs)
         if resid > tol:
             raise NumericalFailure(
                 f"gcd reconstruction residual {resid:.3e} exceeds tol {tol:.1e} on {name}; "

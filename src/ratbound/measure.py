@@ -38,8 +38,7 @@ from .errors import ExceptionalPointError, MathDomainError
 from .hpoly import _companion_roots, _rows, _shared_map, roots
 from .projline import (ProjPoint, _merge_close, _row_max, canonicalize_rows, chordal_cross,
                        chordal_distance, re_im)
-from .ratmap import (BoundaryMap, Decomposition, decompose, _depth_series, _local_degree,
-                     _orbit_steps)
+from .ratmap import BoundaryMap, Decomposition, decompose, _depth_series, _fiber, _orbit_steps
 
 DESIGN_VERSION = 1
 
@@ -161,9 +160,8 @@ def _points_weights(mu):
 
 
 def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> list:
-    """Roots of beta*p - alpha*q for a = (alpha:beta); multiplicities sum to e."""
-    p, q = phi
-    fiber = a.w * p - a.z * q
+    """Roots of the fiber polynomial over a (_fiber); multiplicities sum to e."""
+    fiber = _fiber(phi, a)
     if fiber.is_zero:
         raise ValueError("fiber polynomial vanished: pair is not coprime")
     return roots(fiber, tol)
@@ -451,10 +449,10 @@ def _is_exceptional(dec: Decomposition, a: ProjPoint) -> bool:
     "period at most 2".
     """
     cycle = []
-    for x, _, img in islice(_orbit_steps(dec, a), 3):
+    for x, _, _, degree in islice(_orbit_steps(dec, a, degrees=True), 3):
         if cycle and chordal_distance(x, cycle[0]) <= DEFAULTS.hole_match:
             return True
-        if _local_degree(dec.phi, x, img) != dec.e:
+        if degree != dec.e:
             return False
         cycle.append(x)
     return False

@@ -32,6 +32,7 @@ from .hpoly import (
     _json_count,
     compose_pair,
     numeric_gcd,
+    _relative_residual,
     projective_residual,
     resultant,
     substitute,
@@ -114,6 +115,8 @@ class Decomposition:
     e: int
     constant_value: ProjPoint | None
     indeterminate: bool
+    # _orbit_steps' memo: each point's step and local degree, by its bits, for every walk
+    _orbit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def degenerate(self) -> bool:
@@ -133,10 +136,8 @@ class Decomposition:
             "e": self.e,
             "degenerate": self.degenerate,
             "indeterminate": self.indeterminate,
-            "holes": [
-                {"point": pt.to_json(), "depth": mult} for pt, mult in self.holes
-            ],
-            "gcd_residual": float(np.linalg.norm(recon - given) / np.linalg.norm(given)),
+            "holes": [{"point": pt.to_json(), "depth": mult} for pt, mult in self.holes],
+            "gcd_residual": _relative_residual(given, recon),
         }
         if self.constant_value is not None:
             rep["constant_value"] = self.constant_value.to_json()
@@ -192,12 +193,12 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     composition and partial product checked and renormalized by _unit_scaled,
     and the logs of the scales s_1..s_n divided out of phi's compositions:
     phi^k = phi o phi^(k-1) / s_k.  H_n has degree d^n - e^n, and its vanishing
-    orders are the hole depths of f^n.  The factors (phi^k* H)^(d^(n-k-1)) are
-    powered as phi^k is composed, the largest (k = 0) last, each stopped at its
-    first non-finite square; then multiplied from k = 0 on."""
+    orders are the hole depths of f^n.  Level k < n substitutes phi^k (the
+    identity at k = 0) into (H, p, q) once, for phi^k* H and phi^(k+1).  The
+    factors (phi^k* H)^(d^(n-k-1)) are powered as they come, the largest
+    (k = 0) last, each stopped at its first non-finite square; then
+    multiplied from k = 0 on."""
     d = f.d
-    H = dec.H
-    p, q = dec.phi
 
     def power(P, k):
         try:
@@ -205,15 +206,15 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
         except NumericalFailure:  # a non-finite square, which the power would carry
             raise NumericalFailure(_OVERFLOW.format(n=n, d=d)) from None
 
-    Phi = (HPoly.z(), HPoly.w())
-    first, powers, log_scales = substitute(H, *Phi), [], []
-    for k in range(1, n + 1):
-        Phi, log_s = _unit_scaled(n, d, *compose_pair((p, q), Phi))
+    Phi, factors, log_scales = (HPoly.z(), HPoly.w()), [], []
+    for k in range(n):
+        factor, *Phi = substitute((dec.H, *dec.phi), *Phi)
+        factors.append(power(factor, k) if k else factor)
+        Phi, log_s = _unit_scaled(n, d, *Phi)
         log_scales.append(log_s)
-        if k < n:
-            powers.append(power(substitute(H, *Phi), k))
+    factors[0] = power(factors[0], 0)
     prod = HPoly.constant(1.0)
-    for factor in [power(first, 0), *powers]:
+    for factor in factors:
         [prod], _ = _unit_scaled(n, d, prod * factor)
     return prod, Phi, log_scales
 
@@ -296,8 +297,8 @@ def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
 def local_degree(phi, x: ProjPoint) -> int:
     """Local degree of phi at x: multiplicity of x as solution of phi = phi(x).
 
-    Detected as the vanishing order at x of the fiber polynomial
-    beta*p - alpha*q through (alpha:beta) = phi(x), capped at deg(phi).
+    Detected as the vanishing order at x of the fiber polynomial over
+    phi(x) (_fiber), capped at deg(phi).
     """
     if phi[0].degree == 0:
         raise ValueError("local degree undefined for constant phi")
@@ -306,8 +307,13 @@ def local_degree(phi, x: ProjPoint) -> int:
 
 def _local_degree(phi, x: ProjPoint, img: ProjPoint) -> int:
     """local_degree of phi at x, given its image img = phi(x)."""
+    return min(max(vanishing_order(_fiber(phi, img), x), 1), phi[0].degree)
+
+
+def _fiber(phi, a: ProjPoint) -> HPoly:
+    """beta*p - alpha*q for a = (alpha:beta): its zeros are the phi-preimages of a."""
     p, q = phi
-    return min(max(vanishing_order(img.w * p - img.z * q, x), 1), p.degree)
+    return a.w * p - a.z * q
 
 
 def _match_hole(x: ProjPoint, holes):
@@ -326,30 +332,30 @@ def _bits(pt: ProjPoint) -> bytes:
     return struct.pack("4d", pt.z.real, pt.z.imag, pt.w.real, pt.w.imag)
 
 
-def _orbit_steps(dec: Decomposition, z: ProjPoint):
+def _orbit_steps(dec: Decomposition, z: ProjPoint, degrees: bool = False):
     """Yield (x_k, depth_k, phi(x_k)) along the forward phi-orbit x_k of z:
     the orbit point, its depth as a hole of f (0 off the hole set) and its
-    image.
+    image; with degrees, the local degree of phi at x_k follows them.
 
     The one forward-orbit walker: the depth series, the exceptional-point
     test and the support report's orbit probe all read it.  Orbit points
     within chordal hole_match of a hole are snapped to the hole center
     before the orbit continues.  The walk is lazy and endless; phi(x_k),
-    computed once, is the next point, and a reader that needs the local
-    degree at x_k passes it to _local_degree, which the probe never pays for.
-    Each distinct point (by its bits) is matched and stepped once per walk:
-    a point met again yields its stored step, the same values a second
-    computation would give.
+    computed once, is the next point, and the local degree is read from it
+    (_local_degree) only for a walk that asks, which the probe never does.
+    Each distinct point (by its bits) is matched, stepped and given its local
+    degree once per decomposition, in dec's memo, which every walk reads.
     """
-    steps = {}
     x = z
     while True:
         key = _bits(x)
-        step = steps.get(key)
+        step = dec._orbit.get(key)
         if step is None:
             depth, x = _match_hole(x, dec.holes)
-            step = steps[key] = (x, depth, apply_pair(dec.phi, x))
-        yield step
+            step = dec._orbit[key] = [x, depth, apply_pair(dec.phi, x), None]
+        if degrees and step[3] is None:
+            step[3] = _local_degree(dec.phi, step[0], step[2])
+        yield tuple(step) if degrees else tuple(step[:3])
         x = step[2]
 
 
@@ -375,7 +381,7 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
 
     For e = d there are no holes (all terms 0); for e = 0 the series is its
     first term, the depth of z as a hole over d.  Both have tail 0.  The
-    local degree m_(k+1)/m_k is computed once per distinct orbit point.
+    local degree m_(k+1)/m_k comes from _orbit_steps.
     """
     d, e = dec.d, dec.e
     if e == d:
@@ -385,12 +391,8 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     else:
         partial = Fraction(0)
         m = 1
-        degrees = {}
-        for k, (x, depth, img) in enumerate(_orbit_steps(dec, z)):
+        for k, (_, depth, _, degree) in enumerate(_orbit_steps(dec, z, degrees=True)):
             if depth:
                 partial += Fraction(m * depth, d ** (k + 1))
-            key = _bits(x)
-            if key not in degrees:
-                degrees[key] = _local_degree(dec.phi, x, img)
-            m *= degrees[key]
+            m *= degree
             yield partial, Fraction(m, d ** (k + 1))

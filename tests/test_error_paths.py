@@ -69,7 +69,7 @@ CASES = [
     pytest.param(lambda: LINE + H, ValueError("can only add equal-degree homogeneous polynomials"),
                  id="add-unequal-degrees"),
     pytest.param(lambda: LINE ** -1, ValueError("negative power"), id="negative-power"),
-    pytest.param(lambda: substitute(H, LINE, H),
+    pytest.param(lambda: substitute([H], LINE, H),
                  ValueError("substituted pair must have equal degrees"), id="substitute-unequal"),
     pytest.param(lambda: compose_pair((LINE, H), (HPoly.z(), HPoly.w())),
                  ValueError("F components must have equal degree"), id="compose-unequal"),

@@ -260,6 +260,37 @@ def test_direct_escape_rule_does_not_stop_at_a_zero_increment():
     assert escape_rate(f, (0, 1)).value == pytest.approx(partial[0], abs=1e-9)
 
 
+def _complex_product_commutes():
+    """Whether numpy's complex a * b and b * a have the same bits here (not with FMA)."""
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000) for _ in range(2))
+    return np.array_equal((a * b).view(float), (b * a).view(float))
+
+
+def _escape_bits(f, rows, batch):
+    """The bits of _escape_rows' values at the points (z, 1) of rows, in batches of batch."""
+    w = np.ones(len(rows), dtype=complex)
+    return np.concatenate([_escape_rows(f, rows[i:i + batch], w[i:i + batch], 50, 1e-12)[0]
+                           for i in range(0, len(rows), batch)]).view(np.int64)
+
+
+@pytest.mark.parametrize("count", [
+    16_000,
+    pytest.param(17_000, marks=pytest.mark.xfail(
+        not _complex_product_commutes(), strict=True, raises=AssertionError, reason=(
+            "CHANGES.md FOUND (escape bits depend on the batch size): from 16,384 rows the "
+            "Horner temporary of HPoly._evaluate_vec reaches numpy's 256 KB elision size, "
+            "so powers[d] * temporary runs as temporary *= powers[d], and a complex a * b "
+            "and b * a differ in the last bit where numpy multiplies with FMA. Mending it "
+            "moves escape bytes (ROADMAP item 10)"))),
+])
+def test_escape_rows_have_the_bits_of_batches_of_1000(count):
+    f = fam.make_epstein_FT(1.0)
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    assert np.array_equal(_escape_bits(f, rows, count), _escape_bits(f, rows, 1000))
+
+
 ORACLE_MAPS = [
     *(fam.make_epstein_FT(T) for T in (0.5, 1.0, 1.75)),
     *(fam.make_example1(d, 0.5, 1e-2) for d in (2, 3, 5)),

@@ -179,9 +179,9 @@ def test_compose_associative_projectively():
 
 def test_pullback_poly():
     H = hp(-1, 1)  # z - w
-    assert np.allclose(substitute(H, Z, W).coeffs, H.coeffs)
-    assert np.allclose(substitute(Z, hp(1, 0), hp(0, 1)).coeffs, [1, 0])
-    out = substitute(H, hp(0, 0, 1), hp(1, 0, 0))  # z^2 - w^2
+    assert np.allclose(substitute([H], Z, W)[0].coeffs, H.coeffs)
+    assert np.allclose(substitute([Z], hp(1, 0), hp(0, 1))[0].coeffs, [1, 0])
+    out, = substitute([H], hp(0, 0, 1), hp(1, 0, 0))  # z^2 - w^2
     assert np.allclose(out.coeffs, [-1, 0, 1])
 
 

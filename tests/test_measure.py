@@ -316,18 +316,21 @@ def test_point_mass_generic_point_zero():
 def test_point_mass_steps_each_distinct_orbit_point_once(monkeypatch):
     # F_T's phi fixes infinity and sends 0 there; the series sums 20 terms, and
     # the walk matches, steps and takes the local degree of each distinct
-    # orbit point once
+    # orbit point once per decomposition: a later walk reads them from its memo
     calls = {}
     for name in ("_local_degree", "apply_pair"):
         def counted(*args, _fn=getattr(ratmap, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(ratmap, name, counted)
-    dec = decompose(fam.make_epstein_FT(1.0))
     for pt, distinct in ((INFINITY, 1), (ZERO, 2)):
+        dec = decompose(fam.make_epstein_FT(1.0))
         calls.clear()
         assert point_mass(dec, pt) == (0.33333333333303017, 9.094947017729282e-13)
         assert calls == {"_local_degree": distinct, "apply_pair": distinct}
+    calls.clear()
+    assert point_mass(dec, INFINITY) == (0.33333333333303017, 9.094947017729282e-13)
+    assert calls == {}
 
 
 def test_point_mass_constant_case():
@@ -818,7 +821,6 @@ def test_support_report_reads_local_degrees_only_for_the_exceptional_test(monkey
         return degree(*args)
 
     monkeypatch.setattr(ratmap, "_local_degree", counted)
-    monkeypatch.setattr(measure, "_local_degree", counted)
     dec = decompose(fam.make_epstein_FT(1.0), 1e-6)
     rep = support_report(dec)
     assert all(o["length"] == 21 for o in rep["forward_orbit_probe"].values())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ratbound import hpoly
 from ratbound import (
     INFINITY,
     ZERO,
@@ -447,3 +448,35 @@ def test_batched_preimage_slots_at_size_equal_their_5_row_slices(e):
     sliced = np.concatenate([batched_preimage_slots(phi, rows[i:i + 5])
                              for i in range(0, 20_000, 5)])
     assert _same_bits(batched_preimage_slots(phi, rows), sliced)
+
+
+@pytest.mark.parametrize("e", [2, 5])
+def test_preimage_step_gives_each_row_its_own_bits_alone_and_past_elision(e, monkeypatch):
+    # the frozen row kernels of a sampler step: batched_preimage_slots, then
+    # canonicalize_rows.  Each row gets the bits it gets alone, in batches of
+    # 1,000 and in one of 20,000, whose (20,000, e + 1) fiber coefficients are
+    # past numpy's 256 KB temporary elision, which can swap a complex product's
+    # operands.  The root kernel's halves equal one eigvals call
+    rng = np.random.default_rng(41 + e)
+    p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
+    phi = (HPoly(e, p), HPoly(e, q))
+    rows = canonicalize_rows(rng.standard_normal((20_000, 2))
+                             + 1j * rng.standard_normal((20_000, 2)))
+
+    def step(batch):
+        return canonicalize_rows(batched_preimage_slots(phi, batch).reshape(-1, 2))
+
+    alone = np.concatenate([step(rows[i:i + 1]) for i in range(len(rows))])
+    assert _same_bits(np.concatenate([step(rows[i:i + 1000]) for i in range(0, 20_000, 1000)]),
+                      alone)
+    assert _same_bits(step(rows), alone)
+
+    C = rng.standard_normal((20_000, e + 1)) + 1j * rng.standard_normal((20_000, e + 1))
+    A = np.zeros((20_000, e, e), dtype=complex)
+    A[:, np.arange(1, e), np.arange(e - 1)] = 1.0
+    A[:, :, -1] = -(C[:, :-1] / C[:, -1:])
+    monkeypatch.setattr(hpoly, "_THREADS", 2)
+    monkeypatch.setattr(hpoly, "_pool", None)
+    halves = _companion_roots(C)
+    assert hpoly._pool is not None  # the batch was split
+    assert _same_bits(halves, np.linalg.eigvals(A))
