@@ -306,10 +306,10 @@ def cmd_indeterminate(args, params):
 def cmd_iterate(args, params, n):
     f = _load_map(args, params)
     dec = decompose(f, args.tol)
-    fn = iterate_formula(f, n, args.tol, dec=dec)
+    fn = iterate_formula(f, n, dec)
     table = []
     for pt, depth in dec.holes:
-        seq = hole_depth_sequence(f, pt, n, args.tol, dec=dec)
+        seq = hole_depth_sequence(dec, pt, n)
         table.append({
             "point": pt.to_json(),
             "depth": depth,

@@ -39,18 +39,17 @@ from .ratmap import BoundaryMap, Decomposition, decompose
 class EscapeValue:
     """An escape-rate evaluation: value, steps used, last-increment residual.
 
-    hit_hole marks orbits that landed exactly on a hole line; the value is
-    then the -inf sentinel and must not be fed back into arithmetic.
+    An orbit that lands exactly on a hole line has the value -inf, which must
+    not be fed back into arithmetic; every other value is not -inf.
     """
 
     value: float
     n_used: int
     residual: float
-    hit_hole: bool = False
 
     @property
     def finite(self) -> bool:
-        return not self.hit_hole
+        return self.value != -math.inf
 
 
 def _escape_batch(d, phi, H, z, w, n_max, tol):
@@ -62,8 +61,9 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
     series.  A row stops at its first step whose residual (last increment,
     resp. last change of G_n) is below tol, or at n_max, and then leaves
     the batch; a row whose sup norm or H value is exactly 0 stops at -inf
-    with residual 0 and hit_hole set.  Returns the arrays (value, n_used,
-    residual, hit_hole).
+    with residual 0.  No other row reaches -inf: log s of a positive finite s
+    is finite, and an overflow gives +inf or NaN.  Returns the arrays (value,
+    n_used, residual).
     """
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     if np.any((z == 0) & (w == 0)):
@@ -78,7 +78,6 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
     value = lam.copy()
     n_used = np.zeros(len(z), dtype=int)
     residual = np.full(len(z), np.inf)
-    hit_hole = np.zeros(len(z), dtype=bool)
     idx = np.arange(len(z))
     prev = np.full(len(z), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,12 +108,11 @@ def _escape_batch(d, phi, H, z, w, n_max, tol):
             value[out] = np.where(h, -np.inf, val[done])
             residual[out] = np.where(h, 0.0, res[done])
             n_used[out] = n
-            hit_hole[out] = h
             keep = ~done
             if not np.count_nonzero(keep):
                 break
             idx, vz, vw, g, lam, prev = (a[keep] for a in (idx, vz, vw, g, lam, prev))
-    return value, n_used, residual, hit_hole
+    return value, n_used, residual
 
 
 def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
@@ -139,10 +137,8 @@ def escape_rate(f: BoundaryMap, x, n_max: int = 60, tol: float = 1e-13,
     maps off I(d) evaluate the telescoped H-series of the decomposition.
     Stops when the step-to-step change drops below tol or at n_max.
     """
-    value, n_used, residual, hit_hole = _escape_rows(
-        f, [complex(x[0])], [complex(x[1])], n_max, tol, dec)
-    return EscapeValue(float(value[0]), int(n_used[0]), float(residual[0]),
-                       bool(hit_hole[0]))
+    value, n_used, residual = _escape_rows(f, [complex(x[0])], [complex(x[1])], n_max, tol, dec)
+    return EscapeValue(float(value[0]), int(n_used[0]), float(residual[0]))
 
 
 def escape_rate_constant_case(dec: Decomposition, x) -> float:
@@ -173,8 +169,8 @@ def functional_equation_residual(f: BoundaryMap, x, n_max: int = 60) -> float:
     rate stops at residual 1e-13."""
     z, w = complex(x[0]), complex(x[1])
     fz, fw = f.P.evaluate((z, w)), f.Q.evaluate((z, w))
-    value, _, _, hit_hole = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)
-    if hit_hole.any():
+    value = _escape_rows(f, [z, fz], [w, fw], n_max, 1e-13)[0]
+    if np.any(value == -np.inf):
         raise MathDomainError("orbit hit a hole line; functional equation undefined")
     return abs(value[1] - f.d * value[0])
 

@@ -12,7 +12,9 @@ Each constructor builds the displayed pair by exact coefficient arithmetic:
 FamilySpec builds one by name from its _FAMILIES entry: its --param keys in the README's
 order, each with its (reader, default); its map maker; and its converge target, a limit map
 whose mu a sweep tends to or that measure itself (None: no converge).  Both take get, which
-gives a key's value or default and names a missing REQUIRED key; the makers check the ranges.
+gives a key's value or default and names a missing REQUIRED key; the makers check the ranges,
+and every builder of an example family takes P from the family's one rule (_example1_P,
+_example2_P).
 
 The t -> 0 limits of the second iterates of the example families are also
 provided in closed form, since they are the targets of the measure
@@ -50,7 +52,10 @@ def default_P(degree: int) -> HPoly:
     return _p_from_roots(range(1, degree + 1))
 
 
-def _check_P(P: HPoly, degree: int, allow_constant=False):
+def _check_P(P: HPoly | None, degree: int, allow_constant=False) -> HPoly:
+    """P (default_P(degree) for None), checked: of that degree, monic in z with P(0, 1) != 0,
+    or at degree 0 the constant 1 where allow_constant."""
+    P = default_P(degree) if P is None else P
     if P.degree != degree:
         raise ValueError(f"P must have degree {degree}, got {P.degree}")
     if degree == 0:
@@ -58,11 +63,12 @@ def _check_P(P: HPoly, degree: int, allow_constant=False):
             raise ValueError("constant P not allowed for this family")
         if abs(P.coeffs[0] - 1.0) > 1e-12:
             raise ValueError("constant P must be identically 1")
-        return
+        return P
     if abs(P.coeffs[-1] - 1.0) > 1e-12:
         raise ValueError("P must be monic as a polynomial in z")
     if P.evaluate((0.0, 1.0)) == 0:
         raise ValueError("P(0,1) must be nonzero")
+    return P
 
 
 def _quiet(make):
@@ -86,6 +92,11 @@ def _zpow(i: int, d: int) -> HPoly:
 # Example 1: hole of depth 1 at infinity
 
 
+def _example1_P(d: int, P: HPoly | None = None) -> HPoly:
+    """Example 1's checked P, of degree d - 1 (_check_P)."""
+    return _check_P(P, d - 1)
+
+
 @_quiet
 def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> BoundaryMap:
     """g_{a,t} = (a t z^d + w P(z,w) : t z^d) with P monic of degree d-1."""
@@ -93,8 +104,7 @@ def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> Bou
         raise ValueError("t must be nonzero (the t = 0 limit is example1_limit)")
     if d < 2:
         raise ValueError("d must be >= 2")
-    P = default_P(d - 1) if P is None else P
-    _check_P(P, d - 1)
+    P = _example1_P(d, P)
     zd = _zpow(d, d)
     wP = HPoly.w() * P
     return BoundaryMap(d, complex(a) * complex(t) * zd + wP, complex(t) * zd)
@@ -102,8 +112,7 @@ def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> Bou
 
 def example1_limit(d: int) -> BoundaryMap:
     """The t -> 0 limit g = (w P : 0) for the default P, a point of I(d)."""
-    P = default_P(d - 1)
-    _check_P(P, d - 1)
+    P = _example1_P(d)
     return BoundaryMap(d, HPoly.w() * P, HPoly.zero(d))
 
 
@@ -112,8 +121,7 @@ def example1_second_limit(d: int, a: complex, P: HPoly | None = None) -> Boundar
     """f_a = (w^(d-1) P^(d-1) (a w P + z^d) : w^d P^d), the limit of the
     second iterates of g_{a,t}; degree d^2, holes of depth d-1 at infinity
     and at each root of P."""
-    P = default_P(d - 1) if P is None else P
-    _check_P(P, d - 1)
+    P = _example1_P(d, P)
     a = complex(a)
     wP = HPoly.w() * P
     inner = a * wP + _zpow(d, d)
@@ -125,8 +133,7 @@ def example1_second_limit(d: int, a: complex, P: HPoly | None = None) -> Boundar
 def example1_phi(d: int, a: complex):
     """phi_a = (a w P + z^d : w P) for the default P, the degree-d map
     carried by f_a."""
-    P = default_P(d - 1)
-    _check_P(P, d - 1)
+    P = _example1_P(d)
     wP = HPoly.w() * P
     return complex(a) * wP + _zpow(d, d), wP
 
@@ -135,16 +142,20 @@ def example1_phi(d: int, a: complex):
 # Example 2: hole of depth k >= 2 at infinity
 
 
+def _example2_P(d: int, k: int, P: HPoly | None = None) -> HPoly:
+    """Example 2's checked P, of degree d - k (_check_P), once k is in 2 <= k <= d."""
+    if not 2 <= k <= d:
+        raise ValueError("k must satisfy 2 <= k <= d")
+    return _check_P(P, d - k, allow_constant=(k == d))
+
+
 @_quiet
 def make_example2(d: int, k: int, a: complex, t: complex,
                   P: HPoly | None = None) -> BoundaryMap:
     """g_{a,t} = (a t^k z^d + w^k P : t z^(d-k+1) w^(k-1)), P monic deg d-k."""
     if t == 0 or a == 0:
         raise ValueError("a and t must be nonzero")
-    if not 2 <= k <= d:
-        raise ValueError("k must satisfy 2 <= k <= d")
-    P = default_P(d - k) if P is None else P
-    _check_P(P, d - k, allow_constant=(k == d))
+    P = _example2_P(d, k, P)
     a, t = complex(a), complex(t)
     try:
         tk = t**k
@@ -158,8 +169,7 @@ def make_example2(d: int, k: int, a: complex, t: complex,
 def example2_limit(d: int, k: int) -> BoundaryMap:
     """The t -> 0 limit (w^k P : 0) for the default P, with a depth-k hole
     at infinity."""
-    P = default_P(d - k)
-    _check_P(P, d - k, allow_constant=(k == d))
+    P = _example2_P(d, k)
     return BoundaryMap(d, (HPoly.w() ** k) * P, HPoly.zero(d))
 
 
@@ -170,10 +180,7 @@ def example2_second_limit(d: int, k: int, a: complex,
              w^(k(d-1)+1) P^(d-k+1) z^((d-k+1)(k-1))), degree d^2."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    if not 2 <= k <= d:
-        raise ValueError("k must satisfy 2 <= k <= d")
-    P = default_P(d - k) if P is None else P
-    _check_P(P, d - k, allow_constant=(k == d))
+    P = _example2_P(d, k, P)
     a = complex(a)
     wk = HPoly.w() ** k
     inner = a * wk * (P**k) + _zpow(k * (d - k + 1), k * (d - k + 1))
@@ -189,8 +196,7 @@ def example2_second_limit(d: int, k: int, a: complex,
 def example2_companion_limit(d: int, k: int, a: complex) -> BoundaryMap:
     """h_a = (a w^(kd) P^d : w^(kd) P^d) for the default P, constant a; on
     I(d^2) iff P(a) = 0."""
-    P = default_P(d - k)
-    _check_P(P, d - k, allow_constant=(k == d))
+    P = _example2_P(d, k)
     H = (HPoly.w() ** (k * d)) * (P**d)
     return BoundaryMap(d * d, complex(a) * H, H)
 
@@ -303,7 +309,7 @@ _FAMILIES = {
     "epstein_FT": _Family({"T": (_finite_param, 1.0)}, lambda get: make_epstein_FT(get("T"))),
     "cubic_eps": _Family(  # mu of the limit (z^2 w : w^3) is delta_infinity, exactly
         {"eps": (_finite_param, REQUIRED)}, lambda get: make_cubic_eps(get("eps")),
-        lambda get: AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))),
+        lambda _get: AtomicMeasure(np.array([[1.0, 0.0]], dtype=complex), np.array([1.0]))),
     "polylimit": _Family(  # k = inf is the limit (P : 0)
         {"roots": (_finite_list, REQUIRED), "k": (real_param, 1.0)},
         lambda get: make_polylimit(get("roots"), get("k")),

@@ -169,18 +169,20 @@ class HPoly:
 
         evaluate's charts, chosen once per row for all of polys, and the
         chart's leading power once per distinct degree; a row (0, 0) gives 0
-        for positive degree.
+        for positive degree.  The Horner value is named, so numpy never reuses
+        it in place, which swaps the product's operands (under FMA, bits that
+        depend on the batch size).
         """
         zc = np.abs(z) >= np.abs(w)
         lead = np.where(zc, z, w)
         # lead == 0 only at (0, 0), where dividing by 1 instead leaves t = 0
         t = np.where(zc, w, z) / (lead + (lead == 0))
         powers = {d: lead**d for d in {P.degree for P in polys}}
-        return [
-            powers[P.degree]
-            * _horner_vec(np.where(zc, P.coeffs[::-1, None], P.coeffs[:, None]), t)
-            for P in polys
-        ]
+        out = []
+        for P in polys:
+            value = _horner_vec(np.where(zc, P.coeffs[::-1, None], P.coeffs[:, None]), t)
+            out.append(powers[P.degree] * value)
+        return out
 
     def to_json(self):
         return {"degree": self.degree, "coeffs": re_im(self.coeffs).tolist()}

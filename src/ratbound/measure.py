@@ -159,12 +159,14 @@ def _points_weights(mu):
 # preimages
 
 
-def preimages(phi, a: ProjPoint, tol: float = 1e-10) -> list:
-    """Roots of the fiber polynomial over a (_fiber); multiplicities sum to e."""
+def preimages(phi, a: ProjPoint) -> list:
+    """Roots of the fiber polynomial over a (_fiber), by roots at tol 1e-10 (a
+    leading coefficient below 1e-10 of the largest is a root at infinity);
+    multiplicities sum to e."""
     fiber = _fiber(phi, a)
     if fiber.is_zero:
         raise ValueError("fiber polynomial vanished: pair is not coprime")
-    return roots(fiber, tol)
+    return roots(fiber, 1e-10)
 
 
 def batched_preimage_slots(phi, pts) -> np.ndarray:
@@ -239,17 +241,18 @@ def _pull_back(phi, pts, masses):
 # atom merging
 
 
-def merge_atoms(points, masses, eps: float = DEFAULTS.pt):
-    """Merge atoms within chordal eps; masses add, location = weighted mean.
+def merge_atoms(points, masses):
+    """Merge atoms within chordal pt (DEFAULTS.pt); masses add, location =
+    weighted mean.
 
     A merged atom is a connected component of the relation "within chordal
-    eps", so chains of close atoms merge whole and no grid edge splits one.
+    pt", so chains of close atoms merge whole and no grid edge splits one.
     Its location is the mass-weighted mean of the phase-aligned members;
     atoms close to no other come back unchanged and in their input order.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, 2)
     masses = np.asarray(masses, dtype=float).reshape(-1)
-    return _merge_close(points, masses, eps)
+    return _merge_close(points, masses, DEFAULTS.pt)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +277,11 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
         raise ValueError("map is nondegenerate: mu_f is not atomic, use sampling")
     note = "formal: measure map discontinuous here" if dec.indeterminate else ""
     hole_pts, depths = _rows(dec.holes)
-
-    n_levels = 1
-    while (e / d) ** n_levels >= tol:
-        n_levels += 1
-
     all_pts = [hole_pts]
     all_ms = [depths / d]
     total = len(hole_pts)
     level = 1
-    while level < n_levels:
+    while (e / d) ** level >= tol:
         if total + len(all_pts[-1]) * e > max_atoms:
             break
         pts, ms = _pull_back(dec.phi, all_pts[-1], all_ms[-1] / d)

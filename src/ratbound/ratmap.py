@@ -219,13 +219,13 @@ def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
     return prod, Phi, log_scales
 
 
-def _iterate(f: BoundaryMap, n: int, tol: float, dec: Decomposition | None):
+def _iterate(f: BoundaryMap, n: int, dec: Decomposition | None):
     """(f^n, phi^n, the log scales of _iterate_parts), or (f, phi, [log 1]) at
     n = 1; iterate_formula's refusals and failures are raised here."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if dec is None:
-        dec = decompose(f, tol)
+        dec = decompose(f)
     dec.off_locus("iterate")
     if n == 1:
         return f, dec.phi, [0.0]
@@ -236,11 +236,11 @@ def _iterate(f: BoundaryMap, n: int, tol: float, dec: Decomposition | None):
     return BoundaryMap(f.d**n, prod * Phi[0], prod * Phi[1]), Phi, log_scales
 
 
-def iterate_formula(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd,
-                    dec: Decomposition | None = None) -> BoundaryMap:
-    """The n-th iterate assembled from the product formula; IndeterminateMapError
-    only on decompose's I(d) verdict, NumericalFailure on overflow or underflow."""
-    return _iterate(f, n, tol, dec)[0]
+def iterate_formula(f: BoundaryMap, n: int, dec: Decomposition | None = None) -> BoundaryMap:
+    """The n-th iterate by the product formula on dec, f's decomposition (decompose(f)
+    when not given); IndeterminateMapError only on dec's I(d) verdict, NumericalFailure
+    on overflow or underflow."""
+    return _iterate(f, n, dec)[0]
 
 
 def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> float:
@@ -255,7 +255,7 @@ def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> 
     and for a value below float64's range, |Res phi| itself included.
     """
     dec = decompose(f, tol)
-    fn, Phi, log_scales = _iterate(f, n, tol, dec)
+    fn, Phi, log_scales = _iterate(f, n, dec)
     if dec.degenerate:
         return 0.0
     d = f.d
@@ -359,16 +359,13 @@ def _orbit_steps(dec: Decomposition, z: ProjPoint, degrees: bool = False):
         x = step[2]
 
 
-def hole_depth_sequence(f: BoundaryMap, z: ProjPoint, N: int,
-                        tol: float = DEFAULTS.gcd,
-                        dec: Decomposition | None = None) -> list:
-    """Exact rationals d_z(f^n)/d^n for n = 1..N; nondecreasing, limit mu_f({z}).
+def hole_depth_sequence(dec: Decomposition, z: ProjPoint, N: int) -> list:
+    """Exact rationals d_z(f^n)/d^n for n = 1..N of the map f that dec
+    decomposes; nondecreasing, limit mu_f({z}).
 
     Depths are read off the product formula combinatorially, so N is not
     limited by the d^n coefficient blow-up.
     """
-    if dec is None:
-        dec = decompose(f, tol)
     dec.off_locus("hole depths")
     return [partial for partial, _ in islice(_depth_series(dec, z), N)]
 

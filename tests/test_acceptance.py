@@ -155,7 +155,7 @@ def test_criterion_4_hole_depth_monotonicity():
     for d in (2, 3):
         fa = fam.example1_second_limit(d, a=0.4)
         dec = decompose(fa, 1e-4)
-        seq = hole_depth_sequence(fa, INFINITY, 6, 1e-4)
+        seq = hole_depth_sequence(dec, INFINITY, 6)
         mono = all(b >= a for a, b in zip(seq, seq[1:]))
         mass, _ = point_mass(dec, INFINITY, 1e-14)
         tail = list(islice(_depth_series(dec, INFINITY), 6))[5][1]  # T_5 = m_6/(d^2)^6

@@ -1,13 +1,20 @@
 """The claims ledger: README's table of the abstract's claims and their witnesses,
-and the witness for claim (b), the codimension of I(d)."""
+the witness for claim (b), the codimension of I(d), and those for claims (c) and
+(d), limits along paths composed in exact arithmetic."""
 
 import importlib
 import re
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ratbound import BoundaryMap, HPoly, decompose, is_indeterminate
+from ratbound import (BoundaryMap, HPoly, decompose, is_indeterminate, iterate_formula,
+                      map_residual)
+from ratbound import families as fam
+
+from helpers import path_limit, random_rat2
 
 ROOT = Path(__file__).resolve().parents[1]
 WITNESSES = ("independent", "circular", "missing")
@@ -91,3 +98,91 @@ def test_indeterminacy_locus_has_codimension_d_plus_1():
             c = np.concatenate([f.P.coeffs, f.Q.coeffs])
             c = c + 1e-3 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
             assert decompose(BoundaryMap(d, HPoly(d, c[: d + 1]), HPoly(d, c[d + 1:]))).e == d
+
+
+# ---------------------------------------------------------------------------
+# claims (c) and (d): limits along paths, composed in exact arithmetic by path_limit
+
+
+def _mono(d, **coeffs):
+    """The degree-d HPoly sum c_i z^i w^(d - i), from keywords z<i>=c_i."""
+    c = np.zeros(d + 1, dtype=complex)
+    for key, value in coeffs.items():
+        c[int(key[1:])] = value
+    return HPoly(d, c)
+
+
+def test_iterate_map_has_different_limits_along_paths_into_I_d():
+    # three paths into f0 = (0 : zw), a point of I(2); the second iterates
+    # converge to three maps off I(4), derived by hand: f_t o f_t = (t c z^2 w^2
+    # + O(t^2) : t (z^3 w + c z w^3) + ...) along A, B adds 0.7 t z^2 w^2 to the
+    # second component, and C doubles its z^3 w.  So f -> f^2 has no limit at f0
+    c = 0.3 + 0.1j
+    zero2, zw = HPoly.zero(2), _mono(2, z1=1)
+    assert is_indeterminate(BoundaryMap(2, zero2, zw))
+    paths = {
+        "A": [(zero2, zw), (_mono(2, z2=1, z0=c), zero2)],
+        "B": [(zero2, zw), (_mono(2, z2=1, z0=c), _mono(2, z0=0.7))],
+        "C": [(zero2, zw), (_mono(2, z2=2, z0=c), zero2)],
+    }
+    by_hand = {
+        "A": BoundaryMap(4, _mono(4, z2=c), _mono(4, z1=c, z3=1)),
+        "B": BoundaryMap(4, _mono(4, z2=c), _mono(4, z1=c, z2=0.7, z3=1)),
+        "C": BoundaryMap(4, _mono(4, z2=c), _mono(4, z1=c, z3=2)),
+    }
+    limits = {}
+    for name, terms in paths.items():
+        order, limits[name] = path_limit(terms, 2)
+        assert order == 1, name
+        assert map_residual(limits[name], by_hand[name]) < 1e-15, name
+        assert not is_indeterminate(limits[name]), name
+    for x, y in combinations(limits, 2):
+        assert map_residual(limits[x], limits[y]) > 0.1, (x, y)
+
+
+def test_iterate_map_is_continuous_off_I_d():
+    # off I(d), f_t^2 along f0 + t g tends to f0^2 whatever the direction g:
+    # the order-0 term of the exact composition is iterate_formula's f0^2
+    rng = np.random.default_rng(43)
+
+    def poly(d):
+        return HPoly(d, rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+
+    starts = []
+    for _ in range(3):
+        starts.append(random_rat2(rng))                       # e = d
+        H = poly(1)
+        starts.append(BoundaryMap(2, H * poly(1), H * poly(1)))  # e = 1
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        H = poly(2)
+        starts.append(BoundaryMap(2, a * H, b * H))           # e = 0, (a : b) no hole
+        H = poly(1)
+        starts.append(BoundaryMap(3, H * poly(2), H * poly(2)))  # d = 3, e = 2
+    for f0 in starts:
+        assert not is_indeterminate(f0)
+        g = (poly(f0.d), poly(f0.d))
+        order, limit = path_limit([f0.pair(), g], 2)
+        assert order == 0
+        assert map_residual(limit, iterate_formula(f0, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("a", [0.4, 0.5])
+def test_second_limits_are_their_families_path_limits(d, k, a):
+    # example1 (k = 1): g_t = (w P + t a z^d : t z^d), P of degree d - 1;
+    # example2: g_t = (w^k P + t^k a z^d : t z^(d-k+1) w^(k-1)), P of degree d - k.
+    # The lowest t-term of g_t o g_t, at order k, is the family's closed form
+    zero = HPoly.zero(d)
+    P = fam.default_P(d - k)
+    zd = _mono(d, **{f"z{d}": 1})
+    if k == 1:
+        terms = [(HPoly.w() * P, zero), (a * zd, zd)]
+        closed = fam.example1_second_limit(d, a)
+    else:
+        second = _mono(d - k + 1, **{f"z{d - k + 1}": 1}) * HPoly.w() ** (k - 1)
+        terms = [((HPoly.w() ** k) * P, zero), (zero, second), *[(zero, zero)] * (k - 2),
+                 (a * zd, zero)]
+        closed = fam.example2_second_limit(d, k, a)
+    order, limit = path_limit(terms, 2)
+    assert order == k
+    assert map_residual(limit, closed) < 1e-15

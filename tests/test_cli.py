@@ -102,7 +102,7 @@ def test_iterate_hole_depth_table(tmp_path, capsys):
     rep = json.loads(out)["result"]
     assert rep["iterate"]["d"] == 64
     # cmd_iterate hands the encoder coefficient arrays; the schema stays to_json()'s
-    assert rep["iterate"] == json.loads(json.dumps(iterate_formula(fa, 3, 1e-4).to_json()))
+    assert rep["iterate"] == json.loads(json.dumps(iterate_formula(fa, 3, decompose(fa, 1e-4)).to_json()))
     tables = rep["hole_depth_table"]
     assert tables
     for row in tables:

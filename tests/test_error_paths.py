@@ -126,7 +126,7 @@ CASES = [
     pytest.param(lambda: local_degree((hp(1), hp(2)), ZERO),
                  ValueError("local degree undefined for constant phi"),
                  id="local-degree-constant-phi"),
-    pytest.param(lambda: hole_depth_sequence(ON_LOCUS, ZERO, 3),
+    pytest.param(lambda: hole_depth_sequence(decompose(ON_LOCUS), ZERO, 3),
                  IndeterminateMapError("hole depths undefined on indeterminacy locus"),
                  id="hole-depths-on-locus"),
 ]

@@ -260,13 +260,6 @@ def test_direct_escape_rule_does_not_stop_at_a_zero_increment():
     assert escape_rate(f, (0, 1)).value == pytest.approx(partial[0], abs=1e-9)
 
 
-def _complex_product_commutes():
-    """Whether numpy's complex a * b and b * a have the same bits here (not with FMA)."""
-    rng = np.random.default_rng(0)
-    a, b = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000) for _ in range(2))
-    return np.array_equal((a * b).view(float), (b * a).view(float))
-
-
 def _escape_bits(f, rows, batch):
     """The bits of _escape_rows' values at the points (z, 1) of rows, in batches of batch."""
     w = np.ones(len(rows), dtype=complex)
@@ -274,16 +267,7 @@ def _escape_bits(f, rows, batch):
                            for i in range(0, len(rows), batch)]).view(np.int64)
 
 
-@pytest.mark.parametrize("count", [
-    16_000,
-    pytest.param(17_000, marks=pytest.mark.xfail(
-        not _complex_product_commutes(), strict=True, raises=AssertionError, reason=(
-            "CHANGES.md FOUND (escape bits depend on the batch size): from 16,384 rows the "
-            "Horner temporary of HPoly._evaluate_vec reaches numpy's 256 KB elision size, "
-            "so powers[d] * temporary runs as temporary *= powers[d], and a complex a * b "
-            "and b * a differ in the last bit where numpy multiplies with FMA. Mending it "
-            "moves escape bytes (ROADMAP item 10)"))),
-])
+@pytest.mark.parametrize("count", [16_000, 17_000])
 def test_escape_rows_have_the_bits_of_batches_of_1000(count):
     f = fam.make_epstein_FT(1.0)
     rng = np.random.default_rng(count)
@@ -304,7 +288,8 @@ def test_batched_kernel_matches_per_point_loops(f):
     n_max, tol = 50, 1e-12
     axis = np.linspace(-2, 2, 31)
     z = (axis[None, :] + 1j * axis[:, None]).ravel()
-    value, n_used, _, hit_hole = _escape_rows(f, z, np.ones(len(z)), n_max, tol)
+    value, n_used, _ = _escape_rows(f, z, np.ones(len(z)), n_max, tol)
+    hit_hole = value == -np.inf
     dec = decompose(f)
     ref = [
         _reference_direct(f, (complex(zi), 1.0), n_max, tol) if dec.e == f.d
@@ -335,8 +320,9 @@ def test_batched_homogeneity(f, coords, r, theta):
     lam = r * complex(math.cos(theta), math.sin(theta))
     z = np.array([complex(a, b) / 32 for a, b, _, _ in coords])
     w = np.array([complex(c, d) / 32 for _, _, c, d in coords])
-    value, _, _, hit_hole = _escape_rows(
-        f, np.concatenate([z, lam * z]), np.concatenate([w, lam * w]), 60, 1e-13)
+    value = _escape_rows(
+        f, np.concatenate([z, lam * z]), np.concatenate([w, lam * w]), 60, 1e-13)[0]
+    hit_hole = value == -np.inf
     g, g_lam = value[: len(z)], value[len(z):]
     assert hit_hole[: len(z)].tolist() == hit_hole[len(z):].tolist()
     finite = ~hit_hole[: len(z)]

@@ -206,6 +206,14 @@ def test_family_parameter_validation():
         fam.make_example1(3, a=1.0, t=0.0)
     with pytest.raises(ValueError):
         fam.make_example2(4, 1, a=1.0, t=0.1)  # k must be >= 2
+    d = 3  # every example2 builder refuses k outside 2 <= k <= d before it reads P
+    for k in (0, 1, d + 1):
+        for build in (lambda: fam.example2_limit(d, k),
+                      lambda: fam.example2_companion_limit(d, k, a=0.5),
+                      lambda: fam.example2_second_limit(d, k, a=0.5),
+                      lambda: fam.make_example2(d, k, a=0.5, t=0.1)):
+            with pytest.raises(ValueError, match="k must satisfy 2 <= k <= d"):
+                build()
     with pytest.raises(ValueError):
         fam.make_cubic_eps(0.0)
     with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ from ratbound import (
 from ratbound import families as fam
 from ratbound import hpoly, measure, ratmap
 from ratbound.measure import _is_exceptional, batched_preimage_slots, merge_atoms
-from ratbound.projline import canonicalize_rows, chordal_cross
+from ratbound.projline import _merge_close, canonicalize_rows, chordal_cross
 from ratbound.ratmap import _depth_series, apply_pair
 
 from helpers import hp, multiplicity_at, split_batches
@@ -140,13 +140,18 @@ def test_boundary_measure_example1_d3_mass_quarter():
 def test_boundary_measure_mass_bookkeeping():
     fa = fam.example1_second_limit(2, a=0.3)
     dec = decompose(fa, 1e-4)
-    for tol in (1e-2, 1e-4):
+    r = dec.e / dec.d
+    # the levels kept are 0..N-1 for the first N with r^N < tol: at tol = r^3
+    # exactly level 3 is kept, and a tol >= 1 keeps level 0 alone
+    for tol, tail in ((1e-2, r**7), (1e-4, r**14), (r**3, r**4), (1.0, r)):
         mu = boundary_measure(dec, tol=tol)
         assert mu.total_mass() + mu.tail_bound == pytest.approx(1.0, abs=1e-12)
-        assert mu.tail_bound < tol
-    # when the atom cap binds first, the tail honestly reflects fewer levels
+        assert mu.tail_bound == tail < tol
+    # when the atom cap binds first, the tail honestly reflects fewer levels:
+    # levels 0..8 hold 2 + 4 + ... + 512 = 1,022 atoms, and level 9's 1,024
+    # more would pass 2,000
     capped = boundary_measure(dec, tol=1e-12, max_atoms=2000)
-    assert capped.tail_bound > 1e-12
+    assert capped.tail_bound == r**9
     assert capped.total_mass() + capped.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
@@ -280,7 +285,7 @@ def test_boundary_measure_double_preimage_is_one_atom():
 def test_atom_merge_adds_masses():
     pts = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1.0]], dtype=complex)
     pts = canonicalize_rows(pts)
-    out_p, out_m = merge_atoms(pts, np.array([0.25, 0.25, 0.5]), 1e-9)
+    out_p, out_m = merge_atoms(pts, np.array([0.25, 0.25, 0.5]))
     assert len(out_m) == 2
     assert sorted(out_m) == [0.5, 0.5]
 
@@ -345,7 +350,7 @@ def test_point_mass_constant_case():
 def test_point_mass_sandwich_with_depth_sequence():
     fa = fam.example1_second_limit(3, a=0.4)
     dec = decompose(fa, 1e-4)
-    seq = hole_depth_sequence(fa, INFINITY, 6, 1e-4)
+    seq = hole_depth_sequence(dec, INFINITY, 6)
     mass, err = point_mass(dec, INFINITY, 1e-14)
     # T_5 = m_6/9^6 bounds every term past the sixth
     partial, tail = list(islice(_depth_series(dec, INFINITY), 6))[5]
@@ -668,12 +673,12 @@ def test_sampler_starts_from_a_two_cycle_with_a_simple_point():
     assert emp.count == 20
 
 
-def _backward_tree_per_node(f, a, depth, tol=1e-10):
+def _backward_tree_per_node(f, a, depth):
     """Reference enumeration of f^-depth(a): one roots call per atom, merged at pt."""
     atoms = [(a, 1)]
     for _ in range(depth):
         nxt = [(child, mult * cm) for pt, mult in atoms
-               for child, cm in preimages(f.pair(), pt, tol)]
+               for child, cm in preimages(f.pair(), pt)]
         pts = np.array([p.as_array() for p, _ in nxt])
         ms = np.array([float(m) for _, m in nxt])
         pts, ms = merge_atoms(pts, ms)
@@ -886,7 +891,7 @@ def _exceptional_by_backward_orbit(phi, a):
         level, _ = merge_atoms(np.array(children), np.ones(len(children)))
         cloud.append(level)
     cloud = np.concatenate(cloud)
-    distinct, _ = merge_atoms(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
+    distinct, _ = _merge_close(cloud, np.ones(len(cloud)), DEFAULTS.hole_match)
     return len(distinct) < 3
 
 
@@ -1039,5 +1044,5 @@ def test_measure_from_json_keeps_canonical_rows_as_written(rows):
     "fall to 640"))
 def test_measure_keeps_no_split_multiple_preimages():
     mu = boundary_measure(decompose(fam.example2_second_limit(4, 2, a=0.5), 1e-4), 3e-2)
-    points, masses = merge_atoms(mu.points, mu.masses, DEFAULTS.cluster_floor)
+    points, masses = _merge_close(mu.points, mu.masses, DEFAULTS.cluster_floor)
     assert np.array_equal(points, mu.points) and np.array_equal(masses, mu.masses)

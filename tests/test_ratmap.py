@@ -295,7 +295,7 @@ def test_iterate_constant_phi_depths():
     H = HPoly.from_roots([(canonicalize(1, 1), 1), (canonicalize(-1, 1), 1)])
     c = canonicalize(5.0, 1)
     f = BoundaryMap(2, c.z * H, c.w * H)
-    f2 = iterate_formula(f, 2, 1e-8)
+    f2 = iterate_formula(f, 2, decompose(f, 1e-8))
     dec2 = decompose(f2, 1e-5)
     assert dec2.e == 0
     assert multiplicity_at(dec2.holes, canonicalize(1, 1)) == 2
@@ -488,14 +488,14 @@ def test_indeterminacy_iff_iterate_undefined():
 def test_hole_depth_sequence_nondegenerate_zero():
     rng = np.random.default_rng(25)
     f = random_rat2(rng)
-    assert hole_depth_sequence(f, INFINITY, 4) == [Fraction(0)] * 4
+    assert hole_depth_sequence(decompose(f), INFINITY, 4) == [Fraction(0)] * 4
 
 
 def test_hole_depth_sequence_increasing_to_limit():
     # f_a: depth sequence at infinity is (1 - D^-n)/(d+1)... exact fractions
     d = 2
     fa = fam.example1_second_limit(d, a=0.6)
-    seq = hole_depth_sequence(fa, INFINITY, 6, 1e-4)
+    seq = hole_depth_sequence(decompose(fa, 1e-4), INFINITY, 6)
     D = d * d
     # closed form: sum_{j<k} (d-1)/D^(j+1) = (d-1)(1 - D^-k)/(D-1)
     expect = [Fraction(d - 1, D - 1) * (1 - Fraction(1, D ** k)) for k in range(1, 7)]
@@ -506,17 +506,18 @@ def test_hole_depth_sequence_increasing_to_limit():
 def test_hole_depth_sequence_constant_phi():
     H = HPoly.from_roots([(canonicalize(1, 1), 1), (canonicalize(2, 1), 1)])
     f = BoundaryMap(2, 5 * H, H)
-    seq = hole_depth_sequence(f, canonicalize(1, 1), 3, 1e-6)
+    seq = hole_depth_sequence(decompose(f, 1e-6), canonicalize(1, 1), 3)
     assert seq == [Fraction(1, 2)] * 3
 
 
 def test_hole_depth_cross_check_against_expansion():
     fa = fam.example1_second_limit(2, a=0.37 + 0.21j)
+    dec = decompose(fa, 1e-4)
     one = canonicalize(1, 1)
     for n, pts in ((2, (INFINITY, one)), (3, (INFINITY,))):
-        Hn = ratmap._iterate_parts(fa, n, decompose(fa, 1e-4))[0]
+        Hn = ratmap._iterate_parts(fa, n, dec)[0]
         for pt in pts:
-            comb = hole_depth_sequence(fa, pt, n, 1e-4)[n - 1] * 4**n
+            comb = hole_depth_sequence(dec, pt, n)[n - 1] * 4**n
             assert count_zeros_in_disk(Hn, pt) == comb
 
 

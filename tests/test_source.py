@@ -32,3 +32,35 @@ def test_modules_use_every_name_they_import():
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nimport numpy as np\nfrom .x import (a, b)\nnp.sum(a)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "b")]
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter of a function or lambda that its
+    body never reads; names that start with _ are exempt, and so is a method's receiver
+    (self, cls), which the interface fixes (EmpiricalMeasure.total_mass is the constant 1)."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                   if not p.arg.startswith("_") and p.arg not in read | {"self", "cls"}]
+    return sorted(unread)
+
+
+def test_functions_read_every_parameter():
+    unread = [f"{p.name}:{line} {name}({param})" for p in sorted(SRC.glob("*.py"))
+              for line, name, param in _unread_parameters(ast.parse(p.read_text()))]
+    assert unread == []
+
+
+def test_unread_parameter_check_sees_an_unread_name():
+    tree = ast.parse("def f(a, b, _c, *args, k=1, **kw):\n    b = a\n    return kw\n"
+                     "g = lambda x, y: y\nclass C:\n    def one(self):\n        return 1\n")
+    assert _unread_parameters(tree) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "k"),
+                                      (4, "<lambda>", "x")]
