@@ -16,6 +16,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from collections import namedtuple
 
@@ -118,8 +120,8 @@ def _emit_json(args, result):
 
 
 # The JSON encoder yields json.dumps(value, indent=2) in pieces, byte for byte,
-# for _write to stream; a verb's result is complete first, so only a crash in
-# the encoder or a signal can truncate --out.  json.dumps writes all but the
+# for _write to stream; a verb's result is complete first, so only a failure in
+# the encoder or a signal can leave a partial --out.  json.dumps writes all but the
 # numpy arrays and _Rows, whose lists the encoder splices in at their slots: an
 # (n, ...) array as the list of its rows, _Rows(key=column, ...) as the list of
 # dicts {key: column[i], ...}, _BLOCK rows a piece by _table_rows (shared with
@@ -278,11 +280,26 @@ def _fmt(value):
 
 
 def _write(path, pieces):
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(pieces)
-    else:
+    """Stream `pieces` to stdout, or over the file at `path`, which ends where they end.
+
+    An existing file is overwritten in place and cut at the final offset: truncating it
+    at open frees its blocks first, which on ext4 mounted with discard takes longer than
+    the whole in-place write.  The cut runs in a `finally`, so an exception mid-stream
+    leaves the written prefix; a non-regular file (/dev/null, a FIFO, a terminal) is not cut.
+    """
+    if not path:
         sys.stdout.writelines(pieces)
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            fh.writelines(pieces)
+            fh.flush()
+        finally:
+            # at the kernel's offset; after an exception, the text still buffered is
+            # written past the cut on close
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,14 @@ def resultant(P: HPoly, Q: HPoly) -> complex:
     if m + n > _SYLVESTER_MAX:
         raise NumericalFailure(f"resultant: a {m + n} x {m + n} Sylvester matrix exceeds "
                                f"{_SYLVESTER_MAX} rows")
-    return complex(np.linalg.det(_sylvester(P, Q)))
+    # numpy's det takes log|u| of each pivot u of the LU factors: an exact zero pivot that
+    # getrf does not report (OpenBLAS misses some, as for resultant(P, P)) is a divide by
+    # zero there, and the Sylvester matrix is singular
+    try:
+        with np.errstate(divide="raise"):
+            return complex(np.linalg.det(_sylvester(P, Q)))
+    except FloatingPointError:
+        return 0j
 
 
 def _sylvester(P: HPoly, Q: HPoly) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import signal
 import sys
@@ -1022,6 +1023,70 @@ def test_multi_block_measure_writes_the_same_bytes_to_stdout_and_out(tmp_path, c
     assert code == 0 and main(argv + ["--out", str(tmp_path / "o.json")]) == 0
     assert (tmp_path / "o.json").read_bytes() == out.encode()
     assert len(json.loads(out)["result"]["cone_angles"]) > 2 * cli._BLOCK
+
+
+# one JSON verb and one CSV verb, each cheap
+_OVERWRITTEN = [
+    ["decompose", "--family", "epstein_FT"],
+    ["escape", "--family", "epstein_FT", "--param", "re=-1:1:5", "--param", "im=-1:1:5"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERWRITTEN, ids=["json", "csv"])
+@pytest.mark.parametrize("older", ["longer", "shorter"])
+def test_an_output_over_an_older_file_has_the_bytes_of_a_fresh_one(argv, older, tmp_path):
+    # --out is overwritten in place and cut where the new text ends
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    text = fresh.read_bytes()
+    out.write_bytes(b"x" * (3 * len(text)) if older == "longer" else text[:len(text) // 2])
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("older", [0, 100_000])
+def test_an_encoder_failure_leaves_the_written_prefix(exc, older, tmp_path, monkeypatch):
+    # the pieces written before the exception, and none of an older file's tail
+    out = tmp_path / "o.json"
+    if older:
+        out.write_bytes(b"x" * older)
+
+    def pieces(value):
+        yield "first piece"
+        raise exc("mid-stream")
+
+    monkeypatch.setattr(cli, "_json_pieces", pieces)
+    with pytest.raises(exc):
+        main(["decompose", "--family", "epstein_FT", "--out", str(out)])
+    assert out.read_bytes() == b"first piece"
+
+
+def test_an_output_to_dev_null_exits_0():
+    # a character device takes the text and is not cut
+    assert main(["decompose", "--family", "epstein_FT", "--out", os.devnull]) == 0
+
+
+def test_an_existing_output_keeps_its_inode_and_mode(tmp_path):
+    out = tmp_path / "o.json"
+    out.write_text("older")
+    out.chmod(0o640)
+    before = out.stat()
+    assert main(["decompose", "--family", "epstein_FT", "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert json.loads(out.read_text())["command"] == "decompose"
+
+
+def test_a_verb_that_fails_leaves_an_existing_output_as_it_was(tmp_path):
+    # measure refuses a nondegenerate map before its destination is opened
+    out = tmp_path / "o.json"
+    out.write_bytes(b"older output\n")
+    before = out.stat()
+    assert main(["measure", "--family", "example1", "--param", "d=2", "--param", "a=0.5",
+                 "--param", "t=0.1", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"older output\n"
+    assert out.stat().st_mtime_ns == before.st_mtime_ns
 
 
 def test_csv_rows_are_their_fields(tmp_path):

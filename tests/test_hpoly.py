@@ -197,6 +197,9 @@ def test_resultant_disjoint_unit():
 
 def test_resultant_shared_root():
     assert abs(resultant(hp(0, 1, 0), hp(1, 0, 0))) < 1e-14  # zw, w^2
+    # an exact zero pivot that getrf does not report: exactly 0, with no warning
+    P = hp(0.5j, 1, 2.22507386e-308 + 3j)
+    assert resultant(P, P) == 0
 
 
 def test_resultant_derived_value():
