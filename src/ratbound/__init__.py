@@ -7,7 +7,7 @@ inverse iteration, and evaluates escape-rate potentials -- the numerical
 side of how measures of maximal entropy degenerate at the boundary.
 """
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import (
     ExceptionalPointError,
     IndeterminateMapError,

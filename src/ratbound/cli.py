@@ -407,7 +407,7 @@ def cmd_properness(args, params, n, sweep, values):
         values, maps = ["-"], [_load_map(args, params)]
     else:
         maps = [spec.build() for spec in _sweep_specs(args, params, sweep, values)]
-    resultants = [iterate_abs_resultant(f, n, args.tol) for f in maps]
+    resultants = [iterate_abs_resultant(f, n, decompose(f, args.tol)) for f in maps]
     _emit_csv(args, [sweep, "abs_resultant"], [values, resultants], {"n": n})
 
 

@@ -124,7 +124,7 @@ def _escape_rows(f: BoundaryMap, z, w, n_max, tol, dec=None):
     if dec is None:
         dec = decompose(f)
     dec.off_locus("escape rate")
-    if dec.e == f.d:
+    if not dec.degenerate:
         return _escape_batch(f.d, f.pair(), None, z, w, n_max, tol)
     return _escape_batch(f.d, dec.phi, dec.H, z, w, n_max, tol)
 
@@ -155,10 +155,8 @@ def escape_rate_constant_case(dec: Decomposition, x) -> float:
     d = dec.d
     if d < 2:
         raise MathDomainError("closed form requires d >= 2")
-    p, q = dec.phi
-    a, b = complex(p.coeffs[0]), complex(q.coeffs[0])
-    hx = abs(dec.H.evaluate((complex(x[0]), complex(x[1]))))
-    hab = abs(dec.H.evaluate((a, b)))
+    hx = abs(dec.H.evaluate(x))
+    hab = abs(dec.H.evaluate([P.coeffs[0] for P in dec.phi]))  # at (a, b), as the lift scales it
     if hx == 0.0:
         return -math.inf
     return math.log(hx) / d + math.log(hab) / (d * (d - 1))

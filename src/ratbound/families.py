@@ -82,12 +82,6 @@ def _quiet(make):
     return quiet
 
 
-def _zpow(i: int, d: int) -> HPoly:
-    c = np.zeros(d + 1, dtype=complex)
-    c[i] = 1.0
-    return HPoly(d, c)
-
-
 # ---------------------------------------------------------------------------
 # Example 1: hole of depth 1 at infinity
 
@@ -105,7 +99,7 @@ def make_example1(d: int, a: complex, t: complex, P: HPoly | None = None) -> Bou
     if d < 2:
         raise ValueError("d must be >= 2")
     P = _example1_P(d, P)
-    zd = _zpow(d, d)
+    zd = HPoly.z() ** d
     wP = HPoly.w() * P
     return BoundaryMap(d, complex(a) * complex(t) * zd + wP, complex(t) * zd)
 
@@ -124,7 +118,7 @@ def example1_second_limit(d: int, a: complex, P: HPoly | None = None) -> Boundar
     P = _example1_P(d, P)
     a = complex(a)
     wP = HPoly.w() * P
-    inner = a * wP + _zpow(d, d)
+    inner = a * wP + HPoly.z() ** d
     top = (HPoly.w() ** (d - 1)) * (P ** (d - 1)) * inner
     bottom = (HPoly.w() ** d) * (P**d)
     return BoundaryMap(d * d, top, bottom)
@@ -135,7 +129,7 @@ def example1_phi(d: int, a: complex):
     carried by f_a."""
     P = _example1_P(d)
     wP = HPoly.w() * P
-    return complex(a) * wP + _zpow(d, d), wP
+    return complex(a) * wP + HPoly.z() ** d, wP
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +155,8 @@ def make_example2(d: int, k: int, a: complex, t: complex,
         tk = t**k
     except OverflowError:  # |t|^k past float64, which BoundaryMap names
         tk = complex(cmath.inf)
-    top = a * tk * _zpow(d, d) + (HPoly.w() ** k) * P
-    bottom = t * _zpow(d - k + 1, d - k + 1) * (HPoly.w() ** (k - 1))
+    top = a * tk * HPoly.z() ** d + (HPoly.w() ** k) * P
+    bottom = t * HPoly.z() ** (d - k + 1) * (HPoly.w() ** (k - 1))
     return BoundaryMap(d, top, bottom)
 
 
@@ -183,12 +177,12 @@ def example2_second_limit(d: int, k: int, a: complex,
     P = _example2_P(d, k, P)
     a = complex(a)
     wk = HPoly.w() ** k
-    inner = a * wk * (P**k) + _zpow(k * (d - k + 1), k * (d - k + 1))
+    inner = a * wk * (P**k) + HPoly.z() ** (k * (d - k + 1))
     top = (HPoly.w() ** (k * (d - 1))) * (P ** (d - k)) * inner
     bottom = (
         (HPoly.w() ** (k * (d - 1) + 1))
         * (P ** (d - k + 1))
-        * _zpow((d - k + 1) * (k - 1), (d - k + 1) * (k - 1))
+        * HPoly.z() ** ((d - k + 1) * (k - 1))
     )
     return BoundaryMap(d * d, top, bottom)
 
@@ -220,13 +214,13 @@ def make_cubic_eps(eps: complex) -> BoundaryMap:
     """Lift of p_eps(z) = eps z^3 + z^2: (eps z^3 + z^2 w : w^3)."""
     if eps == 0:
         raise ValueError("eps must be nonzero (the limit is cubic_limit)")
-    top = complex(eps) * _zpow(3, 3) + _zpow(2, 2) * HPoly.w()
+    top = complex(eps) * HPoly.z() ** 3 + HPoly.z() ** 2 * HPoly.w()
     return BoundaryMap(3, top, HPoly.w() ** 3)
 
 
 def cubic_limit() -> BoundaryMap:
     """The eps -> 0 limit (z^2 w : w^3) with mu = delta_infinity."""
-    return BoundaryMap(3, _zpow(2, 2) * HPoly.w(), HPoly.w() ** 3)
+    return BoundaryMap(3, HPoly.z() ** 2 * HPoly.w(), HPoly.w() ** 3)
 
 
 @_quiet

@@ -1,11 +1,11 @@
 """Homogeneous bivariate polynomial arithmetic over C.
 
-An HPoly of degree d stores d+1 complex coefficients with the convention
-coeffs[i] * z^i * w^(d-i).  This module provides the algebraic substrate:
-evaluation, products, composition, the Sylvester resultant, all-roots
-finding on P^1 (companion-matrix eigenvalues with Newton polish and
-chordal clustering for multiplicities), and an approximate gcd computed by
-matching root clusters of the two inputs.  Each operation has one
+An HPoly holds only its d+1 complex coefficients, coeffs[i] * z^i * w^(d-i),
+and reads its degree d off their count.  This module provides the algebraic
+substrate: evaluation, products, composition, the Sylvester resultant,
+all-roots finding on P^1 (companion-matrix eigenvalues with Newton polish
+and chordal clustering for multiplicities), and an approximate gcd computed
+by matching root clusters of the two inputs.  Each operation has one
 implementation: substitute composes polynomials with a pair from one table
 of the pair's powers, and one batched companion kernel, _companion_roots,
 serves both roots and the preimage slots of measure.
@@ -35,34 +35,35 @@ from .projline import (INFINITY, ZERO, ProjPoint, _merge_close, canonicalize,
                        canonicalize_rows, chordal_cross, re_im)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class HPoly:
-    degree: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
-        if c.shape != (self.degree + 1,):
-            raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, got {c.shape}"
-            )
+        if c.ndim != 1 or not len(c):
+            raise ValueError(f"coefficients must be a non-empty 1-D array, got shape {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_coeffs(coeffs) -> "HPoly":
-        c = np.asarray(coeffs, dtype=complex)
-        return HPoly(len(c) - 1, c)
+        """HPoly(coeffs), under the name that scripts and the tests use."""
+        return HPoly(coeffs)
 
     @staticmethod
     def zero(degree: int) -> "HPoly":
-        return HPoly(degree, np.zeros(degree + 1, dtype=complex))
+        return HPoly(np.zeros(degree + 1, dtype=complex))
 
     @staticmethod
     def constant(value: complex) -> "HPoly":
-        return HPoly(0, np.array([value], dtype=complex))
+        return HPoly(np.array([value], dtype=complex))
 
     @staticmethod
     def z() -> "HPoly":
@@ -80,7 +81,7 @@ class HPoly:
             factor = np.array([-pt.z, pt.w], dtype=complex)
             for _ in range(int(mult)):
                 out = np.convolve(out, factor)
-        return HPoly(len(out) - 1, out)
+        return HPoly(out)
 
     # -- basic structure ---------------------------------------------------
 
@@ -96,7 +97,7 @@ class HPoly:
         m = self.max_modulus()
         if m == 0.0:
             return self
-        return HPoly(self.degree, self.coeffs / m)
+        return HPoly(self.coeffs / m)
 
     def monic_leading(self) -> "HPoly":
         """Divide by the topmost coefficient of non-negligible modulus."""
@@ -104,21 +105,19 @@ class HPoly:
             return self
         mods = np.abs(self.coeffs)
         lead = np.flatnonzero(mods > 1e-12 * mods.max())[-1]
-        return HPoly(self.degree, self.coeffs / self.coeffs[lead])
+        return HPoly(self.coeffs / self.coeffs[lead])
 
     def __mul__(self, other):
         if isinstance(other, HPoly):
-            return HPoly(
-                self.degree + other.degree, np.convolve(self.coeffs, other.coeffs)
-            )
-        return HPoly(self.degree, self.coeffs * complex(other))
+            return HPoly(np.convolve(self.coeffs, other.coeffs))
+        return HPoly(self.coeffs * complex(other))
 
     __rmul__ = __mul__
 
     def __add__(self, other: "HPoly") -> "HPoly":
         if self.degree != other.degree:
             raise ValueError("can only add equal-degree homogeneous polynomials")
-        return HPoly(self.degree, self.coeffs + other.coeffs)
+        return HPoly(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "HPoly") -> "HPoly":
         return self + (-1) * other
@@ -140,11 +139,10 @@ class HPoly:
         return result
 
     def derivative_z(self) -> "HPoly":
-        return HPoly(self.degree - 1, _dz(self.coeffs)) if self.degree else HPoly.constant(0.0)
+        return HPoly(_dz(self.coeffs)) if self.degree else HPoly.constant(0.0)
 
     def derivative_w(self) -> "HPoly":  # derivative_z of the reversed coefficients, reversed
-        c = _dz(self.coeffs[::-1])[::-1]
-        return HPoly(self.degree - 1, c) if self.degree else HPoly.constant(0.0)
+        return HPoly(_dz(self.coeffs[::-1])[::-1]) if self.degree else HPoly.constant(0.0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -199,7 +197,7 @@ class HPoly:
                 raise ValueError(f"coeffs[{i}] must be [re, im], two finite numbers, got {pair!r}")
         coeffs = np.empty(len(c), dtype=complex)
         re_im(coeffs)[:] = c
-        return HPoly(degree, coeffs)
+        return HPoly(coeffs)
 
     def __repr__(self):
         terms = []
@@ -248,7 +246,7 @@ def substitute(polys, p: HPoly, q: HPoly) -> list:
             if c != 0:
                 term = np.convolve(p_pows[i], q_pows[d - i])
                 acc[: len(term)] += c * term
-        out.append(HPoly(d * e, acc))
+        out.append(HPoly(acc))
     return out
 
 
@@ -654,4 +652,4 @@ def _deconvolve(H: HPoly, target: HPoly) -> HPoly:
     for j in range(deg + 1):
         A[j : j + H.degree + 1, j] = H.coeffs
     sol, *_ = np.linalg.lstsq(A, target.coeffs, rcond=None)
-    return HPoly(deg, sol)
+    return HPoly(sol)

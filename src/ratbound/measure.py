@@ -259,21 +259,26 @@ def merge_atoms(points, masses):
 # the boundary measure and its point masses
 
 
-def boundary_measure(dec: Decomposition, tol: float = 1e-9,
-                     max_atoms: int = 400_000) -> AtomicMeasure:
+# the rows boundary_measure holds before its final merge, and the terms of the
+# forward-orbit series point_mass sums, at most
+_MAX_ROWS = 400_000
+_POINT_MASS_TERMS = 400
+
+
+def boundary_measure(dec: Decomposition, tol: float = 1e-9) -> AtomicMeasure:
     """The atomic measure of a degenerate map, truncated with an exact tail.
 
     Levels n = 0, 1, ... contribute the phi^n-preimages of the holes at
     weight d^-(n+1); level n carries exactly (1 - e/d)(e/d)^n of the mass,
     so stopping after N levels leaves tail_bound = (e/d)^N.  Expansion also
-    stops early if the next level would exceed max_atoms (the reported
-    tail_bound always reflects the levels actually included).  tol must be
-    positive: (e/d)^N underflows to 0, so no N reaches a tol <= 0.
+    stops early if the next level would take its rows past _MAX_ROWS (the
+    reported tail_bound always reflects the levels actually included).  tol
+    must be positive: (e/d)^N underflows to 0, so no N reaches a tol <= 0.
     """
     if not tol > 0:
         raise ValueError(f"tail tol must be positive, got {tol}")
     d, e = dec.d, dec.e
-    if e == d:
+    if not dec.degenerate:
         raise ValueError("map is nondegenerate: mu_f is not atomic, use sampling")
     note = "formal: measure map discontinuous here" if dec.indeterminate else ""
     hole_pts, depths = _rows(dec.holes)
@@ -282,7 +287,7 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     total = len(hole_pts)
     level = 1
     while (e / d) ** level >= tol:
-        if total + len(all_pts[-1]) * e > max_atoms:
+        if total + len(all_pts[-1]) * e > _MAX_ROWS:
             break
         pts, ms = _pull_back(dec.phi, all_pts[-1], all_ms[-1] / d)
         all_pts.append(pts)
@@ -296,18 +301,14 @@ def boundary_measure(dec: Decomposition, tol: float = 1e-9,
     return AtomicMeasure(pts, ms, (e / d) ** level, note)
 
 
-# terms of the forward-orbit series point_mass sums at most
-_POINT_MASS_TERMS = 400
-
-
 def point_mass(dec: Decomposition, a: ProjPoint, tol: float = 1e-12):
     """mu_f({a}) by the forward-orbit series; returns (mass, error_bound).
 
     The running multiplicity m is the product of local degrees of phi along
     the orbit; truncating after the d^-(k+1) term leaves at most m/d^(k+1),
     which is the returned geometric error bound.  The sum stops at the first
-    bound below tol, or after _POINT_MASS_TERMS terms.  For e = 0 the mass
-    is read directly off the hole list (error 0).  tol must be finite.
+    bound below tol, or after _POINT_MASS_TERMS terms.  For e = 0 it is the
+    first term, the depth of a as a hole over d (error 0).  tol must be finite.
     """
     if not math.isfinite(tol):
         raise ValueError(f"series tol must be finite, got {tol}")
@@ -375,7 +376,7 @@ def sample_max_entropy(f: BoundaryMap, a: ProjPoint, depth: int, count: int,
     if depth < 1 or count < 1 or workers < 1:
         raise ValueError("depth, count and workers must be positive")
     dec = decompose(f, gcd_tol)
-    if dec.e != f.d:
+    if dec.degenerate:
         raise ValueError("sampling requires a nondegenerate map")
     if f.d < 2:
         raise MathDomainError("inverse-iteration sampling needs degree d >= 2")
@@ -464,7 +465,7 @@ def support_report(dec: Decomposition):
     counts the hole hits among the first 21 orbit points of each hole.  No
     claim is computed beyond the detected case.
     """
-    if dec.e == dec.d:
+    if not dec.degenerate:
         raise ValueError("support report applies to degenerate maps")
     rep = {
         "e": dec.e,

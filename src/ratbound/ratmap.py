@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -38,7 +39,7 @@ from .hpoly import (
     substitute,
     vanishing_order,
 )
-from .projline import ProjPoint, canonicalize, chordal_distance
+from .projline import ZERO, ProjPoint, canonicalize, chordal_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +61,8 @@ class BoundaryMap:
         scale = max(self.P.max_modulus(), self.Q.max_modulus())
         if scale == 0.0:
             raise ValueError("the zero pair is not a point of Ratbar_d")
-        object.__setattr__(self, "P", HPoly(self.d, self.P.coeffs / scale))
-        object.__setattr__(self, "Q", HPoly(self.d, self.Q.coeffs / scale))
+        object.__setattr__(self, "P", HPoly(self.P.coeffs / scale))
+        object.__setattr__(self, "Q", HPoly(self.Q.coeffs / scale))
 
     def pair(self):
         return self.P, self.Q
@@ -99,7 +100,8 @@ def apply_pair(phi, pt: ProjPoint) -> ProjPoint:
 
 @dataclass
 class Decomposition:
-    """The factorization f = H * phi with hole bookkeeping.
+    """The factorization f = H * phi: it holds H, phi = (p, q) and the holes, and reads
+    e = deg phi, d = deg H + e, the constant value and the I(d) verdict off them.
 
     Scales are kept consistent: H * p ~ P and H * q ~ Q coefficientwise for
     the normalized pair of the decomposed map, so escape-rate formulas can
@@ -108,19 +110,34 @@ class Decomposition:
     e > 0) |Res(p, q)| of the normalized phi, are computed only by report(f).
     """
 
-    d: int
     H: HPoly
     phi: tuple
     holes: list  # [(ProjPoint, depth)], as roots sorts them
-    e: int
-    constant_value: ProjPoint | None
-    indeterminate: bool
     # _orbit_steps' memo: each point's step and local degree, by its bits, for every walk
     _orbit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
+    def e(self) -> int:
+        return self.phi[0].degree
+
+    @property
+    def d(self) -> int:
+        return self.H.degree + self.e
+
+    @property
     def degenerate(self) -> bool:
         return self.e < self.d
+
+    @cached_property
+    def constant_value(self) -> ProjPoint | None:
+        """phi's one value (p : q), read at any point, when phi is constant (e = 0); else None."""
+        return None if self.e else apply_pair(self.phi, ZERO)
+
+    @cached_property
+    def indeterminate(self) -> bool:
+        """The one I(d) test: e = 0 and |H(constant value)| < indeterminacy, H normalized."""
+        c = self.constant_value
+        return c is not None and abs(self.H.normalize().evaluate(c)) < DEFAULTS.indeterminacy
 
     def off_locus(self, what: str) -> "Decomposition":
         """self off I(d); on it the one IndeterminateMapError, naming what is undefined."""
@@ -147,22 +164,14 @@ class Decomposition:
 
 
 def decompose(f: BoundaryMap, tol: float = DEFAULTS.gcd) -> Decomposition:
-    """Factor f = H*phi, record holes with depths and the constant value if e = 0;
-    the one I(d) test: e = 0 and |H(constant)| < DEFAULTS.indeterminacy."""
+    """Factor f = H*phi by numeric_gcd at tol, with the holes and their depths;
+    the Decomposition reads e, d, the constant value and the I(d) verdict off them."""
     H, p, q, holes = numeric_gcd(f.P, f.Q, tol)
-    e = f.d - H.degree
-    constant = None
-    indeterminate = False
-    if e == 0:
-        constant = canonicalize(complex(p.coeffs[0]), complex(q.coeffs[0]))
-        indeterminate = bool(
-            abs(H.normalize().evaluate(constant)) < DEFAULTS.indeterminacy
-        )
-    return Decomposition(f.d, H, (p, q), holes, e, constant, indeterminate)
+    return Decomposition(H, (p, q), holes)
 
 
 def is_indeterminate(f: BoundaryMap) -> bool:
-    """True iff f is on I(d): decompose's verdict at the default gcd tolerance."""
+    """True iff f is on I(d): Decomposition.indeterminate at the default gcd tolerance."""
     return decompose(f).indeterminate
 
 
@@ -185,7 +194,7 @@ def _unit_scaled(n: int, d: int, *polys):
     scale = max(P.max_modulus() for P in polys)
     if scale == 0.0:
         raise NumericalFailure(_UNDERFLOW.format(n=n, d=d))
-    return [HPoly(P.degree, P.coeffs / scale) for P in polys], math.log(scale)
+    return [HPoly(P.coeffs / scale) for P in polys], math.log(scale)
 
 
 def _iterate_parts(f: BoundaryMap, n: int, dec: Decomposition):
@@ -243,18 +252,19 @@ def iterate_formula(f: BoundaryMap, n: int, dec: Decomposition | None = None) ->
     return _iterate(f, n, dec)[0]
 
 
-def iterate_abs_resultant(f: BoundaryMap, n: int, tol: float = DEFAULTS.gcd) -> float:
-    """|Res(P, Q)| of the pair iterate_formula(f, n) returns, with its refusals,
+def iterate_abs_resultant(f: BoundaryMap, n: int, dec: Decomposition | None = None) -> float:
+    """|Res(P, Q)| of the pair iterate_formula(f, n, dec) returns, with its refusals,
     by the composition rule |Res(F o G)| = |Res F|^(deg G) |Res G|^((deg F)^2).
 
     In log space, with one 2d x 2d determinant: L_0 = 0 for the identity (z, w),
     L_k = d^(k-1) log|Res phi| + d^2 L_(k-1) - 2 d^k log s_k for the scaled
     compositions phi^k, plus 2 d^n log|c| for the constant c of f^n = c phi^n:
     |c| = 1 for n >= 2, where _iterate_parts scales it, and f's own at n = 1.
-    0.0 when decompose's verdict is degenerate (H_n divides both components)
-    and for a value below float64's range, |Res phi| itself included.
+    dec is decompose(f) when not given.  0.0 when dec is degenerate (H_n divides
+    both components) and for a value below float64's range, |Res phi| included.
     """
-    dec = decompose(f, tol)
+    if dec is None:
+        dec = decompose(f)
     fn, Phi, log_scales = _iterate(f, n, dec)
     if dec.degenerate:
         return 0.0
@@ -286,7 +296,7 @@ def iterate_direct(f: BoundaryMap, n: int) -> BoundaryMap:
         scale = max(cur[0].max_modulus(), cur[1].max_modulus())
         if scale < 1e-12:
             raise NumericalFailure("composition vanished")
-        cur = [HPoly(P.degree, P.coeffs / scale) for P in cur]
+        cur = [HPoly(P.coeffs / scale) for P in cur]
     return BoundaryMap(f.d**n, cur[0], cur[1])
 
 
@@ -376,20 +386,18 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     forward-orbit series for mu_f({z}), and its tail bound
     T_k = m_(k+1)/d^(k+1), as exact rationals.
 
-    For e = d there are no holes (all terms 0); for e = 0 the series is its
-    first term, the depth of z as a hole over d.  Both have tail 0.  The
-    local degree m_(k+1)/m_k comes from _orbit_steps.
+    The local degree m_(k+1)/m_k comes from _orbit_steps; a constant phi
+    (e = 0) has local degree 0, so its series is its first term, with tail 0.
+    For e = d there are no holes: every term and tail is 0.
     """
-    d, e = dec.d, dec.e
-    if e == d:
+    d = dec.d
+    if not dec.degenerate:
         yield from repeat((Fraction(0), Fraction(0)))
-    elif e == 0:
-        yield from repeat((Fraction(_match_hole(z, dec.holes)[0], d), Fraction(0)))
-    else:
-        partial = Fraction(0)
-        m = 1
-        for k, (_, depth, _, degree) in enumerate(_orbit_steps(dec, z, degrees=True)):
-            if depth:
-                partial += Fraction(m * depth, d ** (k + 1))
-            m *= degree
-            yield partial, Fraction(m, d ** (k + 1))
+        return
+    partial = Fraction(0)
+    m = 1
+    for k, (_, depth, _, degree) in enumerate(_orbit_steps(dec, z, degrees=True)):
+        if depth:
+            partial += Fraction(m * depth, d ** (k + 1))
+        m *= degree
+        yield partial, Fraction(m, d ** (k + 1))

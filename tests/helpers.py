@@ -101,4 +101,4 @@ def path_limit(terms, n):
         for (i, k), (re, im) in poly.items():
             if k == order:
                 coeffs[i] = complex(float(re), float(im))
-    return order, BoundaryMap(cur[2], HPoly(cur[2], lead[0]), HPoly(cur[2], lead[1]))
+    return order, BoundaryMap(cur[2], HPoly(lead[0]), HPoly(lead[1]))

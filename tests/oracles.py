@@ -182,7 +182,7 @@ def _monic_leading(P):
     mods = np.abs(P.coeffs)
     cutoff = 1e-12 * mods.max()
     lead = max(i for i in range(P.degree + 1) if mods[i] > cutoff)
-    return HPoly(P.degree, P.coeffs / P.coeffs[lead])
+    return HPoly(P.coeffs / P.coeffs[lead])
 
 
 def numeric_gcd(P, Q, tol=DEFAULTS.gcd):

@@ -92,12 +92,12 @@ def test_indeterminacy_locus_has_codimension_d_plus_1():
             J, H = _parametrization_jacobian(a, b, G)
             s = np.linalg.svd(J, compute_uv=False)
             assert s[d] > 1e-3 * s[0] and s[d + 1] < 1e-12 * s[0], (d, s / s[0])
-            f = BoundaryMap(d, HPoly(d, a * H), HPoly(d, b * H))
+            f = BoundaryMap(d, HPoly(a * H), HPoly(b * H))
             assert is_indeterminate(f)
             # a relative perturbation of 1e-3 leaves I(d): no shared factor survives
             c = np.concatenate([f.P.coeffs, f.Q.coeffs])
             c = c + 1e-3 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
-            assert decompose(BoundaryMap(d, HPoly(d, c[: d + 1]), HPoly(d, c[d + 1:]))).e == d
+            assert decompose(BoundaryMap(d, HPoly(c[: d + 1]), HPoly(c[d + 1:]))).e == d
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def _mono(d, **coeffs):
     c = np.zeros(d + 1, dtype=complex)
     for key, value in coeffs.items():
         c[int(key[1:])] = value
-    return HPoly(d, c)
+    return HPoly(c)
 
 
 def test_iterate_map_has_different_limits_along_paths_into_I_d():
@@ -153,7 +153,7 @@ def test_iterate_map_is_continuous_off_I_d():
     rng = np.random.default_rng(43)
 
     def poly(d):
-        return HPoly(d, rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+        return HPoly(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
 
     starts = []
     for _ in range(3):

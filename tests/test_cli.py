@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ratbound
-from ratbound import (DEFAULTS, BoundaryMap, HPoly, Tolerances, canonicalize, sample_max_entropy,
+from ratbound import (DEFAULTS, BoundaryMap, HPoly, canonicalize, sample_max_entropy,
                       weak_distance)
 from ratbound import cli
 from ratbound import families as fam
 from ratbound import hpoly
 from ratbound.cli import main
+from ratbound.config import Tolerances
 from ratbound.escape import cone_angle_report, escape_grid
 from ratbound.measure import boundary_measure
 from ratbound.ratmap import decompose, iterate_formula

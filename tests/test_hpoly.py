@@ -42,7 +42,7 @@ W = HPoly.w()
 
 
 def test_hpoly_is_immutable_and_keeps_its_repr():
-    P = HPoly(2, [1, -3j, 0.5])
+    P = HPoly([1, -3j, 0.5])
     assert (P.degree, P.coeffs.tolist()) == (2, [1, -3j, 0.5])
     assert repr(P) == "HPoly((1+0j)w^2 + (-0-3j)zw + (0.5+0j)z^2, deg=2)"
     for name in ("degree", "coeffs"):
@@ -54,8 +54,9 @@ def test_hpoly_is_immutable_and_keeps_its_repr():
         P.other = 1
     with pytest.raises(ValueError):
         P.coeffs[0] = 2.0  # read-only, and a copy of the input
-    with pytest.raises(ValueError, match="degree 2 needs 3 coefficients"):
-        HPoly(2, [1, 2])
+    for bad in ([], [[1, 2]], 1.0):  # the coefficients alone fix the degree
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            HPoly(bad)
     Q = pickle.loads(pickle.dumps(P))
     assert Q.degree == 2 and Q.coeffs.tobytes() == P.coeffs.tobytes()
 
@@ -190,8 +191,8 @@ def test_pullback_poly():
 
 def test_resultant_disjoint_unit():
     for d in (1, 2, 3, 5):
-        zd = HPoly(d, np.eye(d + 1, dtype=complex)[d])
-        wd = HPoly(d, np.eye(d + 1, dtype=complex)[0])
+        zd = HPoly(np.eye(d + 1, dtype=complex)[d])
+        wd = HPoly(np.eye(d + 1, dtype=complex)[0])
         assert abs(abs(resultant(zd, wd)) - 1) < 1e-12
 
 

@@ -137,7 +137,7 @@ def test_boundary_measure_example1_d3_mass_quarter():
     assert abs(mu.total_mass() + mu.tail_bound - 1) < 1e-10
 
 
-def test_boundary_measure_mass_bookkeeping():
+def test_boundary_measure_mass_bookkeeping(monkeypatch):
     fa = fam.example1_second_limit(2, a=0.3)
     dec = decompose(fa, 1e-4)
     r = dec.e / dec.d
@@ -147,10 +147,11 @@ def test_boundary_measure_mass_bookkeeping():
         mu = boundary_measure(dec, tol=tol)
         assert mu.total_mass() + mu.tail_bound == pytest.approx(1.0, abs=1e-12)
         assert mu.tail_bound == tail < tol
-    # when the atom cap binds first, the tail honestly reflects fewer levels:
-    # levels 0..8 hold 2 + 4 + ... + 512 = 1,022 atoms, and level 9's 1,024
-    # more would pass 2,000
-    capped = boundary_measure(dec, tol=1e-12, max_atoms=2000)
+    # when the row cap binds first, the tail honestly reflects fewer levels:
+    # levels 0..8 hold 2 + 4 + ... + 512 = 1,022 rows, and level 9's 1,024
+    # more would pass a cap of 2,000
+    monkeypatch.setattr(measure, "_MAX_ROWS", 2000)
+    capped = boundary_measure(dec, tol=1e-12)
     assert capped.tail_bound == r**9
     assert capped.total_mass() + capped.tail_bound == pytest.approx(1.0, abs=1e-12)
 
@@ -345,6 +346,11 @@ def test_point_mass_constant_case():
     assert point_mass(dec, canonicalize(2, 1)) == (2 / 3, 0.0)
     assert point_mass(dec, ZERO) == (1 / 3, 0.0)
     assert point_mass(dec, canonicalize(9, 1)) == (0.0, 0.0)
+    assert point_mass(dec, dec.constant_value) == (0.0, 0.0)  # (5:1), phi's value, no hole
+    # the e = 0 series is the general walk's first term: phi has local degree 0
+    dec = decompose(fam.example2_companion_limit(3, 2, 0.5), 1e-4)
+    assert [point_mass(dec, pt) for pt in (canonicalize(1, 1), INFINITY, dec.constant_value)] \
+        == [(1 / 3, 0.0), (2 / 3, 0.0), (0.0, 0.0)]
 
 
 def test_point_mass_sandwich_with_depth_sequence():

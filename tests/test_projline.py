@@ -416,7 +416,7 @@ def test_preimage_slots_keep_their_chart_and_bits_at_ties_and_the_floor(seed, e,
     p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
     if tie:
         p[0], q[0] = p[-1], q[-1]
-    phi = (HPoly(e, p), HPoly(e, q))
+    phi = (HPoly(p), HPoly(q))
     rows = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
     for end in (-1, 0):
         for offset in (0.0, 3e-13, 1e-12, 3e-12, 1e-10):
@@ -442,7 +442,7 @@ def test_canonicalize_rows_at_size_equals_its_7_row_slices():
 def test_batched_preimage_slots_at_size_equal_their_5_row_slices(e):
     rng = np.random.default_rng(37 + e)
     p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
-    phi = (HPoly(e, p), HPoly(e, q))
+    phi = (HPoly(p), HPoly(q))
     rows = canonicalize_rows(rng.standard_normal((20_000, 2))
                              + 1j * rng.standard_normal((20_000, 2)))
     sliced = np.concatenate([batched_preimage_slots(phi, rows[i:i + 5])
@@ -459,7 +459,7 @@ def test_preimage_step_gives_each_row_its_own_bits_alone_and_past_elision(e, mon
     # operands.  The root kernel's halves equal one eigvals call
     rng = np.random.default_rng(41 + e)
     p, q = (rng.standard_normal(e + 1) + 1j * rng.standard_normal(e + 1) for _ in range(2))
-    phi = (HPoly(e, p), HPoly(e, q))
+    phi = (HPoly(p), HPoly(q))
     rows = canonicalize_rows(rng.standard_normal((20_000, 2))
                              + 1j * rng.standard_normal((20_000, 2)))
 

@@ -511,8 +511,14 @@ def test_hole_depth_sequence_increasing_to_limit():
 def test_hole_depth_sequence_constant_phi():
     H = HPoly.from_roots([(canonicalize(1, 1), 1), (canonicalize(2, 1), 1)])
     f = BoundaryMap(2, 5 * H, H)
-    seq = hole_depth_sequence(decompose(f, 1e-6), canonicalize(1, 1), 3)
-    assert seq == [Fraction(1, 2)] * 3
+    dec = decompose(f, 1e-6)
+    assert hole_depth_sequence(dec, canonicalize(1, 1), 3) == [Fraction(1, 2)] * 3
+    assert hole_depth_sequence(dec, dec.constant_value, 3) == [0] * 3  # (5:1), no hole
+    # the e = 0 series is the general walk's first term: phi has local degree 0
+    dec = decompose(fam.example2_companion_limit(3, 2, 0.5), 1e-4)
+    for pt, mass in ((canonicalize(1, 1), Fraction(1, 3)), (INFINITY, Fraction(2, 3)),
+                     (dec.constant_value, 0)):
+        assert hole_depth_sequence(dec, pt, 4) == [mass] * 4
 
 
 def test_hole_depth_cross_check_against_expansion():
