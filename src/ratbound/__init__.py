@@ -57,7 +57,6 @@ from .measure import (
     weak_distance,
 )
 from .escape import (
-    EscapeValue,
     cone_angle_report,
     escape_rate,
     escape_rate_constant_case,

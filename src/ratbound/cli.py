@@ -252,7 +252,7 @@ def _emit_csv(args, header_fields, columns, extra_header=None):
     distinct float; any other column, a list or an ndarray of another dtype, goes through
     _fmt value by value."""
     lines = [f"# command={args.command}",
-             *(f"# tol.{key}={val:.17g}" for key, val in _tolerances(args).items()),
+             *(f"# tol.{key}={_fmt(val)}" for key, val in _tolerances(args).items()),
              *(f"# {key}={val}" for key, val in (extra_header or {}).items()),
              ",".join(map(_fmt, header_fields)) + "\n"]
     texts = list(map(_csv_texts, columns))
@@ -261,10 +261,11 @@ def _emit_csv(args, header_fields, columns, extra_header=None):
 
 
 def _csv_texts(column):
-    """An object array of a CSV column's fields, by _emit_csv's two rules."""
+    """An object array of a CSV column's fields, each by _fmt: a float64 ndarray's once
+    per distinct magnitude, any other column's value by value."""
     ndarray = isinstance(column, np.ndarray)
     if ndarray and column.dtype == np.float64:
-        return _item_texts(column, lambda values: [f"{v:.17g}" for v in values.tolist()])
+        return _item_texts(column, lambda values: list(map(_fmt, values.tolist())))
     return np.array(list(map(_fmt, column.tolist() if ndarray else column)), dtype=object)
 
 

@@ -43,7 +43,7 @@ def _p_from_roots(root_list):
         return None
     P = HPoly.constant(1.0)
     for r in root_list:
-        P = P * HPoly.from_coeffs([-complex(r), 1.0])
+        P = P * HPoly([-complex(r), 1.0])
     return P
 
 
@@ -203,7 +203,7 @@ def example2_companion_limit(d: int, k: int, a: complex) -> BoundaryMap:
 def make_epstein_FT(T: complex) -> BoundaryMap:
     """F_T = (zw(z^2 + T zw + w^2) : z^2 w^2) in Ratbar_4; not on I(4)."""
     T = complex(T)
-    inner = HPoly.from_coeffs([1.0, T, 1.0])  # w^2 + T zw + z^2
+    inner = HPoly([1.0, T, 1.0])  # w^2 + T zw + z^2
     top = HPoly.z() * HPoly.w() * inner
     bottom = (HPoly.z() ** 2) * (HPoly.w() ** 2)
     return BoundaryMap(4, top, bottom)

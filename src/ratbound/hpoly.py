@@ -1,14 +1,15 @@
 """Homogeneous bivariate polynomial arithmetic over C.
 
 An HPoly holds only its d+1 complex coefficients, coeffs[i] * z^i * w^(d-i),
-and reads its degree d off their count.  This module provides the algebraic
-substrate: evaluation, products, composition, the Sylvester resultant,
-all-roots finding on P^1 (companion-matrix eigenvalues with Newton polish
-and chordal clustering for multiplicities), and an approximate gcd computed
-by matching root clusters of the two inputs.  Each operation has one
-implementation: substitute composes polynomials with a pair from one table
-of the pair's powers, and one batched companion kernel, _companion_roots,
-serves both roots and the preimage slots of measure.
+and reads its degree d off their count; HPoly(coeffs) is the one constructor
+from coefficients.  This module provides the algebraic substrate: evaluation,
+products, composition, the Sylvester resultant, all-roots finding on P^1
+(companion-matrix eigenvalues with Newton polish and chordal clustering for
+multiplicities), and an approximate gcd computed by matching root clusters
+of the two inputs.  Each operation has one implementation: substitute
+composes polynomials with a pair from one table of the pair's powers, and one
+batched companion kernel, _companion_roots, serves both roots and the
+preimage slots of measure.
 
 Independent work shares one fixed pool through _shared_map, an in-order queue
 that the caller's thread and one pool task (separate from BLAS's threads) drain:
@@ -53,11 +54,6 @@ class HPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_coeffs(coeffs) -> "HPoly":
-        """HPoly(coeffs), under the name that scripts and the tests use."""
-        return HPoly(coeffs)
-
-    @staticmethod
     def zero(degree: int) -> "HPoly":
         return HPoly(np.zeros(degree + 1, dtype=complex))
 
@@ -67,11 +63,11 @@ class HPoly:
 
     @staticmethod
     def z() -> "HPoly":
-        return HPoly.from_coeffs([0, 1])
+        return HPoly([0, 1])
 
     @staticmethod
     def w() -> "HPoly":
-        return HPoly.from_coeffs([1, 0])
+        return HPoly([1, 0])
 
     @staticmethod
     def from_roots(entries, scale: complex = 1.0) -> "HPoly":
@@ -276,11 +272,10 @@ def resultant(P: HPoly, Q: HPoly) -> complex:
     A shared root at (1:0) (both leading coefficients vanishing) zeroes the
     first column, so the convention covers infinity without special casing.
     The dense matrix has (m + n)^2 entries: past _SYLVESTER_MAX rows it is a
-    NumericalFailure, raised before any allocation.
+    NumericalFailure, raised before any allocation.  Two constants give the
+    0 x 0 matrix, whose determinant is 1.
     """
     m, n = P.degree, Q.degree
-    if m + n == 0:
-        return 1.0 + 0j
     if m + n > _SYLVESTER_MAX:
         raise NumericalFailure(f"resultant: a {m + n} x {m + n} Sylvester matrix exceeds "
                                f"{_SYLVESTER_MAX} rows")
@@ -448,14 +443,13 @@ def roots(P: HPoly, tol: float = 1e-8) -> list:
     Each point is canonicalized once, when it is made (a second pass is not a
     no-op): the numeric roots by one canonicalize_rows call, the merged ones
     by the _merge_close (chordal components at max(tol, 1e-7)) that makes them.
+    A constant has no roots: its one-coefficient core leaves nothing to solve.
     """
     if not tol > 0:  # a zero leading coefficient is below no tol <= 0: it would reach the solver
         raise ValueError(f"roots tol must be positive, got {tol!r}")
     if P.is_zero:
         raise ValueError("roots undefined for the zero polynomial")
     d = P.degree
-    if d == 0:
-        return []
     c = P.coeffs / P.max_modulus()
     m_inf = 0
     while m_inf < d and abs(c[d - m_inf]) < tol:
@@ -522,8 +516,8 @@ def _sorted_roots(entries) -> list:
 def _rotated(P: HPoly, pt: ProjPoint) -> HPoly:
     """P(U^-1 (z, w)) for the unitary U sending pt = u to (0:1): its coefficient k
     is the k-th Taylor coefficient g_k of s -> P(u + s v), v = (-conj w, conj z)."""
-    A = HPoly.from_coeffs([pt.z, -np.conj(pt.w)])
-    B = HPoly.from_coeffs([pt.w, np.conj(pt.z)])
+    A = HPoly([pt.z, -np.conj(pt.w)])
+    B = HPoly([pt.w, np.conj(pt.z)])
     return substitute([P], A, B)[0]
 
 

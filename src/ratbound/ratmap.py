@@ -392,8 +392,7 @@ def _depth_series(dec: Decomposition, z: ProjPoint):
     """
     d = dec.d
     if not dec.degenerate:
-        yield from repeat((Fraction(0), Fraction(0)))
-        return
+        yield from repeat((Fraction(0), Fraction(0)))  # endless: the walk is never reached
     partial = Fraction(0)
     m = 1
     for k, (_, depth, _, degree) in enumerate(_orbit_steps(dec, z, degrees=True)):

@@ -8,7 +8,7 @@ from ratbound import DEFAULTS, BoundaryMap, HPoly, chordal_distance, hpoly, resu
 
 
 def hp(*coeffs):
-    return HPoly.from_coeffs(coeffs)
+    return HPoly(coeffs)
 
 
 def random_rat2(rng, min_res=1e-3):

@@ -158,7 +158,7 @@ def test_an_underflowing_iterate_exits_4_off_the_indeterminacy_locus(tmp_path, c
     # factors are constants of modulus about 0.02, and 0.02^256 is 0 in
     # float64): exit 4 with one line and no file, not an exit-3 I(d) verdict.
     # The 8th iterate keeps its bytes
-    H = HPoly.from_coeffs([-1, 0, 1])
+    H = HPoly([-1, 0, 1])
     path = write_map(tmp_path, BoundaryMap(2, 1.01 * H, H))
     for verb in ("iterate", "properness"):
         out = tmp_path / f"{verb}.out"
@@ -352,7 +352,7 @@ def test_seed_defaults_to_0(tmp_path, capsys):
 def test_sample_exceptional_exit_code(tmp_path, capsys):
     from ratbound import BoundaryMap, HPoly
 
-    f = BoundaryMap(2, HPoly.from_coeffs([0, 0, 1]), HPoly.from_coeffs([1, 0, 0]))
+    f = BoundaryMap(2, HPoly([0, 0, 1]), HPoly([1, 0, 0]))
     code = main(["sample", "--input", write_map(tmp_path, f),
                  "--param", "a0=0", "--depth", "4", "--count", "10"])
     assert code == 3
@@ -361,7 +361,7 @@ def test_sample_exceptional_exit_code(tmp_path, capsys):
 def test_sample_degree_one_exit_code(tmp_path, capsys):
     from ratbound import BoundaryMap, HPoly
 
-    f = BoundaryMap(1, HPoly.from_coeffs([0, 2]), HPoly.from_coeffs([1, 0]))  # z -> 2z
+    f = BoundaryMap(1, HPoly([0, 2]), HPoly([1, 0]))  # z -> 2z
     code = main(["sample", "--input", write_map(tmp_path, f),
                  "--param", "a0=1", "--depth", "3", "--count", "10"])
     assert code == 3
@@ -371,7 +371,7 @@ def test_sample_degree_one_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("f", [
     BoundaryMap(0, HPoly.constant(1.0), HPoly.constant(2.0)),
-    BoundaryMap(1, HPoly.from_coeffs([0, 2]), HPoly.from_coeffs([1, 0])),  # z -> 2z
+    BoundaryMap(1, HPoly([0, 2]), HPoly([1, 0])),  # z -> 2z
 ])
 def test_escape_below_degree_two_exit_code(f, tmp_path, capsys):
     # the escape rate has no limit below d = 2: exit 3 before any output
@@ -604,7 +604,7 @@ def test_properness_example1(tmp_path, capsys):
 def test_escape_grid_csv(tmp_path, capsys):
     from ratbound import BoundaryMap, HPoly
 
-    f = BoundaryMap(2, HPoly.from_coeffs([0, 0, 1]), HPoly.from_coeffs([1, 0, 0]))
+    f = BoundaryMap(2, HPoly([0, 0, 1]), HPoly([1, 0, 0]))
     out_path = tmp_path / "grid.csv"
     code = main(["escape", "--input", write_map(tmp_path, f),
                  "--param", "re=-1:1:3", "--param", "im=0:0:1",
@@ -1444,6 +1444,8 @@ def test_readme_key_tables_are_the_declared_keys_and_defaults():
       for key in ("re", "im")
       for spec in ("nan:2:3", "1e400:2:2", "-2:inf:2", "1j:2:3", "-2:2:0", "-2:2:-3", "-2:2:2.5",
                    "-2:2:inf", "-2:2", "a:2:3")],
+    (["decompose", "--family", "example1", "--param", "d=2", "--param", "t=0.1",
+      "--param", "P_roots=1,2"], "P must have degree 1, got 2"),
 ])
 def test_bad_input_exits_2_before_any_work(argv, key, tmp_path, capsys, monkeypatch):
     # one "ratbound:" line naming the key; no target is built, nothing sampled

@@ -65,6 +65,8 @@ CASES = [
                  ValueError("constant P not allowed for this family"), id="example1-constant-P"),
     pytest.param(lambda: fam.make_example1(2, 1.0, 0.1, P=2 * LINE),
                  ValueError("P must be monic as a polynomial in z"), id="example1-non-monic-P"),
+    pytest.param(lambda: fam.example2_second_limit(3, 2, 0), ValueError("a must be nonzero"),
+                 id="example2-zero-a"),
     # hpoly
     pytest.param(lambda: LINE + H, ValueError("can only add equal-degree homogeneous polynomials"),
                  id="add-unequal-degrees"),
@@ -82,7 +84,7 @@ CASES = [
     pytest.param(lambda: count_zeros_in_disk(HPoly.constant(2.0), ZERO), 0,
                  id="zeros-in-disk-of-a-constant"),
     # z^300 at (0:1): the ring values underflow at every radius the contour grows to
-    pytest.param(lambda: count_zeros_in_disk(HPoly.from_coeffs([0] * 300 + [1]), ZERO),
+    pytest.param(lambda: count_zeros_in_disk(HPoly([0] * 300 + [1]), ZERO),
                  NumericalFailure("argument-principle contour failed to resolve"),
                  id="zeros-in-disk-unresolved"),
     pytest.param(lambda: HPoly.zero(2).normalize().coeffs.tolist(), [0j] * 3,

@@ -218,7 +218,7 @@ def test_family_parameter_validation():
         fam.make_cubic_eps(0.0)
     with pytest.raises(ValueError):
         fam.make_polylimit([1.0, 2.0], -1.0)
-    bad_P = HPoly.from_coeffs([0, 1])  # root at 0
+    bad_P = HPoly([0, 1])  # root at 0
     with pytest.raises(ValueError):
         fam.make_example1(2, a=1.0, t=0.1, P=bad_P)
 

@@ -353,7 +353,7 @@ def test_roots_against_mpmath_oracle(n):
     # solver under test
     oracle = _mp_polyroots(asc, [site + 1e-16 ** (1 / m) * np.exp(2j * np.pi * j / m) * (m > 1)
                                  for site, m in planted for j in range(m)])
-    rl = roots(HPoly.from_coeffs(asc), 1e-4)
+    rl = roots(HPoly(asc), 1e-4)
     assert len(rl) == len(planted) and sum(m for _, m in rl) == n
     for site, mult in planted:
         center = oracle[np.argsort(np.abs(oracle - site))[:mult]].mean()
@@ -397,7 +397,7 @@ def test_roots_of_one_high_degree_polynomial_starts_no_pool(monkeypatch):
     monkeypatch.setattr(hpoly, "_THREADS", 2)
     monkeypatch.setattr(hpoly, "_pool", None)
     rng = np.random.default_rng(100)
-    rl = roots(HPoly.from_coeffs(rng.standard_normal(101) + 1j * rng.standard_normal(101)))
+    rl = roots(HPoly(rng.standard_normal(101) + 1j * rng.standard_normal(101)))
     assert sum(m for _, m in rl) == 100 and hpoly._pool is None
 
 
@@ -555,7 +555,7 @@ def test_roots_newton_polish_against_mpmath_oracle():
     rng = np.random.default_rng(3)
     sites = 10 ** rng.uniform(-2, 2, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
     asc = _mp_product(sites)
-    rl = roots(HPoly.from_coeffs(asc), 1e-12)
+    rl = roots(HPoly(asc), 1e-12)
     assert sum(m for _, m in rl) == len(rl) == 20
     for r in _mp_polyroots(asc, sites):
         assert min(chordal_distance(canonicalize(r, 1), pt) for pt, _ in rl) < 2e-15

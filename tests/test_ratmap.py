@@ -366,18 +366,18 @@ _COEFF = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=Fal
 
 @st.composite
 def _pairs(draw, degree):
-    return tuple(HPoly.from_coeffs(draw(st.lists(_COEFF, min_size=degree + 1,
-                                                 max_size=degree + 1)))
+    return tuple(HPoly(draw(st.lists(_COEFF, min_size=degree + 1,
+                                      max_size=degree + 1)))
                  for _ in range(2))
 
 
-_SHARED = HPoly.from_coeffs([0.5j, 1, 2.22507386e-308 + 3j])
+_SHARED = HPoly([0.5j, 1, 2.22507386e-308 + 3j])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(_pairs), st.integers(1, 4).flatmap(_pairs))
 # G's Sylvester matrix has an exact zero pivot that getrf does not report
-@example((HPoly.from_coeffs([1, 2]), HPoly.from_coeffs([3j, 1])), (_SHARED, _SHARED))
+@example((HPoly([1, 2]), HPoly([3j, 1])), (_SHARED, _SHARED))
 def test_composition_rule_for_resultants(F, G):
     # log|Res(F o G)| = deg G log|Res F| + (deg F)^2 log|Res G|.  Each determinant's
     # relative error is about eps times its Sylvester matrix's condition number, so

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ratbound"
@@ -64,3 +65,37 @@ def test_unread_parameter_check_sees_an_unread_name():
                      "g = lambda x, y: y\nclass C:\n    def one(self):\n        return 1\n")
     assert _unread_parameters(tree) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "k"),
                                       (4, "<lambda>", "x")]
+
+
+def _exports(tree):
+    """The names a package __init__ binds at top level: its imports and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _unnamed(names, texts):
+    """The names that no text holds as a whole word."""
+    return [n for n in names if not any(re.search(rf"\b{re.escape(n)}\b", t) for t in texts)]
+
+
+def test_every_export_is_named_outside_the_package():
+    # a public name stays only if the README, a test, the benchmark or CI names it
+    root = SRC.parents[1]
+    readers = [root / "README.md", *(p for p in (root / "tests").glob("*.py")
+                                     if p.name != Path(__file__).name),
+               *(p for p in (root / "perfbench").iterdir() if p.suffix in (".py", ".md", ".json")),
+               *(root / ".github" / "workflows").glob("*.yml")]
+    exports = _exports(ast.parse((SRC / "__init__.py").read_text()))
+    assert len(exports) >= 40
+    assert _unnamed(exports, [p.read_text() for p in readers]) == []
+
+
+def test_export_check_sees_an_unnamed_name():
+    tree = ast.parse("from .a import (b, c)\nfrom . import d\nx = 1\nimport os\n")
+    assert _exports(tree) == ["b", "c", "d", "x"]
+    assert _unnamed(_exports(tree), ["b and d", "xc, c2"]) == ["c", "x"]
